@@ -1160,9 +1160,9 @@ pub fn recovery_scaling(records: usize, snapshot_every: Option<u64>, seed: u64) 
         store.record_tagged(&fs, MemberId((i % 4) as u32), support, Some(0));
         let mut p = persistence.lock().unwrap();
         if p.wants_snapshot() {
-            let mut compacted = store.to_records();
-            compacted.push(admit.clone());
-            p.snapshot(&compacted).expect("compaction succeeds");
+            // As in the service: every change is already logged, so the
+            // checkpoint is handed no records.
+            p.snapshot(&[]).expect("compaction succeeds");
         }
     }
     let append_time = append_start.elapsed();

@@ -49,8 +49,10 @@
 //! A service started with [`start_with_persistence`]
 //! (OassisService::start_with_persistence) appends one [`WalRecord`] per
 //! state change — a committed crowd answer, an admission, a budget spend,
-//! a close — to a [`Persistence`] log, and periodically compacts it into
-//! a snapshot. [`recover`](OassisService::recover) /
+//! a close — to a [`Persistence`] log, and periodically checkpoints it.
+//! The log is never rewritten, so a checkpoint costs the records since
+//! the last one, not the answer store.
+//! [`recover`](OassisService::recover) /
 //! [`recover_with`](OassisService::recover_with) replay the log on
 //! startup: the cross-query [`AnswerStore`] is rebuilt in full, and every
 //! session that was admitted but had not closed comes back as a
@@ -319,10 +321,6 @@ struct SessionSlot {
     /// call — the stream a networked front-end forwards to its client as
     /// the session mines.
     partials: Vec<QueryAnswer>,
-    /// The `Admit` record as appended to the WAL (durable services only);
-    /// re-embedded into snapshots while the session is live so a recovery
-    /// from the compacted log can still resume it.
-    admit_record: Option<WalRecord>,
 }
 
 /// An interrupted session reconstructed from the durability log by
@@ -353,7 +351,7 @@ pub struct RecoveredSession {
 /// reconstructed from its `Close` WAL record by
 /// [`OassisService::recover`]. A client resuming such a session is
 /// answered from this — its report was final; nothing needs re-mining.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClosedOutcome {
     /// How the session ended.
     pub status: SessionStatus,
@@ -439,10 +437,9 @@ pub struct OassisService {
     recoverable: BTreeMap<u64, RecoveredSession>,
     /// Final outcomes of closed sessions, keyed by id — both those whose
     /// `Close` record predates a crash and those closed by this
-    /// incarnation (with every superseded ancestor id aliased to the same
-    /// outcome). A `Resume` of any of them is answered from here, never
-    /// re-mined, and compaction re-emits them as `Close` records so the
-    /// answer survives snapshots.
+    /// incarnation, with every superseded ancestor id aliased to the same
+    /// outcome. A `Resume` of any of them is answered from here, never
+    /// re-mined.
     recovered_closed: BTreeMap<u64, ClosedOutcome>,
     /// Resumption links (original id → successor id), so a retransmitted
     /// `Resume` lands on the successor instead of failing.
@@ -452,7 +449,7 @@ pub struct OassisService {
     tokens: BTreeMap<u64, u64>,
 }
 
-/// Snapshot interval (appended records) used by
+/// Checkpoint interval (appended records) used by
 /// [`OassisService::recover`]'s default file-backed persistence.
 pub const DEFAULT_SNAPSHOT_EVERY: u64 = 1024;
 
@@ -511,8 +508,8 @@ impl OassisService {
 
     /// Start a *durable* service: every committed crowd answer, session
     /// admission, budget spend and session close is appended to
-    /// `persistence`, and the log is compacted into snapshots at the
-    /// persistence's configured interval. Use
+    /// `persistence`, and the log is checkpointed at the persistence's
+    /// configured interval. Use
     /// [`recover_with`](Self::recover_with) on the same persistence after
     /// a restart.
     pub fn start_with_persistence(
@@ -530,12 +527,12 @@ impl OassisService {
     }
 
     /// Recover a durable service from the file-backed log under `dir`
-    /// (see [`FileBacked`]): load the latest snapshot, replay the WAL
-    /// tail, rebuild the answer store, and return the service plus every
-    /// interrupted session as a re-admittable [`RecoveredSession`] (in
-    /// admission order) — [`resume`](Self::resume) each to continue it.
-    /// Opening a fresh directory yields an empty durable service, so this
-    /// is also the normal way to *start* a file-backed service.
+    /// (see [`FileBacked`]): replay the WAL, rebuild the answer store, and
+    /// return the service plus every interrupted session as a
+    /// re-admittable [`RecoveredSession`] (in admission order) —
+    /// [`resume`](Self::resume) each to continue it. Opening a fresh
+    /// directory yields an empty durable service, so this is also the
+    /// normal way to *start* a file-backed service.
     pub fn recover(
         engine: Oassis,
         runtime: SessionRuntime,
@@ -616,11 +613,14 @@ impl OassisService {
             }
         }
         service.next_id = sessions.keys().next_back().map_or(0, |id| id + 1);
+        // The log keeps every `Admit` record, so every resumption link is
+        // known by now: alias each closed outcome under the ancestors its
+        // session superseded, as `finalize_slot` does live.
         let recovered: Vec<RecoveredSession> = sessions
             .into_iter()
             .filter_map(|(id, l)| match (l.closed, l.superseded) {
                 (Some(outcome), _) => {
-                    service.recovered_closed.insert(id, outcome);
+                    service.remember_closed(id, outcome);
                     None
                 }
                 (None, true) => None,
@@ -799,13 +799,12 @@ impl OassisService {
             self.sink
                 .count_labeled(names::ANSWERSTORE_HIT, "seed", seeded as u64);
         }
-        let admit_record = admit_spec.map(|admit| WalRecord::Admit {
-            session: id.0,
-            resumes: resumes.map(|s| s.0),
-            spec: admit,
-        });
-        if let Some(record) = &admit_record {
-            self.append_wal(record);
+        if let Some(admit) = admit_spec {
+            self.append_wal(&WalRecord::Admit {
+                session: id.0,
+                resumes: resumes.map(|s| s.0),
+                spec: admit,
+            });
         }
         self.slots.push(SessionSlot {
             id,
@@ -826,7 +825,6 @@ impl OassisService {
             finished: None,
             result: None,
             partials: Vec::new(),
-            admit_record,
         });
         if let Some(token) = token {
             self.tokens.insert(token, id.0);
@@ -1313,6 +1311,9 @@ impl OassisService {
             .map(|a| a.rendered.clone())
             .collect();
         msps.sort();
+        // The outcome is kept for the service's lifetime: drop the slack
+        // capacity `collect` left.
+        msps.shrink_to_fit();
         self.slots[i].result = Some(result);
         self.slots[i].finished = Some(status);
         let outcome = ClosedOutcome {
@@ -1328,28 +1329,29 @@ impl OassisService {
                 msps: outcome.msps.clone(),
             });
         }
-        // Remember the final outcome under this id *and* every superseded
-        // ancestor id, so a post-restart `Resume` by any id in the
-        // resumption chain is answered from here even after compaction
-        // drops the chain's `Admit` records.
-        let mut chain = vec![self.slots[i].id.0];
-        let mut grew = true;
-        while grew {
-            grew = false;
-            for (&original, &successor) in &self.superseded {
-                if chain.contains(&successor) && !chain.contains(&original) {
-                    chain.push(original);
-                    grew = true;
-                }
-            }
-        }
-        for id in chain {
-            self.recovered_closed.insert(id, outcome.clone());
-        }
+        self.remember_closed(self.slots[i].id.0, outcome);
         self.sink.gauge(
             names::SERVICE_SESSIONS_ACTIVE,
             self.active_sessions() as f64,
         );
+    }
+
+    /// Remember `outcome` as the final outcome of session `id` *and* of
+    /// every ancestor id it superseded, so a `Resume` by any id in the
+    /// resumption chain is answered from it. Each session supersedes at
+    /// most one ancestor, and ancestors have smaller ids, so the walk
+    /// ends.
+    fn remember_closed(&mut self, id: u64, outcome: ClosedOutcome) {
+        let mut current = id;
+        while let Some(ancestor) = self
+            .superseded
+            .iter()
+            .find_map(|(&original, &successor)| (successor == current).then_some(original))
+        {
+            self.recovered_closed.insert(ancestor, outcome.clone());
+            current = ancestor;
+        }
+        self.recovered_closed.insert(id, outcome);
     }
 
     /// Append one record to the durability log (no-op when volatile).
@@ -1362,46 +1364,19 @@ impl OassisService {
         }
     }
 
-    /// Compact the log into a snapshot when the tail has outgrown the
-    /// persistence's interval. The compacted sequence reproduces the full
-    /// live state: the answer store in canonical order, a `Close` per
-    /// closed session (a post-restart `Resume` is answered from that
-    /// outcome — dropping it would make the outcome unrecoverable), then
-    /// an `Admit` (+ latest `Budget` watermark) per live session.
+    /// Checkpoint the log when the tail has outgrown the persistence's
+    /// interval. Every state change is appended as it happens and the log
+    /// drops nothing (recovery takes each session's latest `Budget`
+    /// watermark), so the checkpoint is handed no records: its cost
+    /// follows the records since the last one, not the answer store.
     fn maybe_snapshot(&mut self) {
         let Some(p) = &self.persistence else {
             return;
         };
-        if !p.lock().expect("persistence poisoned").wants_snapshot() {
-            return;
+        let mut p = p.lock().expect("persistence poisoned");
+        if p.wants_snapshot() {
+            p.snapshot(&[]).expect("snapshot failed");
         }
-        let mut compacted = self.store.to_records();
-        for (id, outcome) in &self.recovered_closed {
-            compacted.push(WalRecord::Close {
-                session: *id,
-                status: close_status(outcome.status),
-                crowd_questions: outcome.crowd_questions as u64,
-                msps: outcome.msps.clone(),
-            });
-        }
-        for slot in &self.slots {
-            if slot.finished.is_some() {
-                continue;
-            }
-            if let Some(admit) = &slot.admit_record {
-                compacted.push(admit.clone());
-                if slot.budget.is_some() && slot.crowd_questions > 0 {
-                    compacted.push(WalRecord::Budget {
-                        session: slot.id.0,
-                        spent: slot.crowd_questions as u64,
-                    });
-                }
-            }
-        }
-        p.lock()
-            .expect("persistence poisoned")
-            .snapshot(&compacted)
-            .expect("snapshot failed");
     }
 }
 

@@ -95,7 +95,8 @@ fn run_service_sweep(n: u64) -> ExitCode {
 fn run_durability_sweep(n: u64) -> ExitCode {
     println!(
         "sim durability-sweep: {n} seeds, kill-at-any-index crash recovery \
-         (transparency, replay, overlap MSPs, disjoint MSPs + crowd counts)"
+         (transparency, replay, overlap MSPs, disjoint MSPs + crowd counts, \
+         compacted = uncompacted recovery)"
     );
     let start = Instant::now();
     let report = durability_sweep(0..n);

@@ -34,14 +34,14 @@ use std::time::Duration;
 
 use oassis_core::engine::service::SessionReport;
 use oassis_core::{
-    EngineConfig, MultiUserMiner, Oassis, OassisService, QueryResult, SessionRuntime, SessionSpec,
-    SimChaos, SimConfig, SimTrace, VirtualClock,
+    EngineConfig, MultiUserMiner, Oassis, OassisService, QueryResult, SessionId, SessionRuntime,
+    SessionSpec, SimChaos, SimConfig, SimTrace, VirtualClock,
 };
 use oassis_net::{
     FaultConfig, NetClient, NetServer, Request, Response, SimNet, SimTransport, WireStatus,
     PROTOCOL_VERSION,
 };
-use oassis_store_durable::{AdmitSpec, InMemory, SharedPersistence, WalRecord};
+use oassis_store_durable::{AdmitSpec, InMemory, Persistence, SharedPersistence, WalRecord};
 use oassis_crowd::transaction::table3_dbs;
 use oassis_crowd::{CrowdMember, DbMember, MemberId, ResponseModel, UnreliableMember};
 use oassis_obs::{names, Event, EventKind, EventSink, InMemorySink, Snapshot};
@@ -799,6 +799,11 @@ fn service_config(seed: u64) -> EngineConfig {
         .build()
 }
 
+/// Base for the per-plan `Submit` idempotency tokens of in-process runs
+/// (plan `i` uses `SIM_TOKEN_BASE + i`), so durable runs log tokens and
+/// the crash oracles can check that recovery maps each back.
+pub const SIM_TOKEN_BASE: u64 = 0x51A1_0000;
+
 /// The admission spec for one plan of a seeded run.
 fn plan_spec(seed: u64, plan: &ServicePlan) -> SessionSpec {
     SessionSpec {
@@ -837,8 +842,10 @@ fn run_service(
         None => OassisService::start_with_sink(engine, runtime, sink),
     };
     service.set_wave_size(wave);
-    for plan in plans {
-        service.submit(plan_spec(seed, plan)).expect("service plan admits");
+    for (i, plan) in plans.iter().enumerate() {
+        service
+            .submit_with_token(plan_spec(seed, plan), SIM_TOKEN_BASE + i as u64)
+            .expect("service plan admits");
     }
     let reports = service.run();
     let sessions: Vec<ServiceSessionOutcome> = reports.iter().map(session_outcome).collect();
@@ -1134,6 +1141,12 @@ pub fn wave_sweep(seeds: impl IntoIterator<Item = u64>) -> SweepReport {
 /// kill-point sweep crosses several log compactions.
 pub const SIM_SNAPSHOT_EVERY: u64 = 8;
 
+/// A crowd-question budget no simulated plan exhausts (sessions ask a few
+/// hundred questions at most): it changes no outcome, but makes the
+/// service log a `Budget` watermark per dispatch, which recovery must
+/// restore.
+pub const SIM_UNSPENT_BUDGET: usize = 10_000;
+
 /// A durable service run: [`simulate_service`] with an [`InMemory`]
 /// persistence attached. `log` keeps the complete append history, so the
 /// crash sweep can reconstruct the durable image at any index via
@@ -1199,6 +1212,19 @@ pub fn finish_after_crash(
     log: &InMemory,
     k: usize,
 ) -> Vec<Option<ServiceSessionOutcome>> {
+    restart_after_crash(seed, plans, latency, log, k).0
+}
+
+/// [`finish_after_crash`], also returning the log the restarted service
+/// kept appending to: `log`'s first `k` records, then the resumptions,
+/// re-submissions and everything they logged.
+fn restart_after_crash(
+    seed: u64,
+    plans: &[ServicePlan],
+    latency: bool,
+    log: &InMemory,
+    k: usize,
+) -> (Vec<Option<ServiceSessionOutcome>>, InMemory) {
     // The append history is ground truth (compaction never rewrites it):
     // which sessions had been admitted, and which had closed, by index k.
     let prefix = &log.history()[..k];
@@ -1210,7 +1236,8 @@ pub fn finish_after_crash(
         })
         .collect();
 
-    let persistence: SharedPersistence = Arc::new(Mutex::new(log.crashed_at(k)));
+    let image = Arc::new(Mutex::new(log.crashed_at(k)));
+    let persistence: SharedPersistence = Arc::clone(&image) as SharedPersistence;
     let engine = Oassis::new(figure1_ontology());
     let runtime = service_runtime(seed, latency);
     let (mut service, recovered) =
@@ -1227,18 +1254,140 @@ pub fn finish_after_crash(
     for (i, plan) in plans.iter().enumerate() {
         if !admitted.contains(&(i as u64)) {
             let id = service
-                .submit(plan_spec(seed, plan))
+                .submit_with_token(plan_spec(seed, plan), SIM_TOKEN_BASE + i as u64)
                 .expect("re-submission admits");
             plan_of.insert(id.0, i);
         }
     }
 
     let reports = service.run();
+    drop(service);
     let mut out: Vec<Option<ServiceSessionOutcome>> = vec![None; plans.len()];
     for report in &reports {
         out[plan_of[&report.id.0]] = Some(session_outcome(report));
     }
-    out
+    let image = Arc::try_unwrap(image)
+        .ok()
+        .expect("the finished service released the log")
+        .into_inner()
+        .expect("wal");
+    (out, image)
+}
+
+/// Everything a restart recovers from durable `image`, one line per
+/// fact, for the compaction oracle to compare: the rebuilt store, the
+/// interrupted sessions with their spend watermarks, and — for every
+/// session id `history` admits (plus one unknown id) — the closed
+/// outcome, recoverability and `resume_by_id` verdict, and the session
+/// every logged idempotency token maps to. Errs if a recovered spend
+/// watermark is below the last one `history` appended for that session.
+fn recovered_view(
+    seed: u64,
+    image: InMemory,
+    history: &[WalRecord],
+) -> Result<Vec<String>, String> {
+    let persistence: SharedPersistence = Arc::new(Mutex::new(image));
+    let (mut service, recovered) = OassisService::recover_with(
+        Oassis::new(figure1_ontology()),
+        service_runtime(seed, true),
+        oassis_obs::null_sink(),
+        persistence,
+    )
+    .expect("recovery from a crash image succeeds");
+    let mut view = vec![format!("store {:?}", service.store().to_records())];
+    for r in &recovered {
+        let last = history.iter().rev().find_map(|record| match record {
+            WalRecord::Budget { session, spent } if *session == r.original.0 => {
+                Some(*spent as usize)
+            }
+            _ => None,
+        });
+        if r.spent < last.unwrap_or(0) {
+            return Err(format!(
+                "session {} recovered spend watermark {} below the last appended {last:?}",
+                r.original.0, r.spent
+            ));
+        }
+        view.push(format!(
+            "interrupted {} spent {} token {:?}",
+            r.original.0, r.spent, r.token
+        ));
+    }
+    let mut ids = 0..1;
+    let mut tokens = Vec::new();
+    for record in history {
+        if let WalRecord::Admit { session, spec, .. } = record {
+            ids.end = ids.end.max(session + 2);
+            tokens.extend(spec.token);
+        }
+    }
+    for id in ids.clone() {
+        let id = SessionId(id);
+        view.push(format!(
+            "session {} closed {:?} recoverable {}",
+            id.0,
+            service.recovered_closed(id),
+            service.is_recoverable(id)
+        ));
+    }
+    for token in tokens {
+        view.push(format!(
+            "token {token} -> {:?}",
+            service.session_for_token(token)
+        ));
+    }
+    for id in ids {
+        let resumed = service
+            .resume_by_id(SessionId(id))
+            .map_err(|e| e.to_string());
+        view.push(format!("resume {id} -> {resumed:?}"));
+    }
+    Ok(view)
+}
+
+/// The compaction oracle at kill point `k`: recovering `log`'s crash image,
+/// compactions and all, must equal recovering a plain replay of the same
+/// `k` appends with nothing compacted, and neither may restore a spend
+/// watermark below the last one appended.
+fn check_compacted_recovery(seed: u64, log: &InMemory, k: usize) -> Result<(), String> {
+    let prefix = &log.history()[..k];
+    let mut plain = InMemory::new();
+    for record in prefix {
+        plain.append(record).expect("in-memory append");
+    }
+    let compacted = recovered_view(seed, log.crashed_at(k), prefix)?;
+    let uncompacted = recovered_view(seed, plain, prefix)?;
+    match compacted.iter().zip(&uncompacted).find(|(a, b)| a != b) {
+        Some((a, b)) => Err(format!("compacted `{a}` vs uncompacted `{b}`")),
+        None if compacted.len() != uncompacted.len() => Err(format!(
+            "{} recovered facts compacted vs {} uncompacted",
+            compacted.len(),
+            uncompacted.len()
+        )),
+        None => Ok(()),
+    }
+}
+
+/// Crash `log` at `k` and [`check_compacted_recovery`] there; then finish
+/// the run on the crash image ([`restart_after_crash`]) and check again
+/// at kill points after the restart, where the log holds resumption links
+/// and closed successors (so closed outcomes alias to ancestor ids).
+/// Returns the finished outcomes for the other crash oracles.
+fn check_compaction_across_restart(
+    seed: u64,
+    plans: &[ServicePlan],
+    log: &InMemory,
+    k: usize,
+) -> Result<Vec<Option<ServiceSessionOutcome>>, String> {
+    check_compacted_recovery(seed, log, k).map_err(|e| format!("kill at {k}: {e}"))?;
+    let (finished, relog) = restart_after_crash(seed, plans, true, log, k);
+    for k2 in kill_points(mix(seed, k as u64), relog.history_len()) {
+        if k2 > k {
+            check_compacted_recovery(seed, &relog, k2)
+                .map_err(|e| format!("kill at {k}, restart, kill at {k2}: {e}"))?;
+        }
+    }
+    Ok(finished)
 }
 
 /// Committed crowd answers attributed to session `s` in the first `k`
@@ -1264,7 +1413,15 @@ fn committed_answers(log: &InMemory, s: u64, k: usize) -> usize {
 ///    *and* the per-plan crowd-question counts are preserved: answers
 ///    committed before the crash plus questions the resumption dispatches
 ///    equal the uninterrupted run's count (crashes never re-buy answers,
-///    and never skip unpaid ones).
+///    and never skip unpaid ones);
+/// 5. **durable-compaction** — at every sampled kill point of both runs,
+///    recovering the crash image, compactions and all, equals recovering
+///    a plain replay of the same appends: the same store, interrupted
+///    sessions and spend watermarks (none below the last one appended),
+///    closed outcomes (ancestor aliases included), `resume_by_id`
+///    verdicts and token mappings. The odd-numbered overlapping plans
+///    carry a budget no plan exhausts, so their runs log `Budget`
+///    watermarks, while the others still run unbudgeted.
 pub fn check_durability_seed(seed: u64) -> Result<(), OracleFailure> {
     let fail = |oracle: &'static str, detail: String| OracleFailure {
         seed,
@@ -1272,7 +1429,14 @@ pub fn check_durability_seed(seed: u64) -> Result<(), OracleFailure> {
         detail,
     };
 
-    let plans = service_plans(3);
+    let plans: Vec<ServicePlan> = service_plans(3)
+        .into_iter()
+        .enumerate()
+        .map(|(i, plan)| ServicePlan {
+            budget: (i % 2 == 1).then_some(SIM_UNSPENT_BUDGET),
+            ..plan
+        })
+        .collect();
     let plain = simulate_service(seed, &plans, true);
     let durable = simulate_durable_service(seed, &plans, true, Some(SIM_SNAPSHOT_EVERY));
     if durable.outcome.sessions != plain.sessions {
@@ -1306,7 +1470,8 @@ pub fn check_durability_seed(seed: u64) -> Result<(), OracleFailure> {
 
     let log = durable.log.lock().expect("wal");
     for k in kill_points(seed, log.history_len()) {
-        let finished = finish_after_crash(seed, &plans, true, &log, k);
+        let finished = check_compaction_across_restart(seed, &plans, &log, k)
+            .map_err(|e| fail("durable-compaction", e))?;
         for (i, f) in finished.iter().enumerate() {
             let expected = &durable.outcome.sessions[i].msps;
             let got = f.as_ref().map_or(expected, |o| &o.msps);
@@ -1333,7 +1498,8 @@ pub fn check_durability_seed(seed: u64) -> Result<(), OracleFailure> {
     let drun = simulate_durable_service(seed, &dplans, true, Some(SIM_SNAPSHOT_EVERY));
     let dlog = drun.log.lock().expect("wal");
     for k in kill_points(mix(seed, 1), dlog.history_len()) {
-        let finished = finish_after_crash(seed, &dplans, true, &dlog, k);
+        let finished = check_compaction_across_restart(seed, &dplans, &dlog, k)
+            .map_err(|e| fail("durable-compaction", e))?;
         for (i, f) in finished.iter().enumerate() {
             let expected = &drun.outcome.sessions[i];
             let Some(got) = f else { continue }; // closed pre-crash: final

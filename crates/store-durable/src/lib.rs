@@ -8,16 +8,22 @@
 //!   a committed crowd answer, a session admission, a budget spend
 //!   watermark, or a session close;
 //! * [`Wal`] — the append-only log file itself: records are FNV-1a-64
-//!   checksummed, appends are flushed, and a torn tail (a partial line
-//!   from a crash mid-write) is detected and truncated on open;
-//! * snapshots — a compacted record sequence that reproduces the full
-//!   live state, written atomically (temp file + rename) so the log tail
-//!   can be discarded; recovery loads the latest snapshot and replays
-//!   only the tail;
+//!   checksummed, each append is a single write, and a torn tail (a
+//!   partial line from a crash mid-write) is detected and truncated on
+//!   open;
+//! * compaction as a *checkpoint*, never a rewrite: the log is the only
+//!   copy of the state and nothing in it is dropped (`Answer`, `Admit`
+//!   and `Close` records never become dead, and a later `Budget`
+//!   watermark simply supersedes an earlier one on replay), so a
+//!   compaction appends whatever records the owner hands it and fsyncs
+//!   the log. It costs the records since the last checkpoint, never the
+//!   state;
 //! * the [`Persistence`] trait with two implementations:
 //!   [`InMemory`] (tests and deterministic crash simulation — it can
 //!   reconstruct the exact durable state "as of record *k*") and
-//!   [`FileBacked`] (a directory holding `wal.log` + `snapshot.oas`).
+//!   [`FileBacked`] (a directory holding `wal.log`, which keeps no
+//!   records in memory once recovery has replayed them, and adopts a
+//!   directory written by the earlier whole-state snapshot format).
 //!
 //! The crate deliberately knows nothing about sessions or the mining
 //! engine: records carry plain scalars (raw member ids, query source

@@ -10,24 +10,29 @@ use crate::{DurableError, WalRecord};
 
 /// A durable record sink with replay-on-open semantics.
 ///
-/// The contract mirrors a compacting write-ahead log:
+/// The contract mirrors an append-only write-ahead log that compaction
+/// never rewrites:
 ///
 /// * [`append`](Persistence::append) durably adds one record and returns
 ///   its monotonically increasing sequence number;
-/// * [`replay`](Persistence::replay) returns every *live* record — the
-///   latest snapshot's compacted sequence followed by the log tail — in
+/// * [`replay`](Persistence::replay) returns every record in the log, in
 ///   append order; replaying them into empty state reproduces the full
-///   durable state;
-/// * [`snapshot`](Persistence::snapshot) installs a compacted record
-///   sequence (supplied by the owner, who knows the live state) and
-///   discards the log tail it covers;
+///   durable state (a later `Budget` watermark supersedes an earlier
+///   one);
+/// * [`snapshot`](Persistence::snapshot) is a checkpoint: it appends the
+///   records the owner hands it and makes the log durable up to that
+///   point, without rewriting anything already logged, so it costs the
+///   records since the last checkpoint, never the state. An owner that
+///   logs every state change as it happens (as the service does) hands it
+///   nothing;
 /// * [`wants_snapshot`](Persistence::wants_snapshot) tells the owner the
-///   tail has grown past the configured compaction interval.
+///   log has grown by the configured compaction interval since the last
+///   checkpoint.
 pub trait Persistence: Send {
     /// Durably append one record; returns its sequence number.
     fn append(&mut self, record: &WalRecord) -> Result<u64, DurableError>;
 
-    /// Every live record (snapshot + tail) in append order.
+    /// Every record in the log, in append order.
     fn replay(&mut self) -> Result<Vec<WalRecord>, DurableError>;
 
     /// Records appended since the last snapshot (the tail length).
@@ -36,9 +41,10 @@ pub trait Persistence: Send {
     /// Whether the tail has outgrown the compaction interval.
     fn wants_snapshot(&self) -> bool;
 
-    /// Replace snapshot + tail with `compacted` (which must reproduce the
-    /// owner's full live state when replayed).
-    fn snapshot(&mut self, compacted: &[WalRecord]) -> Result<(), DurableError>;
+    /// Append `records` (state the log does not hold yet, if the owner
+    /// has any), then checkpoint: make every logged record durable and
+    /// start a new tail. Nothing already logged is rewritten or dropped.
+    fn snapshot(&mut self, records: &[WalRecord]) -> Result<(), DurableError>;
 }
 
 /// The handle the service and answer store share.
@@ -50,25 +56,19 @@ pub fn shared<P: Persistence + 'static>(p: P) -> SharedPersistence {
 }
 
 /// In-memory persistence: the full WAL semantics (sequence numbers,
-/// snapshot compaction, replay) without a filesystem.
+/// checkpoints, replay) without a filesystem.
 ///
-/// Beyond serving tests, it keeps the complete append **history** and the
-/// points at which snapshots were taken, so a simulated crash can
-/// reconstruct the exact durable image "as of record *k*" — see
-/// [`crashed_at`](InMemory::crashed_at). That is what the crash-restart
-/// oracle in `oassis-simtest` sweeps over.
+/// Beyond serving tests, it keeps the points at which snapshots were
+/// taken, so a simulated crash can reconstruct the exact durable image
+/// "as of record *k*" — see [`crashed_at`](InMemory::crashed_at). That is
+/// what the crash-restart oracle in `oassis-simtest` sweeps over.
 pub struct InMemory {
-    /// Compacted records from the latest snapshot.
-    base: Vec<WalRecord>,
-    /// Records appended since the latest snapshot.
-    tail: Vec<WalRecord>,
-    /// Every record ever appended to this instance, in order.
-    history: Vec<WalRecord>,
-    /// `(history length when taken, compacted records)` per snapshot.
-    snaps: Vec<(usize, Vec<WalRecord>)>,
+    /// Every record ever appended, in order; compaction drops none.
+    log: Vec<WalRecord>,
+    /// Per snapshot, `(log length after it, records it was handed)`.
+    snaps: Vec<(usize, usize)>,
     /// Compact once the tail reaches this many records (`None` = never).
     snapshot_every: Option<u64>,
-    next_seq: u64,
     sink: Arc<dyn EventSink>,
 }
 
@@ -82,12 +82,9 @@ impl InMemory {
     /// An empty log that never auto-requests compaction.
     pub fn new() -> Self {
         InMemory {
-            base: Vec::new(),
-            tail: Vec::new(),
-            history: Vec::new(),
+            log: Vec::new(),
             snaps: Vec::new(),
             snapshot_every: None,
-            next_seq: 1,
             sink: null_sink(),
         }
     }
@@ -104,14 +101,15 @@ impl InMemory {
         self
     }
 
-    /// Every record ever appended to this instance, in append order.
+    /// Every record ever appended to this instance (those handed to a
+    /// snapshot included), in append order.
     pub fn history(&self) -> &[WalRecord] {
-        &self.history
+        &self.log
     }
 
     /// Number of records ever appended.
     pub fn history_len(&self) -> usize {
-        self.history.len()
+        self.log.len()
     }
 
     /// Number of snapshots taken.
@@ -119,35 +117,35 @@ impl InMemory {
         self.snaps.len()
     }
 
-    /// The durable image as it stood after exactly `k` appends: the
-    /// latest snapshot taken at or before that point, plus the log tail
-    /// up to record `k`. This is what a process crash after the `k`-th
-    /// append (and any snapshot compactions up to it) would leave on
-    /// disk for recovery to find.
+    /// Per snapshot, `(records in the log after it, records it was
+    /// handed)`.
+    pub fn snapshot_points(&self) -> &[(usize, usize)] {
+        &self.snaps
+    }
+
+    /// The durable image as it stood after exactly `k` appends: the log's
+    /// first `k` records, with the snapshots taken by then. This is what a
+    /// process crash after the `k`-th append would leave for recovery to
+    /// find. The image is this log as it was then, so a run restarted on
+    /// it can be crashed again.
     ///
     /// # Panics
     /// If `k` exceeds the number of appended records.
     pub fn crashed_at(&self, k: usize) -> InMemory {
         assert!(
-            k <= self.history.len(),
+            k <= self.log.len(),
             "crash point {k} beyond history ({} records)",
-            self.history.len()
+            self.log.len()
         );
-        let (covered, base) = self
-            .snaps
-            .iter()
-            .rev()
-            .find(|(point, _)| *point <= k)
-            .map(|(point, compacted)| (*point, compacted.clone()))
-            .unwrap_or((0, Vec::new()));
-        let tail: Vec<WalRecord> = self.history[covered..k].to_vec();
         InMemory {
-            base,
-            history: tail.clone(),
-            tail,
-            snaps: Vec::new(),
+            log: self.log[..k].to_vec(),
+            snaps: self
+                .snaps
+                .iter()
+                .copied()
+                .filter(|&(point, _)| point <= k)
+                .collect(),
             snapshot_every: self.snapshot_every,
-            next_seq: k as u64 + 1,
             sink: null_sink(),
         }
     }
@@ -155,34 +153,31 @@ impl InMemory {
 
 impl Persistence for InMemory {
     fn append(&mut self, record: &WalRecord) -> Result<u64, DurableError> {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.tail.push(record.clone());
-        self.history.push(record.clone());
+        self.log.push(record.clone());
         self.sink.count_labeled(names::WAL_APPEND, record.kind(), 1);
-        Ok(seq)
+        Ok(self.log.len() as u64)
     }
 
     fn replay(&mut self) -> Result<Vec<WalRecord>, DurableError> {
-        let mut out = self.base.clone();
-        out.extend(self.tail.iter().cloned());
-        self.sink.count(names::WAL_REPLAY, out.len() as u64);
-        Ok(out)
+        self.sink.count(names::WAL_REPLAY, self.log.len() as u64);
+        Ok(self.log.clone())
     }
 
     fn log_len(&self) -> u64 {
-        self.tail.len() as u64
+        let checkpoint = self.snaps.last().map_or(0, |&(point, _)| point);
+        (self.log.len() - checkpoint) as u64
     }
 
     fn wants_snapshot(&self) -> bool {
         self.snapshot_every
-            .is_some_and(|every| self.tail.len() as u64 >= every)
+            .is_some_and(|every| self.log_len() >= every)
     }
 
-    fn snapshot(&mut self, compacted: &[WalRecord]) -> Result<(), DurableError> {
-        self.base = compacted.to_vec();
-        self.tail.clear();
-        self.snaps.push((self.history.len(), compacted.to_vec()));
+    fn snapshot(&mut self, records: &[WalRecord]) -> Result<(), DurableError> {
+        for record in records {
+            self.append(record)?;
+        }
+        self.snaps.push((self.log.len(), records.len()));
         self.sink.count(names::WAL_SNAPSHOT, 1);
         Ok(())
     }
@@ -216,17 +211,28 @@ mod tests {
         assert!(!p.wants_snapshot());
     }
 
+    fn budget(spent: u64) -> WalRecord {
+        WalRecord::Budget { session: 1, spent }
+    }
+
     #[test]
-    fn snapshot_compacts_tail() {
-        let mut p = InMemory::new().with_snapshot_every(2);
+    fn snapshot_checkpoints_without_dropping_records() {
+        let mut p = InMemory::new().with_snapshot_every(3);
         p.append(&ans(1)).unwrap();
+        p.append(&budget(1)).unwrap();
         assert!(!p.wants_snapshot());
         p.append(&ans(2)).unwrap();
         assert!(p.wants_snapshot());
-        p.snapshot(&[ans(9)]).unwrap();
+        // Handed records are appended like any others.
+        p.snapshot(&[budget(2)]).unwrap();
         assert_eq!(p.log_len(), 0);
-        p.append(&ans(3)).unwrap();
-        assert_eq!(p.replay().unwrap(), vec![ans(9), ans(3)]);
+        assert_eq!(p.append(&ans(3)).unwrap(), 5);
+        assert_eq!(
+            p.replay().unwrap(),
+            vec![ans(1), budget(1), ans(2), budget(2), ans(3)]
+        );
+        assert_eq!(p.snapshot_points(), &[(4, 1)]);
+        assert_eq!(p.log_len(), 1);
     }
 
     #[test]
@@ -234,20 +240,22 @@ mod tests {
         let mut p = InMemory::new();
         for n in 1..=5 {
             p.append(&ans(n)).unwrap();
+            p.append(&budget(n as u64)).unwrap();
             if n == 3 {
-                // The owner compacts records 1–3 into one.
-                p.snapshot(&[ans(30)]).unwrap();
+                p.snapshot(&[]).unwrap();
             }
         }
-        // Before the snapshot point: raw history prefix.
         assert_eq!(p.crashed_at(0).replay().unwrap(), vec![]);
-        assert_eq!(p.crashed_at(2).replay().unwrap(), vec![ans(1), ans(2)]);
-        // At and after the snapshot point: compacted base + tail.
-        assert_eq!(p.crashed_at(3).replay().unwrap(), vec![ans(30)]);
-        assert_eq!(
-            p.crashed_at(5).replay().unwrap(),
-            vec![ans(30), ans(4), ans(5)]
-        );
+        for k in [3, 6, 8] {
+            let mut image = p.crashed_at(k);
+            assert_eq!(image.replay().unwrap(), p.history()[..k]);
+            assert_eq!(image.snapshot_count(), usize::from(k >= 6));
+            assert_eq!(image.log_len(), (if k >= 6 { k - 6 } else { k }) as u64);
+        }
+        // An image is the log as it was: it can be crashed again.
+        let image = p.crashed_at(8);
+        assert_eq!(image.crashed_at(7).replay().unwrap(), p.history()[..7]);
+        assert_eq!(image.crashed_at(3).snapshot_count(), 0);
     }
 
     #[test]

@@ -21,7 +21,10 @@ for f in "${files[@]}"; do
         jq -r '"\(input_filename): \(.rows | length) domains, questions saved \(.rows | map(.saved_pct) | min)-\(.rows | map(.saved_pct) | max)%, answers_match \(.rows | all(.answers_match))"' "$f"
         ;;
     durability)
-        jq -r '"\(input_filename): \(.rows | length) rows, up to \(.rows | map(.records) | max) records, worst recover \(.rows | map(.recover_secs) | max)s"' "$f"
+        jq -r '(.rows | map(.records) | max) as $n
+            | (.rows | map(select(.records == $n)) | map(select(.snapshot_every != null)) | .[0].append_secs) as $on
+            | (.rows | map(select(.records == $n)) | map(select(.snapshot_every == null)) | .[0].append_secs) as $off
+            | "\(input_filename): \(.rows | length) rows, up to \($n) records, worst recover \(.rows | map(.recover_secs) | max)s, append snapshots on/off \($on / $off * 100 | round / 100)x at \($n) records"' "$f"
         ;;
     simtest)
         jq -r '"\(input_filename): \(.passed)/\(.seeds) seeds passed (\(.seeds_per_sec)/s)"' "$f"

@@ -1,19 +1,24 @@
 //! Integration tests for the durability layer: a file-backed service
 //! surviving restart, exhaustive kill-point recovery on a small plan,
-//! conservative budget accounting across a crash, and torn-tail /
-//! corrupt-log handling through `OassisService::recover`.
+//! conservative budget accounting across a crash, torn-tail /
+//! corrupt-log handling through `OassisService::recover`, and compaction
+//! that drops no record, costs no more than the live sessions, and keeps
+//! closed sessions' idempotency tokens.
 
+use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
 use oassis::core::{
-    EngineConfig, Oassis, OassisError, OassisService, SessionRuntime, SessionSpec, SessionStatus,
+    EngineConfig, Oassis, OassisError, OassisService, SessionId, SessionRuntime, SessionSpec,
+    SessionStatus,
 };
 use oassis::crowd::transaction::table3_dbs;
 use oassis::crowd::{CrowdMember, DbMember, MemberId};
 use oassis::store::ontology::figure1_ontology;
-use oassis::store_durable::{InMemory, SharedPersistence, WalRecord, WAL_FILE};
+use oassis::store_durable::{InMemory, Persistence, SharedPersistence, WalRecord, WAL_FILE};
 use oassis_simtest::{
-    finish_after_crash, service_plans, simulate_durable_service, SIM_SNAPSHOT_EVERY,
+    finish_after_crash, service_plans, simulate_durable_service, ServicePlan, SIM_SNAPSHOT_EVERY,
+    SIM_UNSPENT_BUDGET,
 };
 
 const QUERY: &str = "SELECT FACT-SETS WHERE \
@@ -287,4 +292,171 @@ fn admitted_config_round_trips_through_the_log() {
     assert_eq!(spec.priority, 2);
     assert_eq!(spec.config.seed, 41);
     assert_eq!(spec.config.aggregator_sample, 3);
+}
+
+/// A closed session's idempotency token survives compaction. Its `Admit`
+/// record is the only one carrying the token, so a compaction that
+/// dropped it would let a retried `Submit` after a restart admit the
+/// session a second time.
+#[test]
+fn closed_session_token_survives_compaction() {
+    for every in [None, Some(1)] {
+        let mut mem = InMemory::new();
+        if let Some(every) = every {
+            mem = mem.with_snapshot_every(every);
+        }
+        let mem = Arc::new(Mutex::new(mem));
+        let mut service = OassisService::start_with_persistence(
+            Oassis::new(figure1_ontology()),
+            SessionRuntime::new(figure1_crowd(2)),
+            oassis::obs::null_sink(),
+            Arc::clone(&mem) as SharedPersistence,
+        );
+        let id = service
+            .submit_with_token(SessionSpec::builder(QUERY).build(), 77)
+            .unwrap();
+        assert_eq!(service.run().remove(0).status, SessionStatus::Completed);
+        drop(service);
+
+        let log = mem.lock().unwrap();
+        assert_eq!(every.is_some(), log.snapshot_count() > 0);
+        let image: SharedPersistence = Arc::new(Mutex::new(log.crashed_at(log.history_len())));
+        let (service, recovered) = OassisService::recover_with(
+            Oassis::new(figure1_ontology()),
+            SessionRuntime::new(figure1_crowd(2)),
+            oassis::obs::null_sink(),
+            image,
+        )
+        .unwrap();
+        assert!(recovered.is_empty(), "the session closed");
+        assert_eq!(
+            service.session_for_token(77),
+            Some(id),
+            "token lost with snapshot_every {every:?}"
+        );
+    }
+}
+
+/// Compaction work follows the live state, not the store: each snapshot
+/// is handed at most one record per live session (the service hands
+/// none, since it logs every change as it happens), and every `Admit`
+/// and `Close` the run appends stays in the log exactly once — nothing is
+/// dropped or re-emitted at a compaction.
+#[test]
+fn compaction_work_is_bounded_by_live_state() {
+    let plans: Vec<ServicePlan> = service_plans(3)
+        .into_iter()
+        .map(|plan| ServicePlan {
+            budget: Some(SIM_UNSPENT_BUDGET),
+            ..plan
+        })
+        .collect();
+    let run = simulate_durable_service(11, &plans, true, Some(SIM_SNAPSHOT_EVERY));
+    let mut log = run.log.lock().unwrap();
+    assert!(log.snapshot_count() > 2, "the run must compact repeatedly");
+    let history = log.history().to_vec();
+    for &(point, handed) in log.snapshot_points() {
+        let mut live = BTreeSet::new();
+        for record in &history[..point] {
+            match record {
+                WalRecord::Admit { session, .. } => {
+                    live.insert(*session);
+                }
+                WalRecord::Close { session, .. } => {
+                    live.remove(session);
+                }
+                _ => {}
+            }
+        }
+        assert!(
+            handed <= live.len(),
+            "the snapshot after append {point} was handed {handed} records for {} live sessions",
+            live.len()
+        );
+    }
+    let replayed = log.replay().unwrap();
+    for session in 0..plans.len() as u64 {
+        let admits = replayed
+            .iter()
+            .filter(|r| matches!(**r, WalRecord::Admit { session: s, .. } if s == session))
+            .count();
+        let closes = replayed
+            .iter()
+            .filter(|r| matches!(**r, WalRecord::Close { session: s, .. } if s == session))
+            .count();
+        assert_eq!((admits, closes), (1, 1), "session {session}");
+    }
+    assert!(
+        replayed
+            .iter()
+            .any(|r| matches!(r, WalRecord::Budget { .. })),
+        "budgeted plans must log watermarks"
+    );
+}
+
+/// Recovery remembers a closed session's outcome under every ancestor id
+/// its resumption superseded, read from the permanent `Admit` links — so
+/// the alias holds whether or not the log was compacted.
+#[test]
+fn closed_outcome_is_aliased_under_resumed_ancestors() {
+    for every in [None, Some(1)] {
+        let new_log = || match every {
+            Some(every) => InMemory::new().with_snapshot_every(every),
+            None => InMemory::new(),
+        };
+        let restart = |log: InMemory| {
+            OassisService::recover_with(
+                Oassis::new(figure1_ontology()),
+                SessionRuntime::new(figure1_crowd(2)),
+                oassis::obs::null_sink(),
+                Arc::new(Mutex::new(log)),
+            )
+            .expect("log replays")
+        };
+
+        // First run, crashed halfway through its only session.
+        let mem = Arc::new(Mutex::new(new_log()));
+        let mut service = OassisService::start_with_persistence(
+            Oassis::new(figure1_ontology()),
+            SessionRuntime::new(figure1_crowd(2)),
+            oassis::obs::null_sink(),
+            Arc::clone(&mem) as SharedPersistence,
+        );
+        service.submit(SessionSpec::builder(QUERY).build()).unwrap();
+        service.run();
+        drop(service);
+        let image = {
+            let log = mem.lock().unwrap();
+            Arc::new(Mutex::new(log.crashed_at(log.history_len() / 2)))
+        };
+
+        // Second run: resume the interrupted session to its close.
+        let (mut service, mut recovered) = OassisService::recover_with(
+            Oassis::new(figure1_ontology()),
+            SessionRuntime::new(figure1_crowd(2)),
+            oassis::obs::null_sink(),
+            Arc::clone(&image) as SharedPersistence,
+        )
+        .unwrap();
+        assert_eq!(recovered.len(), 1, "the session was interrupted");
+        let successor = service.resume(recovered.remove(0)).unwrap();
+        let report = service.run().remove(0);
+        drop(service);
+
+        // Third run: both ids answer with the successor's outcome.
+        let log = image.lock().unwrap();
+        assert_eq!(every.is_some(), log.snapshot_count() > 0);
+        let (service, recovered) = restart(log.crashed_at(log.history_len()));
+        assert!(recovered.is_empty(), "the successor closed");
+        let outcome = service
+            .recovered_closed(successor)
+            .expect("the successor's close was logged");
+        assert_eq!(outcome.crowd_questions, report.crowd_questions);
+        assert_eq!(
+            service.recovered_closed(SessionId(0)),
+            Some(outcome),
+            "ancestor not aliased with snapshot_every {every:?}"
+        );
+        assert!(!service.is_recoverable(SessionId(0)));
+    }
 }
