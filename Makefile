@@ -15,7 +15,7 @@ test-all:
 	cargo test -q --workspace
 
 clippy:
-	cargo clippy --workspace -- -D warnings
+	cargo clippy --workspace --tests -- -D warnings
 
 check:
 	./scripts/check.sh

@@ -182,11 +182,16 @@ fn print_curves(title: &str, series: &[CurveSeries]) {
 
 /// Run the index-layer scale benchmark (PR 3) and write `BENCH_scale.json`
 /// at the repo root. `OASSIS_SCALE_SMOKE=1` shrinks the question caps so CI
-/// can assert the invariants (identical answers, speedup ≥ 1) in seconds;
-/// the full run is the one whose numbers matter.
+/// can assert the invariants (identical answers, speedup ≥ 1) in seconds,
+/// timing each side as the median of 5 alternating runs so one slow run
+/// cannot flip the bound; the full run is the one whose numbers matter.
 fn run_scale(sink: &Arc<dyn EventSink>, seed: u64) {
     let smoke = std::env::var("OASSIS_SCALE_SMOKE").is_ok_and(|v| v == "1");
-    let (members, cap_small, cap_large) = if smoke { (6, 40, 80) } else { (24, 400, 400) };
+    let (members, cap_small, cap_large, runs) = if smoke {
+        (6, 40, 80, 5)
+    } else {
+        (24, 400, 400, 1)
+    };
     println!(
         "== scale: index-layer speedup ({}) ==",
         if smoke { "smoke" } else { "full" }
@@ -196,7 +201,7 @@ fn run_scale(sink: &Arc<dyn EventSink>, seed: u64) {
         .enumerate()
         .map(|(i, d)| {
             let cap = if i == 0 { cap_small } else { cap_large };
-            let r = scale_speedup(d, members, cap, seed);
+            let r = scale_speedup(d, members, cap, seed, runs);
             assert!(
                 r.answers_match,
                 "{}: indexed run changed the valid-MSP set or question count",

@@ -887,18 +887,20 @@ pub struct ScaleRow {
 }
 
 /// End-to-end wall-clock effect of PR 3's index layer: mine the same
-/// generated crowd twice — once with `use_indexes = false` (reference
-/// linear-scan border, direct space derivations, transaction-scan support)
-/// and once with the indexed paths — and report wall-clock, questions/sec
-/// and the speedup. The observable output (valid MSPs, question counts) is
-/// asserted identical; both runs are capped at `max_questions` so the
-/// benchmark measures per-question cost on large DAGs rather than mining
-/// the 10× domain to exhaustion.
+/// generated crowd with `use_indexes = false` (reference linear-scan
+/// border, direct space derivations, transaction-scan support) and with
+/// the indexed paths — `runs` times each, alternating, each side timed as
+/// the median of its runs — and report wall-clock, questions/sec and the
+/// speedup. The observable output (valid MSPs, question counts) is
+/// asserted identical across every run; all runs are capped at
+/// `max_questions` so the benchmark measures per-question cost on large
+/// DAGs rather than mining the 10× domain to exhaustion.
 pub fn scale_speedup(
     domain: &Domain,
     members: usize,
     max_questions: usize,
     seed: u64,
+    runs: usize,
 ) -> ScaleRow {
     let engine = Oassis::new(domain.ontology.clone());
     let query = engine.parse(&domain.query).expect("query parses");
@@ -932,9 +934,6 @@ pub fn scale_speedup(
             .expect("execution succeeds");
         (result, start.elapsed())
     };
-    let (base, unindexed) = run(false);
-    let (idx, indexed) = run(true);
-
     let valid = |r: &oassis_core::QueryResult| {
         let mut v: Vec<&str> = r
             .answers
@@ -943,8 +942,25 @@ pub fn scale_speedup(
             .map(|a| a.rendered.as_str())
             .collect();
         v.sort_unstable();
-        v.join("\n")
+        (v.join("\n"), r.stats.total_questions)
     };
+    let (base, first_unindexed) = run(false);
+    let (idx, first_indexed) = run(true);
+    let expected = valid(&base);
+    let mut answers_match = valid(&idx) == expected;
+    let (mut unindexed, mut indexed) = (vec![first_unindexed], vec![first_indexed]);
+    for _ in 1..runs {
+        for (use_indexes, times) in [(false, &mut unindexed), (true, &mut indexed)] {
+            let (result, elapsed) = run(use_indexes);
+            answers_match &= valid(&result) == expected;
+            times.push(elapsed);
+        }
+    }
+    let median = |mut times: Vec<Duration>| {
+        times.sort_unstable();
+        times[times.len() / 2]
+    };
+    let (unindexed, indexed) = (median(unindexed), median(indexed));
     let questions = base.stats.total_questions;
     // The paper's "without multiplicities" node count (the full DAG with
     // multi-valued assignments is astronomically larger).
@@ -962,8 +978,7 @@ pub fn scale_speedup(
         speedup: unindexed.as_secs_f64() / indexed.as_secs_f64().max(f64::EPSILON),
         unindexed_qps: qps(questions, unindexed),
         indexed_qps: qps(idx.stats.total_questions, indexed),
-        answers_match: valid(&base) == valid(&idx)
-            && base.stats.total_questions == idx.stats.total_questions,
+        answers_match,
     }
 }
 
@@ -1519,7 +1534,7 @@ mod net_tests {
         let row = net_overhead(2, 2, 8, 7);
         assert!(row.answers_match, "served run changed the answers");
         // Hello + one Submit per session + at least one Poll each.
-        assert!(row.requests >= 1 + 2 * row.sessions, "too few round-trips");
+        assert!(row.requests > 2 * row.sessions, "too few round-trips");
         assert!(row.rtt_mean > Duration::ZERO);
     }
 }
@@ -1554,7 +1569,7 @@ mod scale_tests {
     #[test]
     fn indexed_and_unindexed_runs_agree() {
         let domain = travel_domain();
-        let row = scale_speedup(&domain, 6, 40, 11);
+        let row = scale_speedup(&domain, 6, 40, 11, 1);
         assert!(row.answers_match, "index layer changed observable output");
         assert!(row.questions > 0);
         assert!(row.nodes > 0);

@@ -10,7 +10,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::Mutex;
 
 use oassis_vocab::Vocabulary;
 
@@ -399,58 +399,6 @@ impl ClassificationState {
     /// Whether `phi` was explicitly decided (asked), not just inferred.
     pub fn explicitly_decided(&self, phi: &Assignment) -> bool {
         self.explicit.contains_key(phi)
-    }
-}
-
-/// A synchronized, read-mostly view of the coordinator's overall
-/// classification knowledge, shared with the session runtime's workers.
-///
-/// The coordinator [`publish`](Self::publish)es its state after each
-/// scheduling turn; workers consult it when they pick up a *speculative*
-/// question and cancel the ask if the target assignment has meanwhile been
-/// classified — the commit loop never asks about classified nodes, so a
-/// cancellation can never starve it. The epoch counter lets readers detect
-/// staleness cheaply without taking the lock.
-///
-/// Cloning yields another handle to the same shared view.
-#[derive(Debug, Clone, Default)]
-pub struct SharedBorder {
-    state: Arc<RwLock<Arc<ClassificationState>>>,
-    epoch: Arc<AtomicU64>,
-}
-
-impl SharedBorder {
-    /// A fresh all-unclassified shared view (epoch 0).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Replace the shared view with a snapshot of `state`, bumping the
-    /// epoch. The snapshot is built *before* the write lock is taken and
-    /// swapped in as an `Arc` pointer, so the critical section is a pointer
-    /// store rather than a deep clone — workers reading concurrently are
-    /// never blocked behind border copying.
-    pub fn publish(&self, state: &ClassificationState) {
-        let snapshot = Arc::new(state.clone());
-        *self.state.write().expect("shared border poisoned") = snapshot;
-        self.epoch.fetch_add(1, Ordering::Release);
-    }
-
-    /// How many times [`publish`](Self::publish) has run.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    /// The last published snapshot (cheap: clones an `Arc`, not the state).
-    pub fn snapshot(&self) -> Arc<ClassificationState> {
-        Arc::clone(&self.state.read().expect("shared border poisoned"))
-    }
-
-    /// Whether `phi` is already classified (significant *or* insignificant)
-    /// in the last published view. The read lock is held only long enough
-    /// to clone the snapshot pointer; the status check runs lock-free.
-    pub fn is_classified(&self, phi: &Assignment, vocab: &Vocabulary) -> bool {
-        self.snapshot().status(phi, vocab) != Status::Unclassified
     }
 }
 

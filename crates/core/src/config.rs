@@ -7,12 +7,12 @@
 
 use std::sync::Arc;
 
+use oassis_crowd::Aggregator;
 use oassis_obs::{null_sink, EventSink};
 use oassis_sparql::MatchMode;
 use oassis_vocab::Fact;
 
 use crate::assignment::Assignment;
-use crate::runtime::{Clock, SystemClock};
 
 /// Engine-level configuration.
 #[derive(Debug, Clone)]
@@ -65,12 +65,12 @@ pub struct EngineConfig {
     /// `docs/observability.md`). Defaults to the no-op [`null_sink`], whose
     /// `enabled() == false` lets hot paths skip event construction.
     pub sink: Arc<dyn EventSink>,
-    /// Time source for the engine's own waits (the synchronous `Direct`
-    /// crowd path's in-line answer delay). Defaults to the real
-    /// [`SystemClock`]; the simulation harness injects a
-    /// [`VirtualClock`](crate::VirtualClock) so sequential reference runs
-    /// pay no wall-clock time either.
-    pub clock: Arc<dyn Clock>,
+    /// The aggregation black-box deciding overall significance from the
+    /// collected answers. `None` (the default) is the paper's rule, a
+    /// [`FixedSampleAggregator`](oassis_crowd::FixedSampleAggregator) over
+    /// [`aggregator_sample`](Self::aggregator_sample) answers. Like `sink`,
+    /// it is runtime-only: a durable service does not persist it.
+    pub aggregator: Option<Arc<dyn Aggregator>>,
 }
 
 impl Default for EngineConfig {
@@ -91,7 +91,7 @@ impl Default for EngineConfig {
             use_query_planner: true,
             space_cache_capacity: 1 << 16,
             sink: null_sink(),
-            clock: Arc::new(SystemClock::new()),
+            aggregator: None,
         }
     }
 }
@@ -218,9 +218,9 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Time source for the engine's own waits (default: [`SystemClock`]).
-    pub fn clock(mut self, clock: Arc<dyn Clock>) -> Self {
-        self.config.clock = clock;
+    /// Replace the paper's fixed-sample aggregation rule.
+    pub fn aggregator(mut self, aggregator: Arc<dyn Aggregator>) -> Self {
+        self.config.aggregator = Some(aggregator);
         self
     }
 
@@ -254,6 +254,7 @@ mod tests {
         assert_eq!(built.use_query_planner, def.use_query_planner);
         assert_eq!(built.space_cache_capacity, 1 << 16);
         assert_eq!(built.space_cache_capacity, def.space_cache_capacity);
+        assert!(built.aggregator.is_none(), "the paper's rule by default");
     }
 
     #[test]
@@ -282,6 +283,7 @@ mod tests {
             .more_domain(Vec::new())
             .top_k(2)
             .space_cache_capacity(1024)
+            .aggregator(Arc::new(oassis_crowd::MajorityVoteAggregator { sample_size: 3 }))
             .build();
         assert_eq!(config.aggregator_sample, 1);
         assert_eq!(config.specialization_ratio, 0.25);
@@ -293,6 +295,7 @@ mod tests {
         assert_eq!(config.targets, Some(Vec::new()));
         assert_eq!(config.top_k, Some(2));
         assert_eq!(config.space_cache_capacity, 1024);
+        assert!(config.aggregator.is_some());
     }
 
     #[test]

@@ -1,32 +1,23 @@
 //! The OASSIS engine: multi-user evaluation (Section 4.2) and the
 //! system facade (Section 6.1).
 //!
-//! The engine is organized in four layers (see `docs/engine.md`):
+//! The engine is organized in three layers (see `docs/engine.md`):
 //!
 //! * [`session`] — the pull-based [`MiningSession`] state machine: the
 //!   complete §4.2 algorithm with the crowd inverted out. A session never
 //!   talks to a crowd; it *emits* [`PendingQuestion`]s and the driver
 //!   feeds [`Answer`]s back via [`MiningSession::absorb`].
-//! * [`multi`] — [`MultiUserMiner`], the single-query driver: it runs one
-//!   session to completion over a borrowed member slice or the concurrent
-//!   session runtime (with speculative prefetch).
+//! * [`service`] — [`OassisService`], the one driver: many concurrent
+//!   sessions multiplexed over one shared crowd, with cross-query answer
+//!   reuse through an [`AnswerStore`](oassis_crowd::AnswerStore).
 //! * [`single`] — the [`Oassis`] system facade: parse → SPARQL → mine →
-//!   answers, plus the Section 6.3 cache-replay methodology.
-//! * [`service`] — [`OassisService`], the multi-query layer: many
-//!   concurrent sessions multiplexed over one shared crowd, with
-//!   cross-query answer reuse through an
-//!   [`AnswerStore`](oassis_crowd::AnswerStore).
-//!
-//! Every name that used to live in the monolithic `engine` module is
-//! re-exported here, so `oassis_core::engine::MultiUserMiner` (and the
-//! crate-root re-exports) keep working unchanged.
+//!   answers, each query run as the only session of a volatile service,
+//!   plus the Section 6.3 cache-replay methodology.
 
-pub mod multi;
 pub mod service;
 pub mod session;
 pub mod single;
 
-pub use multi::MultiUserMiner;
 pub use service::{
     ClosedOutcome, OassisService, RecoveredSession, SessionId, SessionReport, SessionSpec,
     SessionSpecBuilder, SessionStatus,
@@ -35,8 +26,6 @@ pub use session::{Answer, CrowdView, MiningSession, PendingQuestion, QuestionPay
 pub use single::{replay_members, Oassis};
 
 pub use crate::config::{EngineConfig, EngineConfigBuilder};
-
-use std::sync::Arc;
 
 use oassis_crowd::CrowdCache;
 use oassis_ql::QlError;
@@ -143,52 +132,7 @@ pub struct QueryResult {
     pub state: ClassificationState,
 }
 
-/// Receives each MSP answer the moment it is confirmed during a run
-/// (see [`MultiUserMiner::run_with_observer`]). Any `FnMut(&QueryAnswer)`
-/// closure implements it.
-pub trait AnswerObserver {
-    /// Called once per confirmed MSP, in confirmation order.
-    fn on_answer(&mut self, answer: &QueryAnswer);
-}
-
-impl<F: FnMut(&QueryAnswer)> AnswerObserver for F {
-    fn on_answer(&mut self, answer: &QueryAnswer) {
-        self(answer)
-    }
-}
-
-/// The no-op observer behind [`MultiUserMiner::run`].
-pub(crate) struct IgnoreAnswers;
-
-impl AnswerObserver for IgnoreAnswers {
-    fn on_answer(&mut self, _answer: &QueryAnswer) {}
-}
-
 /// Give up on the `engine.dag.nodes_total` gauge beyond this many nodes:
 /// the exhaustive count exists to contextualize the lazy generator's
 /// savings, and past this size "huge" is all an observer needs to know.
 pub const NODES_TOTAL_CAP: usize = 20_000;
-
-/// Either a borrowed or a shared (reference-counted) handle to `T`.
-///
-/// [`MiningSession`] borrows its space and config when driven by the
-/// single-query [`MultiUserMiner`] (which outlives the session), but the
-/// multi-query [`OassisService`] admits sessions with independent
-/// lifetimes, where both must be `Arc`-shared.
-pub(crate) enum Handle<'a, T: ?Sized> {
-    /// Borrowed from a longer-lived owner.
-    Borrowed(&'a T),
-    /// Shared ownership.
-    Shared(Arc<T>),
-}
-
-impl<T: ?Sized> std::ops::Deref for Handle<'_, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        match self {
-            Handle::Borrowed(t) => t,
-            Handle::Shared(t) => t,
-        }
-    }
-}

@@ -39,10 +39,11 @@
 //! * at **completion**, the session's collected answers are absorbed back
 //!   into the store for every later query.
 //!
-//! With an empty store and a single session, the service reproduces
-//! [`MultiUserMiner::run`](super::MultiUserMiner::run) exactly — same MSP
-//! set, same question count (the differential tests in `tests/service.rs`
-//! enforce this).
+//! With an empty store and a single session, the service reproduces the
+//! minimal in-line loop of the simulation harness exactly — same MSP set,
+//! same question count (the differential tests in `tests/service.rs`
+//! enforce this). That is how [`Oassis::execute`](super::Oassis::execute)
+//! runs one query: as the only session of a volatile service.
 //!
 //! ## Durability
 //!
@@ -68,7 +69,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use oassis_crowd::{AnswerStore, FixedSampleAggregator, MemberId};
+use oassis_crowd::{AnswerStore, CrowdMember, MemberId};
 use oassis_obs::{names, EventSink, SinkExt};
 use oassis_ql::Query;
 use oassis_store_durable::{
@@ -77,14 +78,16 @@ use oassis_store_durable::{
 use oassis_vocab::FactSet;
 
 use crate::config::EngineConfig;
-use crate::runtime::{AskPayload, AskValue, Pool, QuestionId, SessionRuntime};
-use crate::space::{AssignSpace, SpaceCache};
+use crate::runtime::{
+    AskPayload, AskValue, Pool, QuestionId, RuntimeError, RuntimeErrorKind, SessionRuntime,
+};
+use crate::space::AssignSpace;
 
 use super::session::{
     Answer, CrowdView, MiningSession, PendingQuestion, QuestionPayload, SessionEvent,
 };
 use super::single::Oassis;
-use super::{Handle, OassisError, QueryAnswer, QueryResult};
+use super::{OassisError, QueryAnswer, QueryResult};
 
 /// Service-assigned identifier of an admitted session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -125,11 +128,6 @@ pub struct SessionSpec {
 
 impl SessionSpec {
     /// A spec with default config, full roster, priority 0 and no budget.
-    #[deprecated(note = "use the fluent `SessionSpec::builder(query)` instead")]
-    pub fn new(query: impl Into<String>) -> Self {
-        Self::base(query)
-    }
-
     fn base(query: impl Into<String>) -> Self {
         SessionSpec {
             query: query.into(),
@@ -183,8 +181,8 @@ impl SessionSpec {
     }
 
     /// Rebuild a spec from its durable/wire shape. Only the scalar config
-    /// subset survives the trip; runtime-only config (sink, clock, curve
-    /// tracking) is defaulted.
+    /// subset survives the trip; runtime-only config (sink, aggregator,
+    /// curve tracking) is defaulted.
     pub fn from_admit(admit: AdmitSpec) -> SessionSpec {
         let mut config = EngineConfig::builder()
             .seed(admit.seed)
@@ -283,7 +281,7 @@ struct InFlight {
 /// One admitted session plus its scheduling state.
 struct SessionSlot {
     id: SessionId,
-    session: MiningSession<'static>,
+    session: MiningSession,
     query: Query,
     space: Arc<AssignSpace>,
     /// Pool seat index per session seat (session seat `i` asks pool seat
@@ -335,8 +333,9 @@ pub struct RecoveredSession {
     pub original: SessionId,
     /// The re-admittable spec, rebuilt from the `Admit` record. The
     /// budget is the *original* grant; [`OassisService::resume`] deducts
-    /// [`spent`](Self::spent). Runtime-only config (sink, clock, curve
-    /// tracking) is reset to defaults — adjust before resuming if needed.
+    /// [`spent`](Self::spent). Runtime-only config (sink, aggregator,
+    /// curve tracking) is reset to defaults — adjust before resuming if
+    /// needed.
     pub spec: SessionSpec,
     /// Crowd questions the interrupted run already dispatched (from the
     /// last `Budget` watermark; includes any question that was in flight
@@ -347,16 +346,20 @@ pub struct RecoveredSession {
     pub token: Option<u64>,
 }
 
-/// The durable outcome of a session that closed *before* a crash,
-/// reconstructed from its `Close` WAL record by
-/// [`OassisService::recover`]. A client resuming such a session is
-/// answered from this — its report was final; nothing needs re-mining.
+/// The final outcome of a closed session: recorded when this service
+/// closes it, or reconstructed from its `Close` WAL record by
+/// [`OassisService::recover`] when it closed *before* a crash. A client
+/// polling or resuming such a session is answered from this — its report
+/// was final; nothing needs re-mining.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClosedOutcome {
     /// How the session ended.
     pub status: SessionStatus,
     /// Crowd dispatches it paid for.
     pub crowd_questions: usize,
+    /// Concrete questions served from the answer store. Not persisted: 0
+    /// when rebuilt from a `Close` record.
+    pub store_hits: usize,
     /// Its final rendered valid MSPs.
     pub msps: Vec<String>,
 }
@@ -466,8 +469,7 @@ impl OassisService {
         runtime: SessionRuntime,
         sink: Arc<dyn EventSink>,
     ) -> Self {
-        let vocab = Arc::new(engine.ontology().vocabulary().clone());
-        let pool = Pool::start(runtime, vocab, Arc::clone(&sink));
+        let pool = Pool::start(runtime, Arc::clone(&sink));
         OassisService {
             engine,
             pool,
@@ -606,6 +608,7 @@ impl OassisService {
                             CloseStatus::BudgetExhausted => SessionStatus::BudgetExhausted,
                         },
                         crowd_questions: *crowd_questions as usize,
+                        store_hits: 0,
                         msps: msps.clone(),
                     });
                 }
@@ -687,8 +690,9 @@ impl OassisService {
         self.tokens.get(&token).map(|&id| SessionId(id))
     }
 
-    /// The durable outcome of a session that closed before the last crash,
-    /// if `id` is one (reconstructed from its `Close` WAL record).
+    /// The final outcome of closed session `id`, if it is one: closed by
+    /// this service, or before the last crash (reconstructed from its
+    /// `Close` WAL record).
     pub fn recovered_closed(&self, id: SessionId) -> Option<&ClosedOutcome> {
         self.recovered_closed.get(&id.0)
     }
@@ -735,6 +739,40 @@ impl OassisService {
         self.admit(spec, None, Some(token))
     }
 
+    /// Run `query` at `threshold` as the only session of this fresh,
+    /// volatile service and return its finalized result — how
+    /// [`Oassis::execute`](super::Oassis::execute) runs one query. The
+    /// session's questions count under `algo.questions[multiuser]`. Fails
+    /// with [`RuntimeErrorKind::CrowdExhausted`] when the runtime excluded
+    /// every member.
+    pub(crate) fn run_solo(
+        &mut self,
+        query: Query,
+        threshold: f64,
+        config: &EngineConfig,
+    ) -> Result<QueryResult, OassisError> {
+        debug_assert!(self.persistence.is_none() && self.slots.is_empty());
+        let mut spec = SessionSpec::base(String::new());
+        spec.threshold = Some(threshold);
+        spec.config = config.clone();
+        self.admit_parsed(query, spec, None, None, "multiuser".to_string())?;
+        let report = self.run().pop().expect("the admitted session reports");
+        let excluded = self.pool.excluded_count();
+        if excluded > 0 && self.pool.all_excluded() {
+            let mut err = RuntimeError::new(RuntimeErrorKind::CrowdExhausted { excluded });
+            if let Some(cause) = self.pool.take_last_error() {
+                err = err.with_source(Box::new(cause));
+            }
+            return Err(OassisError::Runtime(err));
+        }
+        Ok(report.result)
+    }
+
+    /// Shut the crowd down and hand its members back in seat order.
+    pub(crate) fn into_members(mut self) -> Vec<Box<dyn CrowdMember>> {
+        self.pool.take_members()
+    }
+
     /// The shared admission path behind [`submit`](Self::submit) and
     /// [`resume`](Self::resume); `resumes` carries the superseded
     /// session's id into the durable `Admit` record, `token` the client's
@@ -745,10 +783,25 @@ impl OassisService {
         resumes: Option<SessionId>,
         token: Option<u64>,
     ) -> Result<SessionId, OassisError> {
+        let query = self.engine.parse(&spec.query)?;
+        let algo = format!("multiuser.s{}", self.next_id);
+        self.admit_parsed(query, spec, resumes, token, algo)
+    }
+
+    /// [`admit`](Self::admit) of an already parsed `query` (`spec.query`
+    /// is then only its durable source); `algo` labels the session's
+    /// `algo.questions` counter.
+    fn admit_parsed(
+        &mut self,
+        query: Query,
+        spec: SessionSpec,
+        resumes: Option<SessionId>,
+        token: Option<u64>,
+        algo: String,
+    ) -> Result<SessionId, OassisError> {
         // Capture the durable shape of the spec before its pieces are
         // moved out below (only when a log is attached).
         let admit_spec = self.persistence.as_ref().map(|_| spec.to_admit(token));
-        let query = self.engine.parse(&spec.query)?;
         let threshold = spec.threshold.unwrap_or(query.satisfying.support);
         // Waves predict concrete questions only; a session that may draw
         // RNG-driven specialization/pruning questions cannot be speculated
@@ -757,14 +810,6 @@ impl OassisService {
             spec.config.specialization_ratio == 0.0 && spec.config.pruning_ratio == 0.0;
         let config = Arc::new(spec.config);
         let space = Arc::new(self.engine.space(&query, &config)?);
-        let scache = if config.use_indexes {
-            Arc::new(SpaceCache::with_capacity(
-                config.space_cache_capacity,
-                Arc::clone(&config.sink),
-            ))
-        } else {
-            Arc::new(SpaceCache::disabled())
-        };
         let roster = match spec.roster {
             Some(roster) => {
                 for &idx in &roster {
@@ -782,17 +827,12 @@ impl OassisService {
         let member_ids: Vec<MemberId> = roster.iter().map(|&i| self.pool.member_id(i)).collect();
         let id = SessionId(self.next_id);
         self.next_id += 1;
-        let aggregator = Box::new(FixedSampleAggregator {
-            sample_size: config.aggregator_sample,
-        });
-        let mut session = MiningSession::from_parts(
-            Handle::Shared(Arc::clone(&space)),
-            scache,
+        let mut session = MiningSession::labeled(
+            Arc::clone(&space),
             threshold,
-            aggregator,
-            Handle::Shared(Arc::clone(&config)),
+            config,
             member_ids.clone(),
-            format!("multiuser.s{}", id.0),
+            algo,
         );
         let seeded = session.seed_answers(&self.store.seed_for(&member_ids));
         if seeded > 0 {
@@ -1101,12 +1141,10 @@ impl OassisService {
             return;
         }
         slot.wave_dirty = false;
-        // Unlike the single-session runtime, the service never publishes a
-        // classification border to the pool: its sessions mine different
-        // query spaces, and workers would test one session's border against
-        // another's prefetch targets. Staleness is bounded instead by
+        // Workers never check a prefetch against the border: sessions mine
+        // different query spaces. Staleness is bounded instead by
         // `predict_questions` filtering against both caches at stage time;
-        // the leftovers are counted as wasted speculation.
+        // the pool counts the leftovers as wasted speculation on shutdown.
         //
         // Only the seats the session's round-robin scheduler visits next
         // are predicted for — a prediction costs a walk of the assignment
@@ -1190,11 +1228,7 @@ impl OassisService {
             }
         }
         let payload = match &q.payload {
-            QuestionPayload::Concrete {
-                assignment,
-                factset,
-            } => AskPayload::Concrete {
-                assignment: assignment.clone(),
+            QuestionPayload::Concrete { factset, .. } => AskPayload::Concrete {
                 factset: factset.clone(),
             },
             QuestionPayload::Specialization { base, candidates } => AskPayload::Specialization {
@@ -1296,8 +1330,8 @@ impl OassisService {
         self.release_claim(i);
         let fresh = self.slots[i].session.take_new_answers();
         self.slots[i].partials.extend(fresh);
-        let (result, cache) = self.slots[i].session.finish();
-        self.store.absorb_cache(&cache);
+        let result = self.slots[i].session.finish();
+        self.store.absorb_cache(&result.cache);
         let result = self
             .engine
             .finalize(result, &self.slots[i].query, &self.slots[i].space);
@@ -1319,6 +1353,7 @@ impl OassisService {
         let outcome = ClosedOutcome {
             status,
             crowd_questions: self.slots[i].crowd_questions,
+            store_hits: self.slots[i].store_hits,
             msps,
         };
         if self.persistence.is_some() {

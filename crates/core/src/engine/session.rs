@@ -5,8 +5,7 @@
 //! per-run [`CrowdCache`], the statistics recorder and the question-type
 //! RNG — but owns **no crowd access**. Instead of calling members, it
 //! *stages* at most one [`PendingQuestion`] at a time and suspends; the
-//! driver (the single-query [`MultiUserMiner`](super::MultiUserMiner), the
-//! multi-query [`OassisService`](super::OassisService), or a test harness)
+//! driver ([`OassisService`](super::OassisService), or a test harness)
 //! obtains the answer however it likes and resumes the session with
 //! [`absorb`](MiningSession::absorb).
 //!
@@ -31,9 +30,10 @@
 //! either advances question-free (cursor moves, MSP confirmations) or asks
 //! at most one pruning interaction followed by at most one concrete /
 //! specialization question. Seats take turns round-robin, exactly like the
-//! paper's sequential emulation — which is what keeps a pulled session
-//! bit-identical to the legacy push loop (the differential tests in
-//! `tests/service.rs` enforce this).
+//! paper's sequential emulation — which is what keeps a session driven
+//! through the service bit-identical to the minimal in-line loop of the
+//! simulation harness (the differential tests in `tests/service.rs`
+//! enforce this).
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -43,7 +43,8 @@ use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
 use oassis_crowd::{
-    Aggregator, CrowdCache, CrowdMember, Decision, MemberId, SharedCrowdCache,
+    Aggregator, CrowdCache, CrowdMember, Decision, FixedSampleAggregator, MemberId,
+    SharedCrowdCache,
 };
 use oassis_obs::{names, Event, EventKind, EventSink, SinkExt};
 use oassis_vocab::{ElementId, FactSet, Vocabulary};
@@ -56,7 +57,7 @@ use crate::space::{AssignSpace, SpaceCache};
 use crate::stats::{QuestionKind, Recorder};
 use crate::value::AValue;
 
-use super::{Handle, QueryAnswer, QueryResult, NODES_TOTAL_CAP};
+use super::{QueryAnswer, QueryResult, NODES_TOTAL_CAP};
 
 /// How far ahead [`MiningSession::predict_questions`] simulates
 /// question-free transitions (cursor moves into significant successors,
@@ -71,9 +72,9 @@ const PREDICT_HORIZON: usize = 64;
 pub(crate) const PREFETCH_WIDTH: usize = 8;
 
 /// What the session needs to know about the crowd *without* asking it:
-/// seat liveness and question routability. Implemented by the engine's
-/// crowd links and by the service's pool view; a bare member slice also
-/// implements it for tests and embedders driving a session by hand.
+/// seat liveness and question routability. Implemented by the service's
+/// pool view; a bare member vector also implements it for tests and
+/// embedders driving a session by hand.
 pub trait CrowdView {
     /// Whether the seat is permanently gone (the runtime excluded the
     /// member). Implementations may block here to drain the seat's
@@ -87,7 +88,7 @@ pub trait CrowdView {
     fn can_answer(&mut self, seat: usize, fs: &FactSet) -> bool;
 }
 
-impl CrowdView for [Box<dyn CrowdMember>] {
+impl CrowdView for Vec<Box<dyn CrowdMember>> {
     fn gone(&mut self, _seat: usize) -> bool {
         false
     }
@@ -244,16 +245,16 @@ impl SeatState {
 }
 
 /// The pull-based multi-user mining state machine. See the module docs for
-/// the protocol; see [`MultiUserMiner`](super::MultiUserMiner) for the
+/// the protocol; see [`OassisService`](super::OassisService) for the
 /// batteries-included driver.
-pub struct MiningSession<'a> {
-    space: Handle<'a, AssignSpace>,
+pub struct MiningSession {
+    space: Arc<AssignSpace>,
     /// Interned memo over `space`'s derivations; pass-through when
     /// [`EngineConfig::use_indexes`] is off.
     scache: Arc<SpaceCache>,
     threshold: f64,
-    aggregator: Box<dyn Aggregator + 'a>,
-    config: Handle<'a, EngineConfig>,
+    aggregator: Arc<dyn Aggregator>,
+    config: Arc<EngineConfig>,
     sink: Arc<dyn EventSink>,
     vocab: Arc<Vocabulary>,
     seats: Vec<SeatState>,
@@ -288,14 +289,28 @@ pub struct MiningSession<'a> {
     span_start: Option<Instant>,
 }
 
-impl<'a> MiningSession<'a> {
-    /// Create a session over borrowed space and config, seating `seats`
-    /// members, with the paper's fixed-sample aggregation rule.
+impl MiningSession {
+    /// Create a session over `space`, seating `seats` members, deciding
+    /// significance with the config's aggregator (the paper's fixed-sample
+    /// rule by default).
     pub fn new(
-        space: &'a AssignSpace,
+        space: Arc<AssignSpace>,
         threshold: f64,
-        config: &'a EngineConfig,
+        config: Arc<EngineConfig>,
         seats: Vec<MemberId>,
+    ) -> Self {
+        Self::labeled(space, threshold, config, seats, "multiuser".to_string())
+    }
+
+    /// [`new`](Self::new) with the label of this session's
+    /// `algo.questions` counter (the service appends the session id, e.g.
+    /// `"multiuser.s3"`).
+    pub(crate) fn labeled(
+        space: Arc<AssignSpace>,
+        threshold: f64,
+        config: Arc<EngineConfig>,
+        seats: Vec<MemberId>,
+        algo: String,
     ) -> Self {
         let scache = if config.use_indexes {
             Arc::new(SpaceCache::with_capacity(
@@ -305,32 +320,11 @@ impl<'a> MiningSession<'a> {
         } else {
             Arc::new(SpaceCache::disabled())
         };
-        let aggregator = Box::new(oassis_crowd::FixedSampleAggregator {
-            sample_size: config.aggregator_sample,
+        let aggregator = config.aggregator.clone().unwrap_or_else(|| {
+            Arc::new(FixedSampleAggregator {
+                sample_size: config.aggregator_sample,
+            })
         });
-        Self::from_parts(
-            Handle::Borrowed(space),
-            scache,
-            threshold,
-            aggregator,
-            Handle::Borrowed(config),
-            seats,
-            "multiuser".to_string(),
-        )
-    }
-
-    /// Assemble a session from externally owned parts. `algo` labels this
-    /// session's `algo.questions` counter (the service appends the session
-    /// id, e.g. `"multiuser.s3"`).
-    pub(crate) fn from_parts(
-        space: Handle<'a, AssignSpace>,
-        scache: Arc<SpaceCache>,
-        threshold: f64,
-        aggregator: Box<dyn Aggregator + 'a>,
-        config: Handle<'a, EngineConfig>,
-        seats: Vec<MemberId>,
-        algo: String,
-    ) -> Self {
         let sink = Arc::clone(&config.sink);
         let span_start = if sink.enabled() {
             sink.emit(&Event {
@@ -881,17 +875,17 @@ impl<'a> MiningSession<'a> {
     /// question-free, so the simulation walks through them (bounded by
     /// `PREDICT_HORIZON`).
     ///
-    /// Returns up to `PREFETCH_WIDTH` candidates: the question the commit
-    /// loop would ask *right now*, plus the fallbacks it would move to if
-    /// other members' answers classify the first picks before this member's
-    /// next turn. Prefetching the whole slate keeps the hit rate high even
-    /// while the border moves quickly.
+    /// Returns the fact-sets of up to `PREFETCH_WIDTH` candidates: the
+    /// question the commit loop would ask *right now*, plus the fallbacks it
+    /// would move to if other members' answers classify the first picks
+    /// before this member's next turn. Prefetching the whole slate keeps the
+    /// hit rate high even while the border moves quickly.
     pub(crate) fn predict_questions(
         &self,
         seat: usize,
         shared: &SharedCrowdCache,
         member: &dyn CrowdMember,
-    ) -> Vec<(Assignment, FactSet)> {
+    ) -> Vec<FactSet> {
         let vocab = &self.vocab;
         let member_id = self.seats[seat].id;
         let fresh = |fs: &FactSet| !shared.has_answer_from(fs, member_id);
@@ -904,12 +898,8 @@ impl<'a> MiningSession<'a> {
                     return self
                         .find_askable_many(member, PREFETCH_WIDTH)
                         .into_iter()
-                        .map(|phi| {
-                            let fs =
-                                FactSet::clone(&self.scache.instantiate(&self.space, &phi));
-                            (phi, fs)
-                        })
-                        .filter(|(_, fs)| fresh(fs))
+                        .map(|phi| FactSet::clone(&self.scache.instantiate(&self.space, &phi)))
+                        .filter(|fs| fresh(fs))
                         .collect();
                 }
                 Some(phi) => {
@@ -921,7 +911,7 @@ impl<'a> MiningSession<'a> {
                         cursor = Some(s.clone());
                         continue;
                     }
-                    let targets: Vec<(Assignment, FactSet)> = succs
+                    let targets: Vec<FactSet> = succs
                         .iter()
                         .filter(|s| self.overall.status(s, vocab) == Status::Unclassified)
                         .filter(|s| {
@@ -929,9 +919,8 @@ impl<'a> MiningSession<'a> {
                         })
                         .filter_map(|s| {
                             let fs = self.scache.instantiate(&self.space, s);
-                            (!self.crowd.has_answer_from(&fs, member_id)
-                                && member.can_answer(&fs))
-                            .then(|| (s.clone(), FactSet::clone(&fs)))
+                            (!self.crowd.has_answer_from(&fs, member_id) && member.can_answer(&fs))
+                                .then(|| FactSet::clone(&fs))
                         })
                         .take(PREFETCH_WIDTH)
                         .collect();
@@ -941,7 +930,7 @@ impl<'a> MiningSession<'a> {
                         cursor = None;
                         continue;
                     }
-                    return targets.into_iter().filter(|(_, fs)| fresh(fs)).collect();
+                    return targets.into_iter().filter(|fs| fresh(fs)).collect();
                 }
             }
         }
@@ -955,7 +944,7 @@ impl<'a> MiningSession<'a> {
     /// earlier run's aggregator concluded from the same answers. Answers
     /// from members not seated here are ignored; returns how many answers
     /// were absorbed. Seeding an empty slice is a no-op, which is what
-    /// keeps a store-less service session bit-identical to a direct run.
+    /// keeps a store-less service session bit-identical to a sequential run.
     pub fn seed_answers(&mut self, answers: &[(FactSet, MemberId, f64)]) -> usize {
         let mut n = 0usize;
         for (fs, m, s) in answers {
@@ -1085,15 +1074,6 @@ impl<'a> MiningSession<'a> {
         std::mem::take(&mut self.fresh)
     }
 
-    /// The current overall classification border (for speculation).
-    pub(crate) fn overall(&self) -> &ClassificationState {
-        &self.overall
-    }
-
-    pub(crate) fn seat_exhausted(&self, seat: usize) -> bool {
-        self.seats[seat].exhausted
-    }
-
     /// The next `n` seats the round-robin scheduler will visit (exhausted
     /// seats skipped), starting from the current turn's seat. The service's
     /// wave staging prefetches for exactly these seats — predicting for the
@@ -1112,10 +1092,10 @@ impl<'a> MiningSession<'a> {
             .collect()
     }
 
-    /// Close the session, yielding the final result and the reusable
-    /// answer cache. The final MSP set is the positive border of the
-    /// overall knowledge (not just the incrementally confirmed ones).
-    pub fn finish(&mut self) -> (QueryResult, CrowdCache) {
+    /// Close the session, yielding the final result, whose `cache` holds
+    /// every collected answer. The final MSP set is the positive border of
+    /// the overall knowledge (not just the incrementally confirmed ones).
+    pub fn finish(&mut self) -> QueryResult {
         self.done = true;
         let border_msps: Vec<Assignment> = self.overall.significant_border().to_vec();
         let answers = self.render_answers(&border_msps);
@@ -1129,14 +1109,13 @@ impl<'a> MiningSession<'a> {
                 ClassificationState::unindexed()
             },
         );
-        let result = QueryResult {
+        self.exit_span();
+        QueryResult {
             answers,
             stats,
-            cache: cache.clone(),
+            cache,
             state,
-        };
-        self.exit_span();
-        (result, cache)
+        }
     }
 
     /// Emit the matching `engine.run` span exit (idempotent).
@@ -1152,7 +1131,7 @@ impl<'a> MiningSession<'a> {
     }
 }
 
-impl Drop for MiningSession<'_> {
+impl Drop for MiningSession {
     fn drop(&mut self) {
         self.exit_span();
     }

@@ -1,7 +1,9 @@
 //! The [`Oassis`] system facade (Section 6.1): ontology, parser, SPARQL
 //! and mining tied together, plus the Section 6.3 cache-replay
 //! methodology for re-executing a query at a higher support threshold
-//! without new crowd work.
+//! without new crowd work. Every query runs as the only session of a
+//! volatile [`OassisService`], the one driver of
+//! [`MiningSession`](super::MiningSession)s.
 
 use std::sync::Arc;
 
@@ -16,7 +18,7 @@ use crate::config::EngineConfig;
 use crate::runtime::SessionRuntime;
 use crate::space::AssignSpace;
 
-use super::multi::MultiUserMiner;
+use super::service::OassisService;
 use super::{OassisError, QueryAnswer, QueryResult};
 
 /// The OASSIS system facade: parse → SPARQL → mine → answers.
@@ -92,11 +94,15 @@ impl Oassis {
     }
 
     /// Execute `query_src` against `members` with the paper's multi-user
-    /// algorithm, at the query's own `WITH SUPPORT` threshold.
+    /// algorithm, at the query's own `WITH SUPPORT` threshold. The members
+    /// answer one question at a time on the caller's thread (a concrete
+    /// answer after the member's
+    /// [`answer_delay`](CrowdMember::answer_delay); nothing times out) and
+    /// are handed back in order when the run ends.
     pub fn execute(
         &self,
         query_src: &str,
-        members: &mut [Box<dyn CrowdMember>],
+        members: &mut Vec<Box<dyn CrowdMember>>,
         config: &EngineConfig,
     ) -> Result<QueryResult, OassisError> {
         let query = {
@@ -112,17 +118,22 @@ impl Oassis {
         &self,
         query: &Query,
         threshold: f64,
-        members: &mut [Box<dyn CrowdMember>],
+        members: &mut Vec<Box<dyn CrowdMember>>,
         config: &EngineConfig,
     ) -> Result<QueryResult, OassisError> {
-        let space = self.space(query, config)?;
-        let miner = MultiUserMiner::new(&space, threshold, config);
-        let (result, _) = miner.run_direct(members);
-        Ok(self.finalize(result, query, &space))
+        let runtime = SessionRuntime::new(std::mem::take(members)).inline();
+        let mut service = self.solo_service(runtime, config);
+        let result = service.run_solo(query.clone(), threshold, config);
+        *members = service.into_members();
+        result
     }
 
     /// Like [`execute`](Self::execute), but the crowd runs concurrently
-    /// through the session runtime's worker pool.
+    /// through the session runtime: the one session keeps a question wave
+    /// as wide as the crowd in flight, so every member's next question is
+    /// prefetched while others answer. Fails with
+    /// [`RuntimeErrorKind::CrowdExhausted`](crate::RuntimeErrorKind) only
+    /// when the runtime excluded every member.
     pub fn execute_with_runtime(
         &self,
         query_src: &str,
@@ -144,14 +155,24 @@ impl Oassis {
         runtime: SessionRuntime,
         config: &EngineConfig,
     ) -> Result<QueryResult, OassisError> {
-        let space = self.space(query, config)?;
-        let miner = MultiUserMiner::new(&space, threshold, config);
-        let (result, _) = miner.run(runtime)?;
-        Ok(self.finalize(result, query, &space))
+        let wave = runtime.len();
+        self.solo_service(runtime, config)
+            .with_wave_size(wave)
+            .run_solo(query.clone(), threshold, config)
     }
 
-    /// Post-process a raw mining result for the query's SELECT form (also
-    /// used by the service layer when a session completes).
+    /// A volatile service over `runtime` for one query, reporting to the
+    /// query's sink.
+    fn solo_service(&self, runtime: SessionRuntime, config: &EngineConfig) -> OassisService {
+        OassisService::start_with_sink(
+            Oassis::from_arc(self.ontology_arc()),
+            runtime,
+            Arc::clone(&config.sink),
+        )
+    }
+
+    /// Post-process a raw mining result for the query's SELECT form (the
+    /// service applies it when a session closes).
     pub(crate) fn finalize(
         &self,
         mut result: QueryResult,
@@ -537,7 +558,8 @@ mod all_keyword_tests {
 #[cfg(test)]
 mod topk_tests {
     use super::*;
-    use crate::engine::{MultiUserMiner, QueryAnswer};
+    use crate::engine::{Answer, MiningSession, QuestionPayload, SessionEvent, SessionSpec};
+    use crate::runtime::SimConfig;
     use oassis_crowd::transaction::table3_dbs;
     use oassis_crowd::DbMember;
     use oassis_store::ontology::figure1_ontology;
@@ -586,24 +608,60 @@ mod topk_tests {
         assert!(topk.answers.iter().any(|a| a.valid));
     }
 
+    /// `take_partials` is the incremental answer stream: each MSP arrives
+    /// while the session is still mining, in the order the session
+    /// confirmed it (checked against a session driven by hand), and is part
+    /// of the final answer set.
     #[test]
-    fn observer_sees_answers_incrementally_in_confirmation_order() {
+    fn partials_arrive_incrementally_in_confirmation_order() {
         let engine = Oassis::new(figure1_ontology());
         let query = engine.parse(QUERY).unwrap();
         let cfg = EngineConfig {
             aggregator_sample: 1,
             ..EngineConfig::default()
         };
-        let space = engine.space(&query, &cfg).unwrap();
-        let miner = MultiUserMiner::new(&space, 0.3, &cfg);
-        let mut seen: Vec<String> = Vec::new();
+
+        let space = Arc::new(engine.space(&query, &cfg).unwrap());
         let mut members = vec![member()];
-        let mut observer = |a: &QueryAnswer| {
-            seen.push(a.rendered.clone());
-        };
-        let (result, _) = miner.run_direct_with_observer(&mut members, &mut observer);
+        let seats = members.iter().map(|m| m.id()).collect();
+        let mut session = MiningSession::new(space, 0.3, Arc::new(cfg.clone()), seats);
+        let mut confirmed: Vec<String> = Vec::new();
+        loop {
+            match session.poll(&mut members) {
+                SessionEvent::Ask(q) => {
+                    let QuestionPayload::Concrete { factset, .. } = &q.payload else {
+                        panic!("only concrete questions at ratio 0");
+                    };
+                    let s = members[q.seat].ask_concrete(factset);
+                    session.absorb(q.id, Answer::Support(s));
+                }
+                SessionEvent::TurnEnded { .. } => {
+                    confirmed.extend(session.take_new_answers().into_iter().map(|a| a.rendered));
+                }
+                SessionEvent::Finished => break,
+            }
+        }
+
+        let runtime = SessionRuntime::new(vec![member()]).simulated(SimConfig::new(0));
+        let mut service = OassisService::start(Oassis::new(figure1_ontology()), runtime);
+        let spec = SessionSpec::builder(QUERY)
+            .threshold(0.3)
+            .config(cfg)
+            .build();
+        let id = service.submit(spec).unwrap();
+        let mut seen: Vec<String> = Vec::new();
+        let mut seen_while_mining = 0;
+        while service.run_cycle() {
+            seen.extend(service.take_partials(id).into_iter().map(|a| a.rendered));
+            seen_while_mining = seen.len();
+        }
+        seen.extend(service.take_partials(id).into_iter().map(|a| a.rendered));
+        let result = service.take_report(id).expect("finished").result;
+
+        assert!(seen_while_mining > 0, "no partial arrived before the end");
         assert_eq!(seen.len(), result.stats.msp_events.len());
-        // Everything the observer saw is in the final answer set.
+        assert_eq!(seen, confirmed, "partials left confirmation order");
+        // Everything streamed is in the final answer set.
         for s in &seen {
             assert!(result.answers.iter().any(|a| &a.rendered == s), "{s}");
         }

@@ -17,8 +17,10 @@
 //! * the mining algorithms: the paper's top-down [`VerticalMiner`]
 //!   (Algorithm 1), the Apriori-style [`HorizontalMiner`], the random
 //!   [`NaiveMiner`], and the §6.3 *baseline* cost model,
-//! * the [`MultiUserMiner`] (Section 4.2): per-member traversal with a
-//!   global answer cache and a pluggable aggregation black-box,
+//! * the multi-user algorithm (Section 4.2) as the pull-based
+//!   [`MiningSession`]: per-member traversal with a global answer cache and
+//!   a pluggable aggregation black-box, driven by one driver, the
+//!   [`OassisService`] (single queries run as its only session),
 //! * the concurrent crowd-session [`runtime`]: a worker pool that runs
 //!   per-member round-trips in parallel with speculative prefetch, timeouts,
 //!   bounded retry and exclusion of unresponsive members — deterministically
@@ -44,14 +46,13 @@ pub use algo::{
     baseline_question_count, HorizontalMiner, MinerConfig, MinerOutcome, NaiveMiner, VerticalMiner,
 };
 pub use assignment::Assignment;
-pub use border::{ClassificationState, SharedBorder};
+pub use border::ClassificationState;
 pub use config::{EngineConfig, EngineConfigBuilder};
 pub use diversity::{diversify_answers, select_diverse};
 pub use engine::{
-    Answer, AnswerObserver, ClosedOutcome, CrowdView, MiningSession, MultiUserMiner, Oassis,
-    OassisError, OassisService, PendingQuestion, QueryAnswer, QueryResult, QuestionPayload,
-    RecoveredSession, SessionEvent, SessionId, SessionReport, SessionSpec, SessionSpecBuilder,
-    SessionStatus, NODES_TOTAL_CAP,
+    Answer, ClosedOutcome, CrowdView, MiningSession, Oassis, OassisError, OassisService,
+    PendingQuestion, QueryAnswer, QueryResult, QuestionPayload, RecoveredSession, SessionEvent,
+    SessionId, SessionReport, SessionSpec, SessionSpecBuilder, SessionStatus, NODES_TOTAL_CAP,
 };
 pub use runtime::{
     Clock, QuestionId, RuntimeError, RuntimeErrorKind, RuntimeOptions, SessionRuntime, SimChaos,
@@ -62,16 +63,16 @@ pub use space::{AssignSpace, NodeId, SpaceCache};
 pub use stats::{DiscoveryPoint, ExecutionStats, QuestionKind, Recorder, RecorderSink};
 pub use value::AValue;
 
-/// One-stop imports for the three entry points and their configuration.
+/// One-stop imports for the entry points and their configuration.
 ///
-/// The engine has three front doors, each for a different shape of work
-/// (see the "which API when" table in `docs/engine.md`):
+/// The engine has one driver, [`OassisService`], and one convenience front
+/// door over it (see the "which API when" table in `docs/engine.md`):
 ///
-/// * [`Oassis`] — one query, one crowd, blocking: parse → mine → answers.
-/// * [`MultiUserMiner`] — one pre-built query over explicit members, with
-///   observer and runtime variants.
+/// * [`Oassis`] — one query, one crowd, blocking: parse → mine → answers,
+///   run as the only session of a volatile service.
 /// * [`OassisService`] — many concurrent sessions over one shared crowd,
-///   with admission, priorities, budgets and durable recovery.
+///   with admission, priorities, budgets, streamed partial answers and
+///   durable recovery.
 ///
 /// ```
 /// use oassis_core::prelude::*;
@@ -79,9 +80,8 @@ pub use value::AValue;
 pub mod prelude {
     pub use crate::config::{EngineConfig, EngineConfigBuilder};
     pub use crate::engine::{
-        ClosedOutcome, MultiUserMiner, Oassis, OassisError, OassisService, QueryAnswer,
-        QueryResult, RecoveredSession, SessionId, SessionReport, SessionSpec, SessionSpecBuilder,
-        SessionStatus,
+        ClosedOutcome, Oassis, OassisError, OassisService, QueryAnswer, QueryResult,
+        RecoveredSession, SessionId, SessionReport, SessionSpec, SessionSpecBuilder, SessionStatus,
     };
     pub use crate::runtime::{SessionRuntime, SimConfig};
 }

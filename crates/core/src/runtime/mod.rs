@@ -17,23 +17,25 @@
 //!   back in, so a member is owned by exactly one execution context at a
 //!   time.
 //!
-//! Two executors implement that contract:
+//! Three executors implement that contract:
 //!
 //! * the production `ThreadedExecutor` — a pool of worker threads racing
 //!   real time through a [`SystemClock`];
 //! * the deterministic [`sim::SimExecutor`] — a single-threaded step
 //!   scheduler over a [`VirtualClock`] that owns every interleaving
 //!   decision and replays bit-identically from one `u64` seed (select it
-//!   with [`SessionRuntime::simulated`]).
+//!   with [`SessionRuntime::simulated`]);
+//! * the `InlineExecutor` — the member-slice path of
+//!   [`Oassis::execute`](crate::Oassis::execute): each request is served
+//!   on the caller's thread, in submission order, with no timeout.
 //!
 //! Wall-clock speedup comes from **speculative prefetch**: while other
-//! members take their committed turns, the coordinator predicts each idle
-//! member's next question and dispatches it speculatively. Answers land in
-//! a lock-striped [`SharedCrowdCache`]; when the commit loop reaches that
-//! question it consumes the prefetched answer without waiting. The executor
-//! consults the published [`SharedBorder`] when picking up speculative work
-//! and cancels asks whose target has meanwhile been classified — safe,
-//! because the commit loop never asks about classified assignments.
+//! members take their committed turns, the service's question waves
+//! predict each idle member's next questions and dispatch them
+//! speculatively. Answers land in a lock-striped [`SharedCrowdCache`];
+//! when the commit loop reaches such a question it consumes the prefetched
+//! answer without waiting. Prefetches the commit loop never consumes are
+//! counted as wasted when the pool shuts down.
 //!
 //! Unresponsive members are handled per question: a member whose simulated
 //! delay exceeds `question_timeout` (or whose answer is dropped) is retried
@@ -56,14 +58,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use oassis_crowd::{CrowdMember, MemberId, SharedCrowdCache};
 use oassis_obs::{names, EventSink, SinkExt, Span};
-use oassis_vocab::{ElementId, FactSet, Vocabulary};
-
-use crate::assignment::Assignment;
-use crate::border::SharedBorder;
+use oassis_vocab::{ElementId, FactSet};
 
 use sim::SimExecutor;
 
@@ -134,7 +133,18 @@ impl Default for RuntimeOptions {
 pub struct SessionRuntime {
     members: Vec<Box<dyn CrowdMember>>,
     options: RuntimeOptions,
-    sim: Option<SimConfig>,
+    backend: Backend,
+}
+
+/// Which [`Executor`] carries a runtime's crowd round-trips.
+#[derive(Debug, Clone)]
+enum Backend {
+    /// Worker threads racing real time (the default).
+    Threaded,
+    /// The seeded single-threaded scheduler over a virtual clock.
+    Simulated(SimConfig),
+    /// The caller's thread, one request at a time.
+    Inline,
 }
 
 impl std::fmt::Debug for SessionRuntime {
@@ -142,7 +152,7 @@ impl std::fmt::Debug for SessionRuntime {
         f.debug_struct("SessionRuntime")
             .field("members", &self.members.len())
             .field("options", &self.options)
-            .field("sim", &self.sim)
+            .field("backend", &self.backend)
             .finish()
     }
 }
@@ -153,7 +163,7 @@ impl SessionRuntime {
         SessionRuntime {
             members,
             options: RuntimeOptions::default(),
-            sim: None,
+            backend: Backend::Threaded,
         }
     }
 
@@ -186,13 +196,22 @@ impl SessionRuntime {
     /// single-threaded scheduler over a virtual clock, replaying
     /// bit-identically from `sim`'s seed (see [`sim`](crate::runtime::sim)).
     pub fn simulated(mut self, sim: SimConfig) -> Self {
-        self.sim = Some(sim);
+        self.backend = Backend::Simulated(sim);
+        self
+    }
+
+    /// Serve every request on the caller's thread (the member-slice path
+    /// of [`Oassis::execute`](crate::Oassis::execute)): a member's answer
+    /// delay is waited out before each concrete answer, nothing times out
+    /// and a dropped answer arrives immediately.
+    pub(crate) fn inline(mut self) -> Self {
+        self.backend = Backend::Inline;
         self
     }
 
     /// Whether this runtime will execute on the simulation executor.
     pub fn is_simulated(&self) -> bool {
-        self.sim.is_some()
+        matches!(self.backend, Backend::Simulated(_))
     }
 
     /// The configured options.
@@ -322,10 +341,7 @@ impl std::error::Error for PanicPayload {}
 #[derive(Debug, Clone)]
 pub(crate) enum AskPayload {
     /// A concrete question about one assignment's fact-set.
-    Concrete {
-        assignment: Assignment,
-        factset: FactSet,
-    },
+    Concrete { factset: FactSet },
     /// A specialization question over candidate fact-sets.
     Specialization {
         base: FactSet,
@@ -335,9 +351,7 @@ pub(crate) enum AskPayload {
     Pruning { factset: FactSet },
     /// A speculative batch of candidate concrete questions (one crowd
     /// round-trip answers the whole form). Only dispatched speculatively.
-    Prefetch {
-        candidates: Vec<(Assignment, FactSet)>,
-    },
+    Prefetch { candidates: Vec<FactSet> },
 }
 
 impl AskPayload {
@@ -368,7 +382,6 @@ pub(crate) enum AskValue {
 pub(crate) enum AskOutcome {
     Answered(AskValue),
     TimedOut { attempts: usize },
-    Cancelled,
     Poisoned { message: String },
 }
 
@@ -392,16 +405,14 @@ pub(crate) struct AskResponse {
     pub(crate) outcome: AskOutcome,
     pub(crate) payload: AskPayload,
     pub(crate) speculative: bool,
-    /// Speculative questions dropped unasked (target already classified).
-    pub(crate) cancelled: u64,
-    /// Delivery attempts made serving this request (0 when cancelled).
+    /// Delivery attempts made serving this request.
     pub(crate) attempts: usize,
 }
 
 /// How the coordinator's requests reach execution: the production
-/// `ThreadedExecutor` or the deterministic [`sim::SimExecutor`]. The
-/// contract mirrors a channel pair; [`Pool`] owns all slot/exclusion
-/// bookkeeping on top.
+/// `ThreadedExecutor`, the deterministic [`sim::SimExecutor`] or the
+/// caller-thread `InlineExecutor`. The contract mirrors a channel pair;
+/// [`Pool`] owns all slot/exclusion bookkeeping on top.
 pub(crate) trait Executor: Send {
     /// Enqueue one request for execution.
     fn submit(&mut self, request: AskRequest);
@@ -504,12 +515,7 @@ struct ThreadedExecutor {
 }
 
 impl ThreadedExecutor {
-    fn spawn(
-        options: RuntimeOptions,
-        border: SharedBorder,
-        vocab: Arc<Vocabulary>,
-        sink: Arc<dyn EventSink>,
-    ) -> Self {
+    fn spawn(options: RuntimeOptions, sink: Arc<dyn EventSink>) -> Self {
         let shards = options.shards.max(1);
         let queues: Vec<Arc<WorkQueue>> =
             (0..shards).map(|_| Arc::new(WorkQueue::new())).collect();
@@ -520,10 +526,8 @@ impl ThreadedExecutor {
             .map(|w| {
                 let queue = Arc::clone(&queues[w % shards]);
                 let tx = tx.clone();
-                let border = border.clone();
-                let vocab = Arc::clone(&vocab);
                 let sink = Arc::clone(&sink);
-                std::thread::spawn(move || worker_loop(queue, tx, border, vocab, sink, options))
+                std::thread::spawn(move || worker_loop(queue, tx, sink, options))
             })
             .collect();
         ThreadedExecutor {
@@ -562,14 +566,12 @@ impl Executor for ThreadedExecutor {
 fn worker_loop(
     queue: Arc<WorkQueue>,
     responses: mpsc::Sender<AskResponse>,
-    border: SharedBorder,
-    vocab: Arc<Vocabulary>,
     sink: Arc<dyn EventSink>,
     options: RuntimeOptions,
 ) {
     let clock = SystemClock::new();
     while let Some(request) = queue.pop() {
-        let response = serve(request, &border, &vocab, &sink, &options, &clock);
+        let response = serve(request, &sink, &options, &clock);
         if responses.send(response).is_err() {
             return; // coordinator gone
         }
@@ -605,53 +607,11 @@ pub(crate) fn channel_verdict(delay: Option<Duration>, timeout: Duration) -> Cha
 
 pub(crate) fn serve(
     mut request: AskRequest,
-    border: &SharedBorder,
-    vocab: &Vocabulary,
     sink: &Arc<dyn EventSink>,
     options: &RuntimeOptions,
     clock: &dyn Clock,
 ) -> AskResponse {
     let _span = Span::enter(&**sink, names::SPAN_WORKER);
-
-    // A speculative question whose target got classified while queued is
-    // stale: the commit loop will never ask it. Drop stale candidates from
-    // a prefetch batch; return the member unasked if nothing remains.
-    let mut cancelled = 0u64;
-    if request.speculative {
-        let stale = match &mut request.payload {
-            AskPayload::Concrete { assignment, .. } => {
-                usize::from(border.is_classified(assignment, vocab))
-            }
-            AskPayload::Prefetch { candidates } => {
-                let before = candidates.len();
-                candidates.retain(|(a, _)| !border.is_classified(a, vocab));
-                before - candidates.len()
-            }
-            _ => 0,
-        };
-        cancelled = stale as u64;
-        if stale > 0 {
-            sink.count(names::RUNTIME_CANCELLED, cancelled);
-        }
-        let empty = match &request.payload {
-            AskPayload::Concrete { .. } => stale > 0,
-            AskPayload::Prefetch { candidates } => candidates.is_empty(),
-            _ => false,
-        };
-        if empty {
-            return AskResponse {
-                question: request.question,
-                member_idx: request.member_idx,
-                member: Some(request.member),
-                outcome: AskOutcome::Cancelled,
-                payload: request.payload,
-                speculative: true,
-                cancelled,
-                attempts: 0,
-            };
-        }
-    }
-
     let start = clock.now();
     let mut attempts = 0usize;
     let outcome = loop {
@@ -674,7 +634,6 @@ pub(crate) fn serve(
                             },
                             payload: request.payload,
                             speculative: request.speculative,
-                            cancelled,
                             attempts,
                         };
                     }
@@ -703,9 +662,67 @@ pub(crate) fn serve(
         outcome,
         payload: request.payload,
         speculative: request.speculative,
-        cancelled,
         attempts,
     }
+}
+
+/// The member-slice executor: requests queue in submission order and each
+/// is served on the caller's thread when the coordinator waits for its
+/// response. A concrete question first waits out the member's answer
+/// delay; nothing times out, so a dropped answer arrives at once and no
+/// member is ever excluded. A panicking member unwinds into the caller.
+struct InlineExecutor {
+    pending: VecDeque<AskRequest>,
+    sink: Arc<dyn EventSink>,
+    clock: SystemClock,
+}
+
+impl InlineExecutor {
+    fn new(sink: Arc<dyn EventSink>) -> Self {
+        InlineExecutor {
+            pending: VecDeque::new(),
+            sink,
+            clock: SystemClock::new(),
+        }
+    }
+}
+
+impl Executor for InlineExecutor {
+    fn submit(&mut self, request: AskRequest) {
+        self.pending.push_back(request);
+    }
+
+    fn recv(&mut self) -> Option<AskResponse> {
+        let mut request = self.pending.pop_front()?;
+        let value = match &request.payload {
+            AskPayload::Concrete { factset } => {
+                let member = &mut request.member;
+                if let Some(d) = member.answer_delay() {
+                    self.clock.sleep(d);
+                }
+                let _roundtrip = Span::enter(&*self.sink, names::SPAN_ROUNDTRIP);
+                let start = Instant::now();
+                let s = member.ask_concrete(factset);
+                self.sink
+                    .observe(names::CROWD_ANSWER_NANOS, start.elapsed().as_nanos() as f64);
+                AskValue::Support(s)
+            }
+            payload => answer(request.member.as_mut(), payload),
+        };
+        Some(AskResponse {
+            question: request.question,
+            member_idx: request.member_idx,
+            member: Some(request.member),
+            outcome: AskOutcome::Answered(value),
+            payload: request.payload,
+            speculative: request.speculative,
+            attempts: 1,
+        })
+    }
+
+    fn begin_shutdown(&mut self) {}
+
+    fn finish_shutdown(&mut self) {}
 }
 
 fn answer(member: &mut dyn CrowdMember, payload: &AskPayload) -> AskValue {
@@ -718,7 +735,7 @@ fn answer(member: &mut dyn CrowdMember, payload: &AskPayload) -> AskValue {
         AskPayload::Prefetch { candidates } => AskValue::Prefetched(
             candidates
                 .iter()
-                .map(|(_, fs)| (fs.clone(), member.ask_concrete(fs)))
+                .map(|fs| (fs.clone(), member.ask_concrete(fs)))
                 .collect(),
         ),
     }
@@ -744,37 +761,29 @@ pub(crate) struct Pool {
     exec: Box<dyn Executor>,
     slots: Vec<Slot>,
     shared: SharedCrowdCache,
-    border: SharedBorder,
     sink: Arc<dyn EventSink>,
-    /// Member-shard count the executor was built with (1 in simulation).
+    /// Member-shard count the executor was built with (1 unless threaded).
     shards: usize,
     next_question: u64,
     inflight: usize,
     spec_dispatched: u64,
     spec_hits: u64,
-    spec_cancelled: u64,
     last_error: Option<RuntimeError>,
-    /// Committed questions whose responses arrived while the coordinator
-    /// was waiting on a *different* seat: `(question, seat, answer)`,
-    /// `answer == None` when the question died (cancelled or the member
-    /// was excluded). The service layer drains this with
-    /// [`take_completed`](Pool::take_completed); the blocking [`ask`]
-    /// path polls it for its own question id.
+    /// Committed questions whose responses have arrived:
+    /// `(question, seat, answer)`, `answer == None` when the member was
+    /// excluded instead. The service drains this with
+    /// [`take_completed`](Pool::take_completed).
     completed: VecDeque<(QuestionId, usize, Option<AskValue>)>,
 }
 
 impl Pool {
     /// Start the executor (spawning workers on the threaded path) and seat
     /// the members.
-    pub(crate) fn start(
-        runtime: SessionRuntime,
-        vocab: Arc<Vocabulary>,
-        sink: Arc<dyn EventSink>,
-    ) -> Self {
+    pub(crate) fn start(runtime: SessionRuntime, sink: Arc<dyn EventSink>) -> Self {
         let SessionRuntime {
             members,
             options,
-            sim,
+            backend,
         } = runtime;
         let slots: Vec<Slot> = members
             .into_iter()
@@ -786,43 +795,29 @@ impl Pool {
                 pending_speculative: false,
             })
             .collect();
-        let border = SharedBorder::new();
-        // The sim executor is a single seeded scheduler: logically one
-        // shard, so placement never perturbs its decision sequence.
-        let shards = if sim.is_some() {
-            1
-        } else {
-            options.shards.max(1)
-        };
-        let exec: Box<dyn Executor> = match sim {
-            None => Box::new(ThreadedExecutor::spawn(
-                options,
-                border.clone(),
-                vocab,
-                Arc::clone(&sink),
-            )),
-            Some(config) => Box::new(SimExecutor::new(
-                config,
-                options,
-                border.clone(),
-                vocab,
-                Arc::clone(&sink),
-            )),
+        // The sim and inline executors serve one request at a time:
+        // logically one shard, so placement never perturbs their order.
+        let (shards, exec): (usize, Box<dyn Executor>) = match backend {
+            Backend::Threaded => (
+                options.shards.max(1),
+                Box::new(ThreadedExecutor::spawn(options, Arc::clone(&sink))),
+            ),
+            Backend::Simulated(config) => (
+                1,
+                Box::new(SimExecutor::new(config, options, Arc::clone(&sink))),
+            ),
+            Backend::Inline => (1, Box::new(InlineExecutor::new(Arc::clone(&sink)))),
         };
         Pool {
             exec,
             slots,
-            shared: SharedCrowdCache::with_stripes(
-                oassis_crowd::DEFAULT_STRIPES.max(shards),
-            ),
-            border,
+            shared: SharedCrowdCache::with_stripes(oassis_crowd::DEFAULT_STRIPES.max(shards)),
             sink,
             shards,
             next_question: 0,
             inflight: 0,
             spec_dispatched: 0,
             spec_hits: 0,
-            spec_cancelled: 0,
             last_error: None,
             completed: VecDeque::new(),
         }
@@ -860,12 +855,6 @@ impl Pool {
     /// The most recent per-member failure (for `CrowdExhausted` chains).
     pub(crate) fn take_last_error(&mut self) -> Option<RuntimeError> {
         self.last_error.take()
-    }
-
-    /// Publish the coordinator's border so the executor can cancel stale
-    /// speculative questions.
-    pub(crate) fn publish_border(&self, state: &crate::border::ClassificationState) {
-        self.border.publish(state);
     }
 
     /// Record a prefetched answer being consumed by the commit loop.
@@ -922,9 +911,8 @@ impl Pool {
     /// Apply one response: check the member back in, fold speculative
     /// answers into the shared cache, exclude failed members. A response
     /// that completes a *committed* question is buffered in
-    /// [`completed`](Pool::completed) for whichever caller is waiting on
-    /// it — never dropped, even when the coordinator was blocked on a
-    /// different seat at the time.
+    /// [`completed`](Pool::completed) — never dropped, even when the
+    /// coordinator was blocked on a different seat at the time.
     fn absorb(&mut self, response: AskResponse) {
         let idx = response.member_idx;
         debug_assert_eq!(self.slots[idx].pending, Some(response.question));
@@ -932,10 +920,8 @@ impl Pool {
         self.slots[idx].pending_speculative = false;
         self.set_inflight(self.inflight.saturating_sub(1));
         self.slots[idx].member = response.member;
-        self.spec_cancelled += response.cancelled;
         let label = match &response.outcome {
             AskOutcome::Answered(_) => "answered",
-            AskOutcome::Cancelled => "cancelled",
             AskOutcome::TimedOut { .. } => "timeout",
             AskOutcome::Poisoned { .. } => "poisoned",
         };
@@ -957,11 +943,6 @@ impl Pool {
                         }
                         _ => {}
                     }
-                }
-            }
-            AskOutcome::Cancelled => {
-                if committed {
-                    self.completed.push_back((response.question, idx, None));
                 }
             }
             AskOutcome::TimedOut { attempts } => {
@@ -1015,28 +996,6 @@ impl Pool {
         }
     }
 
-    /// A committed (blocking) ask: waits for the member's answer. `None`
-    /// means the member was excluded (timeout/poisoned) along the way.
-    ///
-    /// Other seats' committed answers arriving meanwhile stay buffered in
-    /// [`completed`](Pool::completed) for their own callers.
-    pub(crate) fn ask(&mut self, idx: usize, payload: AskPayload) -> Option<AskValue> {
-        self.sync(idx);
-        if self.slots[idx].excluded || self.slots[idx].member.is_none() {
-            return None;
-        }
-        let question = self.dispatch(idx, payload, false);
-        loop {
-            if let Some(pos) = self.completed.iter().position(|(q, _, _)| *q == question) {
-                let (_, _, value) = self.completed.remove(pos).expect("position just found");
-                return value;
-            }
-            if !self.pump_one() {
-                return None;
-            }
-        }
-    }
-
     /// Whether `idx` may take a committed question right now: home, not
     /// excluded, nothing pending. (Same condition as
     /// [`can_speculate`](Pool::can_speculate); named for the service
@@ -1074,8 +1033,8 @@ impl Pool {
     }
 
     /// Drain the committed-response buffer: `(question, seat, answer)`
-    /// triples in arrival order; `answer == None` means the question died
-    /// (cancelled or the member was excluded).
+    /// triples in arrival order; `answer == None` means the member was
+    /// excluded instead of answering.
     pub(crate) fn take_completed(&mut self) -> Vec<(QuestionId, usize, Option<AskValue>)> {
         self.completed.drain(..).collect()
     }
@@ -1102,28 +1061,30 @@ impl Pool {
     /// Dispatch a speculative prefetch batch for `idx` — the predicted
     /// next question plus fallback candidates, answered in one simulated
     /// crowd round-trip (a multi-question form).
-    pub(crate) fn speculate(&mut self, idx: usize, candidates: Vec<(Assignment, FactSet)>) {
+    pub(crate) fn speculate(&mut self, idx: usize, candidates: Vec<FactSet>) {
         if candidates.is_empty() || !self.can_speculate(idx) {
             return;
         }
         self.dispatch(idx, AskPayload::Prefetch { candidates }, true);
     }
 
-    /// Final accounting: anything dispatched speculatively that was neither
-    /// consumed nor cancelled was wasted crowd effort.
-    pub(crate) fn finish(&mut self) {
-        let wasted = self
-            .spec_dispatched
-            .saturating_sub(self.spec_hits + self.spec_cancelled);
-        if wasted > 0 {
-            self.sink
-                .count_labeled(names::RUNTIME_SPECULATION, "wasted", wasted);
-        }
+    /// Stop the executor, then check every member back in and hand the
+    /// crowd back in seat order (a member lost to a panicking callback is
+    /// missing).
+    pub(crate) fn take_members(&mut self) -> Vec<Box<dyn CrowdMember>> {
+        self.shutdown();
+        self.slots
+            .drain(..)
+            .filter_map(|slot| slot.member)
+            .collect()
     }
 
+    /// Stop accepting work and drain what is in flight (so workers never
+    /// block on send), then count the speculation the commit loop never
+    /// consumed as wasted: every prefetched question is then accounted
+    /// once, as a hit or as waste. Idempotent.
     fn shutdown(&mut self) {
         self.exec.begin_shutdown();
-        // Drain any straggler responses so workers never block on send.
         while self.inflight > 0 {
             match self.exec.recv() {
                 Some(response) => {
@@ -1133,6 +1094,12 @@ impl Pool {
             }
         }
         self.exec.finish_shutdown();
+        let wasted = std::mem::take(&mut self.spec_dispatched)
+            .saturating_sub(std::mem::take(&mut self.spec_hits));
+        if wasted > 0 {
+            self.sink
+                .count_labeled(names::RUNTIME_SPECULATION, "wasted", wasted);
+        }
     }
 }
 
@@ -1153,17 +1120,19 @@ mod tests {
         Box::new(ScriptedMember::new(MemberId(id), HashMap::new(), support))
     }
 
-    fn test_vocab() -> Arc<Vocabulary> {
-        Arc::new(
-            oassis_store::ontology::figure1_ontology()
-                .vocabulary()
-                .clone(),
-        )
+    /// A committed ask, waited out: `None` when the member was excluded
+    /// instead of answering.
+    fn ask(pool: &mut Pool, idx: usize, payload: AskPayload) -> Option<AskValue> {
+        let question = pool.dispatch_committed(idx, payload)?;
+        while pool.pump_one() {}
+        pool.take_completed()
+            .into_iter()
+            .find(|(q, _, _)| *q == question)
+            .and_then(|(_, _, value)| value)
     }
 
     fn concrete_payload() -> AskPayload {
         AskPayload::Concrete {
-            assignment: Assignment::single_valued(Vec::new()),
             factset: FactSet::new(),
         }
     }
@@ -1189,13 +1158,13 @@ mod tests {
         let members: Vec<Box<dyn CrowdMember>> =
             (0..16).map(|i| scripted(i, f64::from(i) / 16.0)).collect();
         let runtime = SessionRuntime::new(members).workers(2).shards(4);
-        let mut pool = Pool::start(runtime, test_vocab(), oassis_obs::null_sink());
+        let mut pool = Pool::start(runtime, oassis_obs::null_sink());
         let shards: std::collections::HashSet<usize> =
             (0..16).map(|i| pool.shard_of(i)).collect();
         assert!(shards.len() > 1, "16 members land on more than one shard");
         assert!(shards.iter().all(|&s| s < 4));
         for i in 0..16 {
-            let value = pool.ask(i, concrete_payload());
+            let value = ask(&mut pool, i, concrete_payload());
             let expected = f64::from(i as u32) / 16.0;
             assert!(
                 matches!(value, Some(AskValue::Support(s)) if (s - expected).abs() < 1e-12),
@@ -1211,7 +1180,6 @@ mod tests {
                 (0..32).map(|i| scripted(i, 0.5)).collect();
             Pool::start(
                 SessionRuntime::new(members).shards(8),
-                test_vocab(),
                 oassis_obs::null_sink(),
             )
         };
@@ -1224,8 +1192,8 @@ mod tests {
     #[test]
     fn committed_ask_round_trips_through_a_worker() {
         let runtime = SessionRuntime::new(vec![scripted(1, 0.75)]).workers(2);
-        let mut pool = Pool::start(runtime, test_vocab(), oassis_obs::null_sink());
-        let value = pool.ask(0, concrete_payload());
+        let mut pool = Pool::start(runtime, oassis_obs::null_sink());
+        let value = ask(&mut pool, 0, concrete_payload());
         assert!(matches!(value, Some(AskValue::Support(s)) if (s - 0.75).abs() < 1e-12));
         assert!(!pool.excluded(0));
     }
@@ -1235,8 +1203,8 @@ mod tests {
         let trace = SimTrace::handle();
         let runtime = SessionRuntime::new(vec![scripted(1, 0.75)])
             .simulated(SimConfig::new(7).record_into(Arc::clone(&trace)));
-        let mut pool = Pool::start(runtime, test_vocab(), oassis_obs::null_sink());
-        let value = pool.ask(0, concrete_payload());
+        let mut pool = Pool::start(runtime, oassis_obs::null_sink());
+        let value = ask(&mut pool, 0, concrete_payload());
         assert!(matches!(value, Some(AskValue::Support(s)) if (s - 0.75).abs() < 1e-12));
         drop(pool);
         let trace = trace.lock().unwrap();
@@ -1284,8 +1252,8 @@ mod tests {
         let runtime = SessionRuntime::new(vec![member])
             .question_timeout(timeout)
             .simulated(SimConfig::new(0));
-        let mut pool = Pool::start(runtime, test_vocab(), sink);
-        let value = pool.ask(0, concrete_payload());
+        let mut pool = Pool::start(runtime, sink);
+        let value = ask(&mut pool, 0, concrete_payload());
         assert!(matches!(value, Some(AskValue::Support(s)) if (s - 0.5).abs() < 1e-12));
         assert!(!pool.excluded(0), "deadline tie must not exclude");
         drop(pool);
@@ -1311,8 +1279,8 @@ mod tests {
             .max_retries(2);
         let mem = InMemorySink::shared();
         let sink: Arc<dyn EventSink> = Arc::clone(&mem) as Arc<dyn EventSink>;
-        let mut pool = Pool::start(runtime, test_vocab(), sink);
-        let value = pool.ask(0, concrete_payload());
+        let mut pool = Pool::start(runtime, sink);
+        let value = ask(&mut pool, 0, concrete_payload());
         assert!(value.is_none());
         assert!(pool.excluded(0));
         assert!(pool.all_excluded());
@@ -1360,8 +1328,8 @@ mod tests {
             }
         }
         let runtime = SessionRuntime::new(vec![Box::new(Bomb)]).workers(1);
-        let mut pool = Pool::start(runtime, test_vocab(), oassis_obs::null_sink());
-        let value = pool.ask(0, concrete_payload());
+        let mut pool = Pool::start(runtime, oassis_obs::null_sink());
+        let value = ask(&mut pool, 0, concrete_payload());
         assert!(value.is_none());
         assert!(pool.excluded(0));
         assert!(pool.member(0).is_none(), "poisoned member is discarded");
@@ -1379,12 +1347,9 @@ mod tests {
     #[test]
     fn speculative_answers_land_in_the_shared_cache() {
         let runtime = SessionRuntime::new(vec![scripted(4, 0.6)]).workers(1);
-        let mut pool = Pool::start(runtime, test_vocab(), oassis_obs::null_sink());
+        let mut pool = Pool::start(runtime, oassis_obs::null_sink());
         assert!(pool.can_speculate(0));
-        pool.speculate(
-            0,
-            vec![(Assignment::single_valued(Vec::new()), FactSet::new())],
-        );
+        pool.speculate(0, vec![FactSet::new()]);
         assert!(!pool.can_speculate(0), "one in-flight question per member");
         pool.sync(0);
         assert_eq!(pool.shared().lookup(&FactSet::new(), MemberId(4)), Some(0.6));
@@ -1401,12 +1366,57 @@ mod tests {
         let runtime = SessionRuntime::new(vec![member])
             .workers(2)
             .question_timeout(Duration::from_millis(50));
-        let mut pool = Pool::start(runtime, test_vocab(), oassis_obs::null_sink());
-        pool.speculate(
-            0,
-            vec![(Assignment::single_valued(Vec::new()), FactSet::new())],
-        );
+        let mut pool = Pool::start(runtime, oassis_obs::null_sink());
+        pool.speculate(0, vec![FactSet::new()]);
         drop(pool); // must not hang or leak the worker
+    }
+
+    /// The inline executor serves on the caller's thread with no timeout:
+    /// a member that drops every answer is answered at once and never
+    /// excluded, and the crowd comes back in seat order.
+    #[test]
+    fn inline_executor_never_times_out_and_returns_the_crowd() {
+        let dropping: Box<dyn CrowdMember> = Box::new(UnreliableMember::new(
+            scripted(1, 0.5),
+            ResponseModel::instant().with_drop_probability(1.0),
+            3,
+        ));
+        let runtime = SessionRuntime::new(vec![dropping, scripted(2, 0.25)])
+            .question_timeout(Duration::ZERO)
+            .inline();
+        let mem = InMemorySink::shared();
+        let sink: Arc<dyn EventSink> = Arc::clone(&mem) as Arc<dyn EventSink>;
+        let mut pool = Pool::start(runtime, sink);
+        let value = ask(&mut pool, 0, concrete_payload());
+        assert!(matches!(value, Some(AskValue::Support(s)) if (s - 0.5).abs() < 1e-12));
+        assert!(!pool.excluded(0));
+        let ids: Vec<MemberId> = pool.take_members().iter().map(|m| m.id()).collect();
+        assert_eq!(ids, vec![MemberId(1), MemberId(2)]);
+        let snap = mem.snapshot();
+        assert_eq!(snap.counter_across_labels(names::RUNTIME_TIMEOUT), 0);
+        assert_eq!(snap.span(names::SPAN_ROUNDTRIP).map(|s| s.count), Some(1));
+    }
+
+    /// Prefetched questions the commit loop never consumes are counted as
+    /// waste exactly once, when the pool shuts down.
+    #[test]
+    fn unconsumed_prefetches_are_wasted_once_at_shutdown() {
+        let mem = InMemorySink::shared();
+        let sink: Arc<dyn EventSink> = Arc::clone(&mem) as Arc<dyn EventSink>;
+        let runtime = SessionRuntime::new(vec![scripted(4, 0.6)]).simulated(SimConfig::new(0));
+        let mut pool = Pool::start(runtime, sink);
+        pool.speculate(0, vec![FactSet::new(), FactSet::new()]);
+        pool.sync(0);
+        pool.note_speculation_hit();
+        let _ = pool.take_members();
+        drop(pool);
+        let snap = mem.snapshot();
+        let speculation = |label: &str| {
+            snap.counter(&format!("{}[{label}]", names::RUNTIME_SPECULATION))
+        };
+        assert_eq!(speculation("dispatched"), 2);
+        assert_eq!(speculation("hit"), 1);
+        assert_eq!(speculation("wasted"), 1);
     }
 
     /// A dropping member on the sim executor pays only virtual time: huge
@@ -1423,8 +1433,8 @@ mod tests {
             .max_retries(2)
             .simulated(SimConfig::new(0));
         let wall = std::time::Instant::now();
-        let mut pool = Pool::start(runtime, test_vocab(), oassis_obs::null_sink());
-        let value = pool.ask(0, concrete_payload());
+        let mut pool = Pool::start(runtime, oassis_obs::null_sink());
+        let value = ask(&mut pool, 0, concrete_payload());
         assert!(value.is_none());
         assert!(pool.excluded(0));
         assert!(

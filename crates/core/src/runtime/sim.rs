@@ -5,9 +5,9 @@
 //! serves exactly one per `recv()`, **chosen by a seeded scheduler** — so
 //! the scheduler, not the OS, owns every interleaving decision. Waiting
 //! (member latency, timeouts) happens on a [`VirtualClock`], which makes a
-//! whole concurrent session — timeouts, retries, speculative-prefetch
-//! cancellation, member exclusion — replay bit-identically from one `u64`
-//! seed, at zero wall-clock cost.
+//! whole concurrent session — timeouts, retries, speculative prefetch,
+//! member exclusion — replay bit-identically from one `u64` seed, at zero
+//! wall-clock cost.
 //!
 //! The executor can additionally:
 //!
@@ -25,12 +25,10 @@ use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
 use oassis_obs::EventSink;
-use oassis_vocab::Vocabulary;
 
 use super::clock::{Clock, VirtualClock};
 use super::{serve, AskOutcome, AskPayload, AskRequest, AskResponse, AskValue, Executor,
     RuntimeOptions};
-use crate::border::SharedBorder;
 
 /// Shared handle to a [`SimTrace`] being recorded by a running simulation.
 pub type SimTraceHandle = Arc<Mutex<SimTrace>>;
@@ -127,8 +125,6 @@ impl SimConfig {
 /// Single-threaded deterministic executor: see the module docs.
 pub(crate) struct SimExecutor {
     pending: VecDeque<AskRequest>,
-    border: SharedBorder,
-    vocab: Arc<Vocabulary>,
     sink: Arc<dyn EventSink>,
     options: RuntimeOptions,
     clock: VirtualClock,
@@ -142,14 +138,10 @@ impl SimExecutor {
     pub(crate) fn new(
         config: SimConfig,
         options: RuntimeOptions,
-        border: SharedBorder,
-        vocab: Arc<Vocabulary>,
         sink: Arc<dyn EventSink>,
     ) -> Self {
         SimExecutor {
             pending: VecDeque::new(),
-            border,
-            vocab,
             sink,
             options,
             clock: VirtualClock::new(),
@@ -199,7 +191,6 @@ fn payload_kind(payload: &AskPayload) -> String {
 fn outcome_kind(response: &AskResponse) -> String {
     match &response.outcome {
         AskOutcome::Answered(_) => format!("answered(attempts={})", response.attempts),
-        AskOutcome::Cancelled => format!("cancelled({} stale)", response.cancelled),
         AskOutcome::TimedOut { attempts } => format!("timeout(attempts={attempts})"),
         AskOutcome::Poisoned { .. } => "poisoned".into(),
     }
@@ -229,14 +220,7 @@ impl Executor for SimExecutor {
             .remove(choice)
             .expect("choice is clamped to the pending set");
         let question = request.question;
-        let mut response = serve(
-            request,
-            &self.border,
-            &self.vocab,
-            &self.sink,
-            &self.options,
-            &self.clock,
-        );
+        let mut response = serve(request, &self.sink, &self.options, &self.clock);
         if self.chaos == Some(SimChaos::SwapPrefetchAnswers) && choice != 0 {
             if let AskOutcome::Answered(AskValue::Prefetched(answers)) = &mut response.outcome {
                 if answers.len() >= 2 && answers[0].1 != answers[1].1 {

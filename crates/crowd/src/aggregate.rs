@@ -20,8 +20,10 @@ pub enum Decision {
 /// Decides overall significance from collected answers.
 ///
 /// Implementations may also weight answers by trust, detect outliers, bound
-/// error probability etc.; the engine treats this as a black-box.
-pub trait Aggregator {
+/// error probability etc.; the engine treats this as a black-box. `Send +
+/// Sync + Debug` so an engine configuration can share one across sessions
+/// and keep deriving `Debug`.
+pub trait Aggregator: Send + Sync + std::fmt::Debug {
     /// Decide from `answers` (one entry per distinct member asked) at
     /// `threshold`.
     fn decide(&self, answers: &[f64], threshold: f64) -> Decision;

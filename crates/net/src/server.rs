@@ -32,7 +32,7 @@
 //! against a recovered server: the observable outcome is the same — the
 //! protocol crash oracle in `oassis-simtest` sweeps exactly this.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use oassis_core::{OassisService, SessionId, SessionSpec, SessionStatus};
 use oassis_store_durable::AdmitSpec;
@@ -40,16 +40,6 @@ use oassis_store_durable::AdmitSpec;
 use crate::frame::{
     decode_request, encode_response, Request, Response, WireStatus, PROTOCOL_VERSION,
 };
-
-/// A finished session's report, flattened for replay to polling clients
-/// (the full `QueryResult` stays with the first take; retries and
-/// post-restart polls are answered from this).
-struct CachedReport {
-    status: WireStatus,
-    crowd_questions: u64,
-    store_hits: u64,
-    msps: Vec<String>,
-}
 
 /// Per-connection protocol state.
 struct ConnState {
@@ -72,8 +62,6 @@ fn wire_status(status: SessionStatus) -> WireStatus {
 pub struct NetServer {
     service: OassisService,
     conns: HashMap<u64, ConnState>,
-    /// Reports taken from the service, kept for retried polls.
-    reports: BTreeMap<u64, CachedReport>,
     events: u64,
 }
 
@@ -84,7 +72,6 @@ impl NetServer {
         NetServer {
             service,
             conns: HashMap::new(),
-            reports: BTreeMap::new(),
             events: 0,
         }
     }
@@ -237,13 +224,10 @@ impl NetServer {
 
     fn handle_resume(&mut self, session: u64) -> Vec<Response> {
         let id = SessionId(session);
-        // A session that closed before the crash (or whose report this
-        // server already took) needs no re-admission: resolve to itself
-        // and let Poll answer from the cached outcome.
-        if self.reports.contains_key(&session)
-            || self.service.recovered_closed(id).is_some()
-            || self.service.is_admitted(id)
-        {
+        // A closed session (before the crash or by this server) needs no
+        // re-admission: resolve to itself and let Poll answer from its
+        // closed outcome.
+        if self.service.recovered_closed(id).is_some() || self.service.is_admitted(id) {
             return vec![Response::Resumed {
                 original: session,
                 session,
@@ -277,43 +261,15 @@ impl NetServer {
         responses
     }
 
-    /// Move a finished slot's report into the replay cache (flattened to
-    /// the wire shape), so retried polls and post-restart clients see the
-    /// same outcome the first poll did.
-    fn harvest(&mut self, session: u64) {
-        let id = SessionId(session);
-        if self.service.session_status(id).is_none() {
-            return;
-        }
-        let report = self
-            .service
-            .take_report(id)
-            .expect("status was Some, so the slot is takeable");
-        let mut msps: Vec<String> = report
-            .result
-            .answers
-            .iter()
-            .filter(|a| a.valid)
-            .map(|a| a.rendered.clone())
-            .collect();
-        msps.sort();
-        self.reports.insert(
-            session,
-            CachedReport {
-                status: wire_status(report.status),
-                crowd_questions: report.crowd_questions as u64,
-                store_hits: report.store_hits as u64,
-                msps,
-            },
-        );
-    }
-
-    /// The terminal-or-running `Update` for `session`, answered from (in
-    /// order) the live slot, the taken-report cache, or the recovered
-    /// pre-crash `Close` outcome.
+    /// The terminal-or-running `Update` for `session`, answered from the
+    /// live slot or from the service's closed outcome (recorded at close,
+    /// or recovered from the pre-crash `Close` record). A finished slot's
+    /// report is dropped here: its outcome is already recorded.
     fn status_update(&mut self, session: u64) -> Response {
-        self.harvest(session);
         let id = SessionId(session);
+        if self.service.session_status(id).is_some() {
+            self.service.take_report(id);
+        }
         if let Some((crowd_questions, store_hits)) = self.service.session_progress(id) {
             return Response::Update {
                 session,
@@ -323,21 +279,12 @@ impl NetServer {
                 msps: Vec::new(),
             };
         }
-        if let Some(report) = self.reports.get(&session) {
-            return Response::Update {
-                session,
-                status: report.status,
-                crowd_questions: report.crowd_questions,
-                store_hits: report.store_hits,
-                msps: report.msps.clone(),
-            };
-        }
         if let Some(outcome) = self.service.recovered_closed(id) {
             return Response::Update {
                 session,
                 status: wire_status(outcome.status),
                 crowd_questions: outcome.crowd_questions as u64,
-                store_hits: 0,
+                store_hits: outcome.store_hits as u64,
                 msps: outcome.msps.clone(),
             };
         }

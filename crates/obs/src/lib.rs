@@ -82,9 +82,6 @@ pub mod names {
     pub const RUNTIME_TIMEOUT: &str = "runtime.question.timeout";
     /// Counter: a timed-out question was retried with the same member.
     pub const RUNTIME_RETRY: &str = "runtime.question.retry";
-    /// Counter: a speculative question was cancelled at worker pickup
-    /// because the shared border had already classified its assignment.
-    pub const RUNTIME_CANCELLED: &str = "runtime.question.cancelled";
     /// Counter: a member was excluded from the run. Label: `timeout`
     /// (retries exhausted) or `poisoned` (the member panicked mid-answer).
     pub const RUNTIME_MEMBER_EXCLUDED: &str = "runtime.member.excluded";

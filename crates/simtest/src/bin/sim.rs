@@ -17,9 +17,9 @@
 //! sim wave-sweep [N]
 //!                    run the question-wave oracles (waved replay,
 //!                    wave_size in {1,4,16} equivalence on overlapping
-//!                    rosters, full-outcome identity on disjoint rosters)
-//!                    over seeds 0..N (default 64; OASSIS_SIM_SEEDS
-//!                    overrides)
+//!                    rosters, full-outcome identity on disjoint rosters,
+//!                    speculation conservation) over seeds 0..N
+//!                    (default 64; OASSIS_SIM_SEEDS overrides)
 //! sim net-sweep [N]
 //!                    run the wire-protocol oracles (served-run
 //!                    transparency vs the in-process service, replay,
@@ -121,7 +121,7 @@ fn run_durability_sweep(n: u64) -> ExitCode {
 fn run_wave_sweep(n: u64) -> ExitCode {
     println!(
         "sim wave-sweep: {n} seeds, wave sizes {WAVE_SIZES:?} \
-         (waved replay x2, overlap equivalence, disjoint identity)"
+         (waved replay x2, overlap equivalence, disjoint identity, conservation)"
     );
     let start = Instant::now();
     let report = wave_sweep(0..n);

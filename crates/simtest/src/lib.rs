@@ -15,12 +15,14 @@
 //! 1. **replay** — the same seed twice yields byte-identical transcripts
 //!    and decision sequences;
 //! 2. **concurrent ≡ sequential** — valid-MSP set (and, when no member is
-//!    excluded, question count) matches the synchronous reference run;
+//!    excluded, question count) matches [`run_sequential`], a minimal
+//!    in-line loop over a bare [`MiningSession`] that shares no code with
+//!    the runtime's pool or the service;
 //! 3. **indexed ≡ unindexed** — flipping `use_indexes` changes nothing
 //!    observable;
 //! 4. **obs conservation** — every `runtime.question.*` event issued is
-//!    answered, retried, cancelled, or excluded (no event leaks), checked
-//!    on an `InMemorySink` snapshot.
+//!    answered, retried, or excluded (no event leaks), and every prefetch
+//!    is a hit or waste, checked on an `InMemorySink` snapshot.
 //!
 //! [`sweep`] drives `check_seed` across a seed range; [`shrink`] reduces a
 //! failing schedule to a minimal set of non-FIFO scheduling decisions (the
@@ -34,8 +36,8 @@ use std::time::Duration;
 
 use oassis_core::engine::service::SessionReport;
 use oassis_core::{
-    EngineConfig, MultiUserMiner, Oassis, OassisService, QueryResult, SessionId, SessionRuntime,
-    SessionSpec, SimChaos, SimConfig, SimTrace, VirtualClock,
+    Answer, EngineConfig, MiningSession, Oassis, OassisService, QueryResult, QuestionPayload,
+    SessionEvent, SessionId, SessionRuntime, SessionSpec, SimChaos, SimConfig, SimTrace,
 };
 use oassis_net::{
     FaultConfig, NetClient, NetServer, Request, Response, SimNet, SimTransport, WireStatus,
@@ -279,7 +281,6 @@ fn engine_config(seed: u64, use_indexes: bool, sink: Arc<dyn EventSink>) -> Engi
         .seed(engine_seed(seed))
         .use_indexes(use_indexes)
         .sink(sink)
-        .clock(Arc::new(VirtualClock::new()))
         .build()
 }
 
@@ -294,8 +295,6 @@ pub fn simulate(seed: u64, opts: &SimOptions) -> SimOutcome {
         opts.use_indexes,
         Arc::clone(&mem) as Arc<dyn EventSink>,
     );
-    let space = engine.space(&query, &cfg).expect("space construction");
-    let miner = MultiUserMiner::new(&space, SUPPORT, &cfg);
 
     let trace = SimTrace::handle();
     let mut sim = SimConfig::new(seed).record_into(Arc::clone(&trace));
@@ -307,10 +306,11 @@ pub fn simulate(seed: u64, opts: &SimOptions) -> SimOutcome {
     }
     let runtime = faulted_runtime(seed, family).simulated(sim);
 
-    let (msps, questions, error) = match miner.run(runtime) {
-        Ok((result, _)) => (valid_msp_set(&result), result.stats.total_questions, None),
-        Err(e) => (Vec::new(), 0, Some(e.to_string())),
-    };
+    let (msps, questions, error) =
+        match engine.execute_parsed_with_runtime(&query, SUPPORT, runtime, &cfg) {
+            Ok(result) => (valid_msp_set(&result), result.stats.total_questions, None),
+            Err(e) => (Vec::new(), 0, Some(e.to_string())),
+        };
     let trace = trace.lock().expect("sim trace lock");
     SimOutcome {
         seed,
@@ -324,8 +324,47 @@ pub fn simulate(seed: u64, opts: &SimOptions) -> SimOutcome {
     }
 }
 
-/// The sequential reference for one engine seed: the synchronous
-/// `run_direct` path over the clean crowd.
+/// Mine `query_src` at its own `WITH SUPPORT` threshold with the minimal
+/// sequential loop: poll a bare [`MiningSession`], ask the staged question's
+/// member in-line, absorb the answer. It shares no code with the runtime's
+/// pool or [`OassisService`], which makes it the independent reference
+/// the differential oracles compare driven runs against. Answers come back
+/// unrendered for the query's SELECT form (fact-set rendering).
+pub fn run_sequential(
+    engine: &Oassis,
+    query_src: &str,
+    members: &mut Vec<Box<dyn CrowdMember>>,
+    config: &EngineConfig,
+) -> QueryResult {
+    let query = engine.parse(query_src).expect("the reference query parses");
+    let space = Arc::new(engine.space(&query, config).expect("space construction"));
+    let seats = members.iter().map(|m| m.id()).collect();
+    let threshold = query.satisfying.support;
+    let mut session = MiningSession::new(space, threshold, Arc::new(config.clone()), seats);
+    loop {
+        match session.poll(members) {
+            SessionEvent::Ask(q) => {
+                let member = &mut members[q.seat];
+                let answer = match &q.payload {
+                    QuestionPayload::Concrete { factset, .. } => {
+                        Answer::Support(member.ask_concrete(factset))
+                    }
+                    QuestionPayload::Specialization { base, candidates } => {
+                        Answer::Choice(member.ask_specialization(base, candidates))
+                    }
+                    QuestionPayload::Pruning { factset } => {
+                        Answer::Irrelevant(member.irrelevant_elements(factset))
+                    }
+                };
+                session.absorb(q.id, answer);
+            }
+            SessionEvent::TurnEnded { .. } => {}
+            SessionEvent::Finished => return session.finish(),
+        }
+    }
+}
+
+/// A sequential reference outcome: [`run_sequential`] over a clean crowd.
 #[derive(Debug, Clone)]
 pub struct Reference {
     /// Sorted rendered valid MSPs.
@@ -334,22 +373,31 @@ pub struct Reference {
     pub questions: usize,
 }
 
-/// The cached sequential reference for `seed` (computed once per engine
-/// seed; see [`engine_seed`]'s cycle).
-pub fn sequential_reference(seed: u64) -> Arc<Reference> {
-    static CACHE: OnceLock<Mutex<HashMap<u64, Arc<Reference>>>> = OnceLock::new();
+/// The crowds the oracles compare against a reference: the fault sweep's
+/// `crowd(3)` under the sweep's engine config, and the service runs'
+/// `crowd(2)` under the service config.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum ReferenceCrowd {
+    Sweep,
+    Service,
+}
+
+/// The cached sequential reference of [`QUERY`] for `seed` over `crowd_kind`
+/// (computed once per engine seed; see [`engine_seed`]'s cycle).
+fn reference(seed: u64, crowd_kind: ReferenceCrowd) -> Arc<Reference> {
+    type Cache = Mutex<HashMap<(ReferenceCrowd, u64), Arc<Reference>>>;
+    static CACHE: OnceLock<Cache> = OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    let key = engine_seed(seed);
+    let key = (crowd_kind, engine_seed(seed));
     if let Some(r) = cache.lock().expect("reference cache").get(&key) {
         return Arc::clone(r);
     }
+    let (mut members, cfg) = match crowd_kind {
+        ReferenceCrowd::Sweep => (crowd(3), engine_config(seed, true, oassis_obs::null_sink())),
+        ReferenceCrowd::Service => (crowd(2), service_config(seed)),
+    };
     let engine = Oassis::new(figure1_ontology());
-    let query = engine.parse(QUERY).expect("the harness query parses");
-    let cfg = engine_config(seed, true, oassis_obs::null_sink());
-    let space = engine.space(&query, &cfg).expect("space construction");
-    let miner = MultiUserMiner::new(&space, SUPPORT, &cfg);
-    let mut members = crowd(3);
-    let (result, _) = miner.run_direct(&mut members);
+    let result = run_sequential(&engine, QUERY, &mut members, &cfg);
     let reference = Arc::new(Reference {
         msps: valid_msp_set(&result),
         questions: result.stats.total_questions,
@@ -359,6 +407,12 @@ pub fn sequential_reference(seed: u64) -> Arc<Reference> {
         .expect("reference cache")
         .insert(key, Arc::clone(&reference));
     reference
+}
+
+/// The cached sequential reference the fault sweep compares `seed`'s
+/// simulated run against.
+pub fn sequential_reference(seed: u64) -> Arc<Reference> {
+    reference(seed, ReferenceCrowd::Sweep)
 }
 
 /// One oracle violation, with enough context to print and reproduce.
@@ -424,7 +478,7 @@ fn counter(snap: &Snapshot, name: &str, label: &str) -> u64 {
 /// The obs event-stream conservation laws: every question dispatched is
 /// resolved exactly once; every timeout is either retried or ends the
 /// question; exclusions match terminal failures; speculative work is fully
-/// accounted as hit, cancelled or wasted.
+/// accounted as hit or wasted.
 pub fn check_conservation(snap: &Snapshot) -> Result<(), String> {
     let dispatched = snap.counter_across_labels(names::RUNTIME_DISPATCHED);
     let resolved = snap.counter_across_labels(names::RUNTIME_RESOLVED);
@@ -457,11 +511,9 @@ pub fn check_conservation(snap: &Snapshot) -> Result<(), String> {
     let spec_dispatched = counter(snap, names::RUNTIME_SPECULATION, "dispatched");
     let spec_hit = counter(snap, names::RUNTIME_SPECULATION, "hit");
     let spec_wasted = counter(snap, names::RUNTIME_SPECULATION, "wasted");
-    let spec_cancelled = snap.counter(names::RUNTIME_CANCELLED);
-    if spec_dispatched != spec_hit + spec_wasted + spec_cancelled {
+    if spec_dispatched != spec_hit + spec_wasted {
         return Err(format!(
-            "speculation dispatched {spec_dispatched} != hit {spec_hit} + cancelled \
-             {spec_cancelled} + wasted {spec_wasted}"
+            "speculation dispatched {spec_dispatched} != hit {spec_hit} + wasted {spec_wasted}"
         ));
     }
     Ok(())
@@ -688,14 +740,17 @@ pub fn service_plans(n: usize) -> Vec<ServicePlan> {
 }
 
 /// An ordered record of every `service.*` / `answerstore.*` counter and
-/// gauge a run emitted — the byte-stable part of a service transcript.
+/// gauge a run emitted — the byte-stable part of a service transcript —
+/// plus the aggregated snapshot the conservation laws are checked on.
 #[derive(Debug, Default)]
 struct RecordingSink {
     events: Mutex<Vec<String>>,
+    totals: InMemorySink,
 }
 
 impl EventSink for RecordingSink {
     fn emit(&self, event: &Event<'_>) {
+        self.totals.emit(event);
         let line = match event.kind {
             EventKind::Counter(n) => {
                 format!("{}[{}] +{n}", event.name, event.label.unwrap_or(""))
@@ -733,6 +788,9 @@ pub struct ServiceSimOutcome {
     /// Ordered service events + per-session summaries; byte-identical
     /// across replays of the same seed.
     pub transcript: String,
+    /// Obs snapshot of the run's full event stream, taken after the
+    /// service shut its crowd down.
+    pub snapshot: Snapshot,
 }
 
 /// Run a whole multi-session service on the simulation executor: every
@@ -848,6 +906,7 @@ fn run_service(
             .expect("service plan admits");
     }
     let reports = service.run();
+    drop(service);
     let sessions: Vec<ServiceSessionOutcome> = reports.iter().map(session_outcome).collect();
     let mut transcript = recorder.events.lock().expect("recording sink").join("\n");
     for (i, s) in sessions.iter().enumerate() {
@@ -864,6 +923,7 @@ fn run_service(
         seed,
         sessions,
         transcript,
+        snapshot: recorder.totals.snapshot(),
     }
 }
 
@@ -895,33 +955,6 @@ pub fn max_dispatch_gap(outcome: &ServiceSimOutcome) -> usize {
 /// most a handful of turns (1 per cycle, plus slack for stalled cycles).
 pub const STARVATION_BOUND: usize = 16;
 
-/// The sequential single-session reference over the service crowd
-/// (`crowd(2)`), cached per engine seed.
-fn service_reference(seed: u64) -> Arc<Reference> {
-    static CACHE: OnceLock<Mutex<HashMap<u64, Arc<Reference>>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    let key = engine_seed(seed);
-    if let Some(r) = cache.lock().expect("service reference cache").get(&key) {
-        return Arc::clone(r);
-    }
-    let engine = Oassis::new(figure1_ontology());
-    let query = engine.parse(QUERY).expect("the harness query parses");
-    let cfg = service_config(seed);
-    let space = engine.space(&query, &cfg).expect("space construction");
-    let miner = MultiUserMiner::new(&space, SUPPORT, &cfg);
-    let mut members = crowd(2);
-    let (result, _) = miner.run_direct(&mut members);
-    let reference = Arc::new(Reference {
-        msps: valid_msp_set(&result),
-        questions: result.stats.total_questions,
-    });
-    cache
-        .lock()
-        .expect("service reference cache")
-        .insert(key, Arc::clone(&reference));
-    reference
-}
-
 /// Plans for the disjoint-roster isolation oracle: two single-target
 /// queries, one over seats {0,1}, one over seats {2,3}.
 pub fn disjoint_plans() -> (ServicePlan, ServicePlan) {
@@ -946,8 +979,8 @@ pub fn disjoint_plans() -> (ServicePlan, ServicePlan) {
 /// 1. **service-replay** — the same seed twice yields a byte-identical
 ///    service transcript (events + outcomes);
 /// 2. **single-session differential** — one session through the service ≡
-///    the synchronous `run_direct` reference (valid-MSP set and question
-///    count), the tentpole invariant;
+///    the [`run_sequential`] reference (valid-MSP set and question count),
+///    the tentpole invariant;
 /// 3. **no-starvation** — on an instant crowd, three concurrent sessions
 ///    stay within [`STARVATION_BOUND`] of each other's dispatch cadence;
 /// 4. **disjoint isolation** — two sessions with disjoint rosters produce
@@ -971,13 +1004,13 @@ pub fn check_service_seed(seed: u64) -> Result<(), OracleFailure> {
 
     let solo = simulate_service(seed, &service_plans(1), true);
     require_nonvacuous(seed, "service-single-session", solo.sessions.iter().map(|s| &s.msps))?;
-    let reference = service_reference(seed);
+    let reference = reference(seed, ReferenceCrowd::Service);
     let s = &solo.sessions[0];
     if s.msps != reference.msps || s.questions != reference.questions {
         return Err(fail(
             "service-single-session",
             format!(
-                "service session diverged from run_direct: {} MSPs / {} questions \
+                "service session diverged from the sequential reference: {} MSPs / {} questions \
                  vs {} / {}",
                 s.msps.len(),
                 s.questions,
@@ -1062,7 +1095,10 @@ pub const WAVE_SIZES: &[usize] = &[1, 4, 16];
 ///    same valid-MSP sets, stage-time question counts and statuses at every
 ///    wave size (store-hit timing may shift, so crowd/store splits may not);
 /// 3. **wave-disjoint** — two disjoint-roster sessions produce *identical*
-///    outcomes at every wave size, crowd-question counts included.
+///    outcomes at every wave size, crowd-question counts included;
+/// 4. **wave-conservation** — every waved run's event stream obeys
+///    [`check_conservation`]: each prefetched question is counted once, as
+///    a hit or as waste.
 pub fn check_wave_seed(seed: u64) -> Result<(), OracleFailure> {
     let fail = |oracle: &'static str, detail: String| OracleFailure {
         seed,
@@ -1082,6 +1118,8 @@ pub fn check_wave_seed(seed: u64) -> Result<(), OracleFailure> {
                 format!("wave {wave}: two runs of the same seed produced different transcripts"),
             ));
         }
+        check_conservation(&waved.snapshot)
+            .map_err(|d| fail("wave-conservation", format!("wave {wave}: {d}")))?;
         for (i, (w, b)) in waved.sessions.iter().zip(&base.sessions).enumerate() {
             if w.msps != b.msps || w.questions != b.questions || w.status != b.status {
                 return Err(fail(
@@ -1106,6 +1144,8 @@ pub fn check_wave_seed(seed: u64) -> Result<(), OracleFailure> {
     let base = simulate_service(seed, &disjoint, true);
     for &wave in &WAVE_SIZES[1..] {
         let waved = simulate_service_waved(seed, &disjoint, true, wave);
+        check_conservation(&waved.snapshot)
+            .map_err(|d| fail("wave-conservation", format!("wave {wave} disjoint: {d}")))?;
         if waved.sessions != base.sessions {
             return Err(fail(
                 "wave-disjoint",

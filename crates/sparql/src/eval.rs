@@ -992,7 +992,7 @@ mod tests {
         assert_eq!(all.len(), 3);
         let x = vars.get("x").unwrap();
         let mut sorted = all.clone();
-        sorted.sort_by(|a, b| a.get(x).cmp(&b.get(x)));
+        sorted.sort_by_key(|a| a.get(x));
         assert_eq!(all, sorted, "ORDER BY $x yields key-sorted rows");
         let (page, _, _) = eval_where(
             "$x inside NYC ORDER BY $x LIMIT 2 OFFSET 1",

@@ -9,8 +9,8 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --tests -- -D warnings"
+cargo clippy --workspace --tests -- -D warnings
 
 echo "==> scripts/stress.sh"
 ./scripts/stress.sh
@@ -33,7 +33,7 @@ OASSIS_DURABILITY_SMOKE=1 cargo run --release -q -p oassis-bench --bin figures -
 echo "==> durability simulation: 64-seed crash-restart sweep (kill at any WAL index, recover, compare)"
 cargo run --release -q -p oassis-simtest --bin sim -- durability-sweep 64
 
-echo "==> wave simulation: 64-seed sweep (waved replay, wave-size equivalence, disjoint identity)"
+echo "==> wave simulation: 64-seed sweep (waved replay, wave-size equivalence, disjoint identity, speculation conservation)"
 cargo run --release -q -p oassis-simtest --bin sim -- wave-sweep 64
 
 echo "==> crowd-scale smoke: sharded + waved runs must match the 1-shard/1-wave reference"

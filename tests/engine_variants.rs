@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use oassis::core::{AssignSpace, EngineConfig, MultiUserMiner, Oassis};
+use oassis::core::{AssignSpace, EngineConfig, Oassis};
 use oassis::crowd::transaction::table3_dbs;
 use oassis::crowd::{
     CrowdMember, DbMember, MajorityVoteAggregator, MemberId, SequentialAggregator,
@@ -48,12 +48,14 @@ fn space_for(engine: &Oassis, cfg: &EngineConfig) -> AssignSpace {
 #[test]
 fn majority_vote_aggregator_plugs_in() {
     let engine = Oassis::new(figure1_ontology());
-    let cfg = EngineConfig::default();
-    let space = space_for(&engine, &cfg);
-    let miner = MultiUserMiner::new(&space, 0.4, &cfg)
-        .with_aggregator(Box::new(MajorityVoteAggregator { sample_size: 4 }));
+    let cfg = EngineConfig::builder()
+        .aggregator(Arc::new(MajorityVoteAggregator { sample_size: 4 }))
+        .build();
+    let query = engine.parse(QUERY).unwrap();
     let mut members = crowd(2);
-    let (result, _) = miner.run_direct(&mut members);
+    let result = engine
+        .execute_parsed(&query, 0.4, &mut members, &cfg)
+        .unwrap();
     let rendered: Vec<&str> = result.answers.iter().map(|a| a.rendered.as_str()).collect();
     assert!(
         rendered.iter().any(|r| r.contains("Feed a monkey")),
@@ -75,16 +77,18 @@ fn majority_vote_aggregator_plugs_in() {
 #[test]
 fn sequential_aggregator_bounds_answers_per_assignment() {
     let engine = Oassis::new(figure1_ontology());
-    let cfg = EngineConfig::default();
-    let space = space_for(&engine, &cfg);
     let agg = SequentialAggregator {
         min_samples: 2,
         max_samples: 4,
         z: 1.96,
     };
-    let miner = MultiUserMiner::new(&space, 0.4, &cfg).with_aggregator(Box::new(agg));
+    let cfg = EngineConfig::builder().aggregator(Arc::new(agg)).build();
+    let query = engine.parse(QUERY).unwrap();
     let mut members = crowd(3);
-    let (result, cache) = miner.run_direct(&mut members);
+    let result = engine
+        .execute_parsed(&query, 0.4, &mut members, &cfg)
+        .unwrap();
+    let cache = &result.cache;
     assert!(!result.answers.is_empty());
     // The root (support 1.0 for everyone) must have been decided at
     // min_samples, not at the fixed five of the default rule.

@@ -1,7 +1,8 @@
 //! The concurrent crowd-session runtime observed end-to-end: for the same
-//! seed, a pooled run must produce exactly the answer set (and question
-//! count) of the sequential slice path; slow and dropping members must be
-//! timed out, retried and excluded without losing MSPs.
+//! seed, a pooled run (`Oassis::execute_parsed_with_runtime`) must produce
+//! exactly the answer set (and question count) of the sequential
+//! member-slice run (`Oassis::execute_parsed`); slow and dropping members
+//! must be timed out, retried and excluded without losing MSPs.
 //!
 //! Only the first test exercises real worker threads (instant members, so
 //! no timing dependence — `scripts/stress.sh` scales it via
@@ -13,9 +14,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use oassis::core::{
-    EngineConfig, MultiUserMiner, Oassis, OassisError, SessionRuntime, SimConfig,
-};
+use oassis::core::{EngineConfig, Oassis, OassisError, SessionRuntime, SimConfig};
 use oassis::crowd::transaction::table3_dbs;
 use oassis::crowd::{CrowdMember, DbMember, MemberId, ResponseModel, UnreliableMember};
 use oassis::obs::{names, EventSink, InMemorySink};
@@ -79,14 +78,16 @@ fn concurrent_matches_sequential_across_seeds() {
     let query = engine.parse(QUERY).unwrap();
     for seed in [0u64, 7, 42, 1234] {
         let cfg = EngineConfig::builder().seed(seed).build();
-        let space = engine.space(&query, &cfg).unwrap();
-        let miner = MultiUserMiner::new(&space, 0.4, &cfg);
 
         let mut seq_members = crowd(3);
-        let (seq, _) = miner.run_direct(&mut seq_members);
+        let seq = engine
+            .execute_parsed(&query, 0.4, &mut seq_members, &cfg)
+            .unwrap();
 
         let runtime = SessionRuntime::new(crowd(3)).workers(worker_count());
-        let (conc, _) = miner.run(runtime).expect("no members excluded");
+        let conc = engine
+            .execute_parsed_with_runtime(&query, 0.4, runtime, &cfg)
+            .expect("no members excluded");
 
         assert_eq!(
             valid_msp_set(&seq),
@@ -110,11 +111,11 @@ fn latency_does_not_change_answers() {
     let engine = Oassis::new(figure1_ontology());
     let query = engine.parse(QUERY).unwrap();
     let cfg = EngineConfig::builder().seed(11).build();
-    let space = engine.space(&query, &cfg).unwrap();
-    let miner = MultiUserMiner::new(&space, 0.4, &cfg);
 
     let mut seq_members = crowd(3);
-    let (seq, _) = miner.run_direct(&mut seq_members);
+    let seq = engine
+        .execute_parsed(&query, 0.4, &mut seq_members, &cfg)
+        .unwrap();
 
     for sim_seed in [0u64, 1, 2, 3] {
         let model = ResponseModel::latency(Duration::from_micros(300))
@@ -127,7 +128,9 @@ fn latency_does_not_change_answers() {
         let runtime = SessionRuntime::new(slow)
             .question_timeout(Duration::from_secs(5))
             .simulated(SimConfig::new(sim_seed));
-        let (conc, _) = miner.run(runtime).expect("no members excluded");
+        let conc = engine
+            .execute_parsed_with_runtime(&query, 0.4, runtime, &cfg)
+            .expect("no members excluded");
 
         assert_eq!(valid_msp_set(&seq), valid_msp_set(&conc), "sim seed {sim_seed}");
         assert_eq!(
@@ -149,15 +152,13 @@ fn dropping_members_are_excluded_without_losing_msps() {
     let mem = InMemorySink::shared();
     let sink: Arc<dyn EventSink> = Arc::clone(&mem) as Arc<dyn EventSink>;
     let cfg = EngineConfig::builder().sink(sink).build();
-    let space = engine.space(&query, &cfg).unwrap();
-    let miner = MultiUserMiner::new(&space, 0.4, &cfg);
 
     // Healthy baseline: the crowd without the faulty members.
     let plain_cfg = EngineConfig::default();
-    let plain_space = engine.space(&query, &plain_cfg).unwrap();
-    let plain_miner = MultiUserMiner::new(&plain_space, 0.4, &plain_cfg);
     let mut healthy = crowd(3);
-    let (expected, _) = plain_miner.run_direct(&mut healthy);
+    let expected = engine
+        .execute_parsed(&query, 0.4, &mut healthy, &plain_cfg)
+        .unwrap();
 
     // Same crowd plus two members whose channel drops every answer. The
     // faulty members are clones of healthy ones, so excluding them must
@@ -182,7 +183,9 @@ fn dropping_members_are_excluded_without_losing_msps() {
         .question_timeout(Duration::from_millis(2))
         .max_retries(1)
         .simulated(SimConfig::new(99));
-    let (result, _) = miner.run(runtime).expect("healthy members remain");
+    let result = engine
+        .execute_parsed_with_runtime(&query, 0.4, runtime, &cfg)
+        .expect("healthy members remain");
 
     assert_eq!(valid_msp_set(&expected), valid_msp_set(&result));
 
@@ -210,8 +213,6 @@ fn fully_unresponsive_crowd_is_a_runtime_error() {
     let engine = Oassis::new(figure1_ontology());
     let query = engine.parse(QUERY).unwrap();
     let cfg = EngineConfig::default();
-    let space = engine.space(&query, &cfg).unwrap();
-    let miner = MultiUserMiner::new(&space, 0.4, &cfg);
 
     let always_drop = ResponseModel::instant().with_drop_probability(1.0);
     let members: Vec<Box<dyn CrowdMember>> = crowd(1)
@@ -224,7 +225,9 @@ fn fully_unresponsive_crowd_is_a_runtime_error() {
         .max_retries(0)
         .simulated(SimConfig::new(5));
 
-    let err = miner.run(runtime).expect_err("all members excluded");
+    let err = engine
+        .execute_parsed_with_runtime(&query, 0.4, runtime, &cfg)
+        .expect_err("all members excluded");
     match err {
         OassisError::Runtime(e) => {
             let msg = e.to_string();

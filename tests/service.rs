@@ -1,8 +1,8 @@
 //! Integration tests for the multi-query service layer ([`OassisService`]):
 //! the differential invariant (a single session through the service is
-//! byte-for-byte the single-query `MultiUserMiner::run` path), cross-query
-//! answer reuse through the `AnswerStore`, per-session budgets,
-//! cancellation, and priority scheduling.
+//! byte-for-byte the independent sequential reference loop of
+//! `oassis-simtest`), cross-query answer reuse through the `AnswerStore`,
+//! per-session budgets, cancellation, and priority scheduling.
 
 use std::sync::{Arc, Mutex};
 
@@ -18,6 +18,7 @@ use oassis::obs::{names, EventSink, InMemorySink};
 use oassis::store::ontology::figure1_ontology;
 use oassis::store_durable::{InMemory, SharedPersistence, WalRecord};
 use oassis::vocab::{ElementId, FactSet};
+use oassis_simtest::run_sequential;
 
 const QUERY: &str = "SELECT FACT-SETS WHERE \
       $x instanceOf $w. $w subClassOf* Attraction. \
@@ -75,7 +76,8 @@ fn domain_crowd(domain: &Domain, members: usize, seed: u64) -> Vec<Box<dyn Crowd
 
 /// The tentpole invariant, per experiment domain: one session admitted to
 /// the service (empty store) produces exactly the valid-MSP set and the
-/// question count of the single-query `MultiUserMiner::run` path.
+/// question count of the sequential reference loop, a bare `MiningSession`
+/// whose questions are asked in-line (sharing no code with the service).
 #[test]
 fn single_session_matches_multiuser_run_per_domain() {
     for (domain, members, seed) in [
@@ -85,12 +87,10 @@ fn single_session_matches_multiuser_run_per_domain() {
     ] {
         let cfg = EngineConfig::builder().seed(seed).build();
 
-        // Serial baseline: the single-query path (`execute` drives
-        // `run_direct`, which `runtime_concurrency.rs` proves identical to
-        // the pooled `MultiUserMiner::run` for pure members).
+        // Serial baseline: the independent sequential reference loop.
         let engine = Oassis::new(domain.ontology.clone());
         let mut serial_members = domain_crowd(&domain, members, seed);
-        let serial = engine.execute(&domain.query, &mut serial_members, &cfg).unwrap();
+        let serial = run_sequential(&engine, &domain.query, &mut serial_members, &cfg);
 
         // The same query as the only session of a fresh service.
         let engine = Oassis::new(domain.ontology.clone());
@@ -106,7 +106,7 @@ fn single_session_matches_multiuser_run_per_domain() {
         assert_eq!(
             valid_msp_set(&serial),
             valid_msp_set(&report.result),
-            "{}: service session diverged from MultiUserMiner::run",
+            "{}: service session diverged from the sequential reference",
             domain.name
         );
         assert_eq!(
