@@ -364,6 +364,14 @@ pub struct ClosedOutcome {
     pub msps: Vec<String>,
 }
 
+/// Count `n` on `name` under the session's `s{id}` label. The label is
+/// formatted only for an enabled sink: these counters fire per question.
+fn count_for_session(sink: &Arc<dyn EventSink>, name: &str, session: SessionId, n: u64) {
+    if sink.enabled() {
+        sink.count_labeled(name, &format!("s{}", session.0), n);
+    }
+}
+
 /// A session's view of the shared pool, restricted to its roster.
 ///
 /// `gone` *blocks* (via [`Pool::sync`]) until the seat's member is home:
@@ -1171,7 +1179,7 @@ impl OassisService {
             let staged = candidates.len() as u64;
             pool.speculate(idx, candidates);
             slot.wave_seats.push(idx);
-            sink.count_labeled(names::WAVE_STAGED, &format!("s{}", slot.id.0), staged);
+            count_for_session(sink, names::WAVE_STAGED, slot.id, staged);
             outstanding += 1;
         }
     }
@@ -1214,12 +1222,14 @@ impl OassisService {
                 let spend_mark = slot.budget.map(|_| slot.crowd_questions as u64);
                 self.pool.note_speculation_hit();
                 self.store.record_tagged(factset, q.member, s, Some(session));
-                let label = format!("s{session}");
-                self.sink
-                    .count_labeled(names::SERVICE_QUESTION_DISPATCHED, &label, 1);
-                self.sink
-                    .count_labeled(names::SERVICE_QUESTION_RESOLVED, &label, 1);
-                self.sink.count_labeled(names::WAVE_HIT, &label, 1);
+                if self.sink.enabled() {
+                    let label = format!("s{session}");
+                    self.sink
+                        .count_labeled(names::SERVICE_QUESTION_DISPATCHED, &label, 1);
+                    self.sink
+                        .count_labeled(names::SERVICE_QUESTION_RESOLVED, &label, 1);
+                    self.sink.count_labeled(names::WAVE_HIT, &label, 1);
+                }
                 if let Some(spent) = spend_mark {
                     self.append_wal(&WalRecord::Budget { session, spent });
                 }
@@ -1246,9 +1256,10 @@ impl OassisService {
                 // wave staging cannot re-occupy it, and make the waste
                 // visible.
                 self.claim_seat(i, pool_idx);
-                self.sink.count_labeled(
+                count_for_session(
+                    &self.sink,
                     names::SERVICE_DISPATCH_STALLED,
-                    &format!("s{}", self.slots[i].id.0),
+                    self.slots[i].id,
                     1,
                 );
                 AskFlow::Stalled
@@ -1272,9 +1283,10 @@ impl OassisService {
                 // Budgeted sessions log a spend watermark per dispatch, so
                 // recovery deducts everything paid for (or lost in flight).
                 let spend_mark = slot.budget.map(|_| slot.crowd_questions as u64);
-                self.sink.count_labeled(
+                count_for_session(
+                    &self.sink,
                     names::SERVICE_QUESTION_DISPATCHED,
-                    &format!("s{session}"),
+                    SessionId(session),
                     1,
                 );
                 if let Some(spent) = spend_mark {
@@ -1314,9 +1326,10 @@ impl OassisService {
                 self.store
                     .record_tagged(fs, *member, *s, Some(self.slots[i].id.0));
             }
-            self.sink.count_labeled(
+            count_for_session(
+                &self.sink,
                 names::SERVICE_QUESTION_RESOLVED,
-                &format!("s{}", self.slots[i].id.0),
+                self.slots[i].id,
                 1,
             );
             self.slots[i].session.absorb(inflight.session_q, answer);

@@ -130,8 +130,10 @@ impl Oassis {
 
     /// Like [`execute`](Self::execute), but the crowd runs concurrently
     /// through the session runtime: the one session keeps a question wave
-    /// as wide as the crowd in flight, so every member's next question is
-    /// prefetched while others answer. Fails with
+    /// as wide as the runtime's worker count in flight, so every worker
+    /// carries a prefetched question while others answer, and a committed
+    /// question never queues behind more prefetches than there are
+    /// workers. Fails with
     /// [`RuntimeErrorKind::CrowdExhausted`](crate::RuntimeErrorKind) only
     /// when the runtime excluded every member.
     pub fn execute_with_runtime(
@@ -155,7 +157,7 @@ impl Oassis {
         runtime: SessionRuntime,
         config: &EngineConfig,
     ) -> Result<QueryResult, OassisError> {
-        let wave = runtime.len();
+        let wave = runtime.options().workers;
         self.solo_service(runtime, config)
             .with_wave_size(wave)
             .run_solo(query.clone(), threshold, config)

@@ -80,8 +80,10 @@ impl std::fmt::Display for QuestionId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeOptions {
     /// Worker threads carrying crowd round-trips (min 1, default 4; on the
-    /// threaded path, raised to at least one per shard). Ignored in
-    /// simulation, where a single-threaded scheduler serves every request.
+    /// threaded path, raised to at least one per shard). In simulation a
+    /// single-threaded scheduler serves every request instead. Either
+    /// way it is also the question-wave width of a one-query run
+    /// ([`Oassis::execute_with_runtime`](crate::Oassis::execute_with_runtime)).
     pub workers: usize,
     /// How long a worker waits for one answer before declaring a timeout.
     pub question_timeout: Duration,

@@ -12,6 +12,7 @@
 //! convenience for real TCP use.
 
 use std::collections::BTreeMap;
+use std::time::Duration;
 
 use crate::frame::{decode_request, decode_response, encode_request, Request, Response};
 use crate::transport::{NetError, Transport};
@@ -25,6 +26,10 @@ pub const RETRY_AFTER_STEPS: u32 = 24;
 /// Retransmissions before the connection is declared dead. Covers frames
 /// lost to injected drops; a severed connection fails fast on `send`.
 pub const MAX_RETRIES: u32 = 40;
+
+/// The longest [`NetClient::call`] waits on the transport between two
+/// steps. A socket transport wakes as soon as bytes arrive.
+const STEP_WAIT: Duration = Duration::from_micros(300);
 
 struct Pending {
     seq: u64,
@@ -156,8 +161,11 @@ impl<T: Transport> NetClient<T> {
     }
 
     /// Blocking convenience for real transports: [`request`] then
-    /// [`step`] until the batch completes, sleeping briefly between
-    /// polls. Simulation harnesses drive `step` themselves instead.
+    /// [`step`] until the batch completes, waiting up to 300 µs on
+    /// [`Transport::wait_readable`] between steps, so a step is at most
+    /// one wait and a request is retransmitted after
+    /// [`RETRY_AFTER_STEPS`] silent waits. Simulation harnesses drive
+    /// `step` themselves instead.
     ///
     /// [`request`]: Self::request
     /// [`step`]: Self::step
@@ -167,7 +175,7 @@ impl<T: Transport> NetClient<T> {
             if let Some(batch) = self.step()? {
                 return Ok(batch);
             }
-            std::thread::sleep(std::time::Duration::from_micros(300));
+            self.transport.wait_readable(STEP_WAIT);
         }
     }
 

@@ -26,8 +26,11 @@
 //!   machine multiplexing connections onto one service, with the
 //!   idempotency machinery (sequence cache, `Submit` tokens, `Resume`)
 //!   that makes at-least-once delivery produce exactly-once effects;
-//! * [`tcp`] — the real thing: [`TcpTransport`] and the blocking
-//!   [`TcpNetServer`] loop over `std::net`;
+//! * [`tcp`] — the real thing over `std::net`: [`TcpTransport`], which
+//!   blocks on its socket between polls, and [`TcpNetServer`], where one
+//!   reader thread per connection frames request lines into a channel
+//!   and the calling thread answers them and pumps the service, blocking
+//!   on the channel when no session is live;
 //! * [`sim`] — [`SimNet`]/[`SimTransport`], a deterministic in-memory
 //!   network with seeded drop/duplicate/delay/sever injection and a
 //!   kill-the-server switch, driving the protocol crash oracle in

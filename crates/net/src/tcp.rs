@@ -1,63 +1,62 @@
-//! Real-socket glue: a non-blocking line-reader, the [`TcpTransport`]
-//! client endpoint, and [`TcpNetServer`] — the blocking single-threaded
-//! accept/read/respond/pump loop that drives a [`NetServer`] over
-//! `std::net`.
+//! Real-socket glue: the [`TcpTransport`] client endpoint, and
+//! [`TcpNetServer`], which drives a [`NetServer`] over `std::net`.
 //!
-//! The server loop deliberately stays single-threaded: the protocol
-//! state machine and the mining service are one mutable structure, and
-//! multiplexing N sockets through one loop (reads are non-blocking, the
-//! service is pumped between reads) keeps every interleaving the
-//! protocol can see identical to what the deterministic simulation
-//! explores — threads would add interleavings the oracle cannot.
+//! Both ends wake on bytes, not on a timer. The server gives each
+//! accepted connection one reader thread that blocks on its socket,
+//! frames the bytes into request lines and sends them down one channel.
+//! The thread that owns the [`NetServer`] (and with it the mining
+//! service, which is not `Send`) handles those lines in arrival order,
+//! so the protocol state machine still sees one sequence of `on_line` /
+//! `pump` calls on one thread, as under the deterministic simulation
+//! over [`SimNet`](crate::SimNet). While sessions are live that thread
+//! drains the channel between service cycles without blocking; when
+//! none is, it blocks on the channel, waking at least every
+//! `IDLE_WAIT` to check its stop condition and accept connections.
+//! The client side blocks on its socket for at most one step
+//! ([`Transport::wait_readable`]) between polls.
 
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::time::Duration;
+use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use crate::server::NetServer;
 use crate::transport::{NetError, Transport};
 
-/// Pull complete lines out of a non-blocking stream's buffered bytes.
-fn drain_lines(stream: &mut TcpStream, buf: &mut Vec<u8>) -> Result<Vec<String>, std::io::Error> {
-    let mut chunk = [0u8; 4096];
-    loop {
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    ErrorKind::ConnectionAborted,
-                    "peer closed",
-                ))
-            }
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    let mut lines = Vec::new();
-    while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-        let line: Vec<u8> = buf.drain(..=pos).collect();
-        let text = String::from_utf8_lossy(&line[..line.len() - 1])
-            .trim_end_matches('\r')
-            .to_owned();
-        if !text.is_empty() {
-            lines.push(text);
-        }
-    }
-    Ok(lines)
+/// The longest an idle server blocks on its channel before it checks its
+/// stop condition and accepts pending connections. A request line wakes
+/// it at once, so this bounds only how long a new connection waits to be
+/// accepted and how late `stop` is seen.
+const IDLE_WAIT: Duration = Duration::from_micros(200);
+
+/// Take the next complete line (without its `\n` or `\r\n`) off `buf`.
+fn take_line(buf: &mut Vec<u8>) -> Option<String> {
+    let pos = buf.iter().position(|&b| b == b'\n')?;
+    let line = String::from_utf8_lossy(&buf[..pos])
+        .trim_end_matches('\r')
+        .to_owned();
+    buf.drain(..=pos);
+    Some(line)
 }
 
-fn write_line(stream: &mut TcpStream, line: &str) -> Result<(), std::io::Error> {
+/// Send one line on a non-blocking stream. A full send buffer finishes
+/// the line in blocking mode rather than spinning.
+fn send_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
     let mut bytes = Vec::with_capacity(line.len() + 1);
     bytes.extend_from_slice(line.as_bytes());
     bytes.push(b'\n');
     let mut off = 0;
     while off < bytes.len() {
         match stream.write(&bytes[off..]) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
             Ok(n) => off += n,
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_micros(100));
+                stream.set_nonblocking(false)?;
+                let rest = stream.write_all(&bytes[off..]);
+                stream.set_nonblocking(true)?;
+                return rest;
             }
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
@@ -66,7 +65,9 @@ fn write_line(stream: &mut TcpStream, line: &str) -> Result<(), std::io::Error> 
     Ok(())
 }
 
-/// A [`Transport`] over one TCP connection.
+/// A [`Transport`] over one TCP connection. The socket is non-blocking,
+/// except inside [`wait_readable`](Transport::wait_readable), which
+/// blocks on it for at most its bound.
 pub struct TcpTransport {
     addr: String,
     stream: Option<TcpStream>,
@@ -95,7 +96,7 @@ impl TcpTransport {
 impl Transport for TcpTransport {
     fn send(&mut self, line: &str) -> Result<(), NetError> {
         let stream = self.stream()?;
-        write_line(stream, line).map_err(|e| {
+        send_line(stream, line).map_err(|e| {
             self.stream = None;
             NetError::Closed(e.to_string())
         })
@@ -103,12 +104,8 @@ impl Transport for TcpTransport {
 
     fn try_recv(&mut self) -> Result<Option<String>, NetError> {
         // Buffered whole lines first, then poll the socket.
-        if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = self.buf.drain(..=pos).collect();
-            let text = String::from_utf8_lossy(&line[..line.len() - 1])
-                .trim_end_matches('\r')
-                .to_owned();
-            return Ok(Some(text));
+        if let Some(line) = take_line(&mut self.buf) {
+            return Ok(Some(line));
         }
         let Some(stream) = self.stream.as_mut() else {
             return Err(NetError::Closed("not connected".into()));
@@ -132,6 +129,33 @@ impl Transport for TcpTransport {
         }
     }
 
+    /// Block on the socket until bytes arrive or `max` passes. What
+    /// arrives is buffered for [`try_recv`](Transport::try_recv); an end
+    /// of stream or an error is left for `try_recv` to report, since
+    /// the socket reports it again. The socket's read timeout counts in
+    /// kernel timer ticks, so a silent wait rounds `max` up to a tick or
+    /// two (a 300-µs bound waited 6–12 ms, median 8 ms, on a 2-vCPU
+    /// Linux 6.18 KVM guest).
+    fn wait_readable(&mut self, max: Duration) {
+        if max.is_zero() || self.buf.contains(&b'\n') {
+            return;
+        }
+        let Some(stream) = self.stream.as_mut() else {
+            return;
+        };
+        let mut chunk = [0u8; 4096];
+        let read = stream
+            .set_nonblocking(false)
+            .and_then(|()| stream.set_read_timeout(Some(max)))
+            .and_then(|()| stream.read(&mut chunk));
+        if let Ok(n) = read {
+            self.buf.extend_from_slice(&chunk[..n]);
+        }
+        if stream.set_nonblocking(true).is_err() {
+            self.stream = None;
+        }
+    }
+
     fn reconnect(&mut self) -> Result<(), NetError> {
         self.stream = None;
         self.buf.clear();
@@ -150,24 +174,80 @@ impl Transport for TcpTransport {
     }
 }
 
-/// The blocking TCP front-end over a [`NetServer`].
+/// What a connection's reader thread tells the serving thread.
+enum Event {
+    /// One complete, non-empty request line.
+    Line(u64, String),
+    /// The peer closed the connection, or reading from it failed.
+    Closed(u64),
+}
+
+/// A connection's reader: block on the socket, frame the bytes into
+/// lines, forward each one, and report the close.
+fn read_lines(conn: u64, mut stream: TcpStream, events: Sender<Event>) {
+    let mut buf = Vec::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        match stream.read(&mut chunk) {
+            Ok(0) => break,
+            Ok(n) => {
+                buf.extend_from_slice(&chunk[..n]);
+                while let Some(line) = take_line(&mut buf) {
+                    if !line.is_empty() && events.send(Event::Line(conn, line)).is_err() {
+                        return; // the server is gone
+                    }
+                }
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(_) => break,
+        }
+    }
+    let _ = events.send(Event::Closed(conn));
+}
+
+/// An accepted connection: the blocking socket the serving thread
+/// writes to, and the thread reading it. Dropping it shuts the socket
+/// down, which ends the reader's blocking read, and joins the reader.
+struct Conn {
+    stream: TcpStream,
+    reader: Option<JoinHandle<()>>,
+}
+
+impl Drop for Conn {
+    fn drop(&mut self) {
+        let _ = self.stream.shutdown(Shutdown::Both);
+        if let Some(reader) = self.reader.take() {
+            let _ = reader.join();
+        }
+    }
+}
+
+/// The TCP front-end over a [`NetServer`]: the calling thread serves,
+/// one reader thread per connection feeds it. Dropping the server closes
+/// every connection and joins every reader.
 pub struct TcpNetServer {
+    conns: HashMap<u64, Conn>,
     listener: TcpListener,
     server: NetServer,
-    conns: HashMap<u64, (TcpStream, Vec<u8>)>,
     next_conn: u64,
+    sender: Sender<Event>,
+    events: Receiver<Event>,
 }
 
 impl TcpNetServer {
-    /// Bind `addr` (use port 0 to let the OS pick) around `server`.
+    /// Bind `addr` (use port 0 to let the OS pick) around `server`. No
+    /// thread starts until a connection is accepted.
     pub fn bind(addr: impl ToSocketAddrs, server: NetServer) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
+        let (sender, events) = mpsc::channel();
         Ok(TcpNetServer {
+            conns: HashMap::new(),
             listener,
             server,
-            conns: HashMap::new(),
             next_conn: 0,
+            sender,
+            events,
         })
     }
 
@@ -181,84 +261,107 @@ impl TcpNetServer {
         &self.server
     }
 
-    /// Unwrap (e.g. to recover the service after serving).
-    pub fn into_server(self) -> NetServer {
+    /// Unwrap (e.g. to recover the service after serving). Open
+    /// connections are disconnected first.
+    pub fn into_server(mut self) -> NetServer {
+        let open: Vec<u64> = self.conns.keys().copied().collect();
+        for conn in open {
+            self.disconnect(conn);
+        }
         self.server
     }
 
-    /// One scheduler turn: accept pending connections, read and answer
-    /// every complete request line, pump the mining service once.
-    /// Returns whether anything happened (connection, request, or live
-    /// mining work) — callers sleep briefly when idle.
-    pub fn poll_once(&mut self) -> std::io::Result<bool> {
-        let mut active = false;
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    stream.set_nonblocking(true)?;
-                    stream.set_nodelay(true).ok();
-                    let conn = self.next_conn;
-                    self.next_conn += 1;
-                    self.server.on_connect(conn);
-                    self.conns.insert(conn, (stream, Vec::new()));
-                    active = true;
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) => return Err(e),
-            }
-        }
-        let mut dead: Vec<u64> = Vec::new();
-        let conn_ids: Vec<u64> = self.conns.keys().copied().collect();
-        for conn in conn_ids {
-            let (stream, buf) = self.conns.get_mut(&conn).expect("listed above");
-            let lines = match drain_lines(stream, buf) {
-                Ok(lines) => lines,
-                Err(_) => {
-                    dead.push(conn);
-                    continue;
-                }
-            };
-            for line in lines {
-                active = true;
-                let responses = self.server.on_line(conn, &line);
-                let closing = line_closes(&line);
-                let (stream, _) = self.conns.get_mut(&conn).expect("still present");
-                let mut failed = false;
-                for resp in &responses {
-                    if write_line(stream, resp).is_err() {
-                        failed = true;
-                        break;
-                    }
-                }
-                if failed || closing {
-                    dead.push(conn);
-                    break;
-                }
-            }
-        }
-        for conn in dead {
-            self.server.on_disconnect(conn);
-            self.conns.remove(&conn);
-        }
-        if self.server.pump() {
-            active = true;
-        }
-        Ok(active)
-    }
-
-    /// Serve until `stop()` returns true, sleeping briefly when idle.
+    /// Serve until `stop()` returns true. A request is answered as soon
+    /// as its line arrives; the service is pumped between requests while
+    /// any session is live, and otherwise the loop blocks on the
+    /// readers' channel for at most `IDLE_WAIT` (200 µs).
     pub fn serve_until(&mut self, stop: impl Fn() -> bool) -> std::io::Result<()> {
+        let mut accept_at = Instant::now();
         while !stop() {
-            if !self.poll_once()? {
-                std::thread::sleep(Duration::from_micros(200));
+            let now = Instant::now();
+            if now >= accept_at {
+                self.accept_pending()?;
+                accept_at = now + IDLE_WAIT;
+            }
+            while let Ok(event) = self.events.try_recv() {
+                self.handle(event);
+            }
+            if !self.server.pump() {
+                if let Ok(event) = self.events.recv_timeout(IDLE_WAIT) {
+                    self.handle(event);
+                }
             }
         }
         Ok(())
     }
+
+    /// Accept every pending connection and start its reader. A
+    /// connection whose reader cannot start is dropped again, so the
+    /// client sees it close.
+    fn accept_pending(&mut self) -> std::io::Result<()> {
+        loop {
+            let stream = match self.listener.accept() {
+                Ok((stream, _)) => stream,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
+                Err(e) => return Err(e),
+            };
+            stream.set_nodelay(true).ok();
+            let conn = self.next_conn;
+            self.next_conn += 1;
+            let events = self.sender.clone();
+            let reader = stream
+                .set_nonblocking(false)
+                .and_then(|()| stream.try_clone())
+                .and_then(|reading| {
+                    std::thread::Builder::new()
+                        .name(format!("oassis-net-conn-{conn}"))
+                        .spawn(move || read_lines(conn, reading, events))
+                });
+            let Ok(reader) = reader else {
+                continue;
+            };
+            self.server.on_connect(conn);
+            self.conns.insert(
+                conn,
+                Conn {
+                    stream,
+                    reader: Some(reader),
+                },
+            );
+        }
+    }
+
+    /// Answer one request line, or retire a closed connection. Events
+    /// of a connection already dropped are ignored (ids are never
+    /// reused).
+    fn handle(&mut self, event: Event) {
+        match event {
+            Event::Line(conn, line) => {
+                let Some(open) = self.conns.get_mut(&conn) else {
+                    return;
+                };
+                let mut batch = self.server.on_line(conn, &line).join("\n");
+                batch.push('\n');
+                let written = open.stream.write_all(batch.as_bytes());
+                if written.is_err() || line_closes(&line) {
+                    self.disconnect(conn);
+                }
+            }
+            Event::Closed(conn) => self.disconnect(conn),
+        }
+    }
+
+    /// Drop `conn`, telling the protocol exactly once; dropping the
+    /// [`Conn`] closes its socket and joins its reader.
+    fn disconnect(&mut self, conn: u64) {
+        if self.conns.remove(&conn).is_some() {
+            self.server.on_disconnect(conn);
+        }
+    }
 }
 
-/// Whether a request line is a `Close` (the TCP loop drops the
-/// connection after answering it).
+/// Whether a request line is a `Close` (the server drops the connection
+/// after answering it).
 fn line_closes(line: &str) -> bool {
     matches!(
         crate::frame::decode_request(line),

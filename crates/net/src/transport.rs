@@ -9,6 +9,8 @@
 //! [`TcpTransport`]: crate::TcpTransport
 //! [`SimTransport`]: crate::SimTransport
 
+use std::time::Duration;
+
 /// Why a transport operation failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetError {
@@ -33,9 +35,11 @@ impl std::fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
-/// One client connection to an OASSIS server. Implementations must be
-/// non-blocking: [`try_recv`](Self::try_recv) returns `Ok(None)` when no
-/// line has arrived yet, and the caller drives progress by polling.
+/// One client connection to an OASSIS server. [`try_recv`](Self::try_recv)
+/// never blocks: it returns `Ok(None)` when no line has arrived yet. A
+/// step-driven harness polls it; a blocking caller waits between polls
+/// with [`wait_readable`](Self::wait_readable), which a socket transport
+/// ends as soon as bytes arrive.
 pub trait Transport {
     /// Send one frame line (no trailing newline). The line may still be
     /// lost in flight — delivery is confirmed only by a response.
@@ -51,4 +55,11 @@ pub trait Transport {
 
     /// Close the connection.
     fn close(&mut self);
+
+    /// Wait until a line may have arrived, for at most `max`. Returning
+    /// early is always allowed; the caller polls again either way. The
+    /// default sleeps for `max`.
+    fn wait_readable(&mut self, max: Duration) {
+        std::thread::sleep(max);
+    }
 }

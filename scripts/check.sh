@@ -39,12 +39,17 @@ cargo run --release -q -p oassis-simtest --bin sim -- wave-sweep 64
 echo "==> crowd-scale smoke: sharded + waved runs must match the 1-shard/1-wave reference"
 OASSIS_CROWDSCALE_SMOKE=1 cargo run --release -q -p oassis-bench --bin figures -- crowd-scale
 
+# The net steps run under `timeout` (builds stay outside it): a serve loop
+# that never wakes, or a connection reader that is never joined, fails the
+# gate instead of hanging it.
 echo "==> net smoke: served TCP-loopback sessions must match the in-process run"
-cargo test -q --release --test net
-OASSIS_NET_SMOKE=1 cargo run --release -q -p oassis-bench --bin figures -- net
+cargo test -q --release --test net --no-run
+timeout 300 cargo test -q --release --test net
+OASSIS_NET_SMOKE=1 timeout 300 cargo run --release -q -p oassis-bench --bin figures -- net
 
 echo "==> net simulation: 64-seed protocol sweep (transparency, replay, kill at every protocol event, frame faults)"
-cargo run --release -q -p oassis-simtest --bin sim -- net-sweep 64
+cargo build --release -q -p oassis-simtest --bin sim
+timeout 300 cargo run --release -q -p oassis-simtest --bin sim -- net-sweep 64
 
 echo "==> planner smoke: FILTER pushdown must shrink seeds + questions, answers identical planner on/off"
 OASSIS_PLANNER_SMOKE=1 cargo run --release -q -p oassis-bench --bin figures -- planner

@@ -1,21 +1,25 @@
 //! End-to-end smoke tests for the wire protocol (`oassis-net`) over real
 //! TCP loopback: a served session must produce exactly the valid-MSP set
-//! of the in-process serial run, `Submit` tokens must deduplicate, and
-//! protocol-version mismatches must be refused.
+//! of the in-process serial run, `Submit` tokens must deduplicate,
+//! protocol-version mismatches must be refused, and the server's
+//! connection lifecycle (concurrent clients, a client that vanishes, a
+//! server dropped under a live client) must hold.
 //!
 //! The adversarial cases — crashes, partitions, drops, duplicates — live
 //! in the deterministic protocol crash oracle (`oassis-simtest`, `sim
 //! net-sweep`); these tests only pin the happy path onto real sockets.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 use oassis::core::{EngineConfig, Oassis, OassisService, QueryResult, SessionRuntime, SessionSpec};
 use oassis::crowd::transaction::table3_dbs;
 use oassis::crowd::{CrowdMember, DbMember, MemberId};
 use oassis::net::{
-    NetClient, NetServer, Request, Response, TcpNetServer, TcpTransport, WireStatus,
-    PROTOCOL_VERSION,
+    encode_request, NetClient, NetError, NetServer, Request, Response, TcpNetServer, TcpTransport,
+    WireStatus, PROTOCOL_VERSION,
 };
 use oassis::store::ontology::figure1_ontology;
 
@@ -62,30 +66,89 @@ fn valid_msp_set(result: &QueryResult) -> Vec<String> {
     v
 }
 
-/// Spin up a served loopback service and hand the client side to `drive`.
-/// The service (and its boxed crowd) is not `Send`, so the *server* stays
-/// on this thread and the client runs on a spawned one; the server loop
-/// exits once the client is done, and a client panic is re-raised here.
-fn with_loopback_server(drive: impl FnOnce(&mut NetClient<TcpTransport>) + Send + 'static) {
+/// A loopback server over a fresh figure-1 service with a 4-member crowd.
+fn loopback_server() -> TcpNetServer {
     let engine = Oassis::new(figure1_ontology());
     let runtime = SessionRuntime::new(figure1_crowd(2));
     let service = OassisService::start(engine, runtime);
-    let mut tcp = TcpNetServer::bind("127.0.0.1:0", NetServer::new(service)).expect("bind");
-    let addr = tcp.local_addr().expect("bound").to_string();
+    TcpNetServer::bind("127.0.0.1:0", NetServer::new(service)).expect("bind")
+}
 
-    let done = Arc::new(AtomicBool::new(false));
-    let done_flag = Arc::clone(&done);
-    let handle = std::thread::spawn(move || {
-        let transport = TcpTransport::connect(addr).expect("connect");
-        let mut client = NetClient::new(transport);
+/// Serve a loopback service on this thread while each of `clients` runs
+/// on a spawned thread with the server's address. The service (and its
+/// boxed crowd) is not `Send`, so the *server* stays here; the loop exits
+/// once every client is done, and a client panic is re-raised here.
+fn serve_clients(clients: Vec<Box<dyn FnOnce(String) + Send>>) {
+    let mut tcp = loopback_server();
+    let addr = tcp.local_addr().expect("bound").to_string();
+    let handles: Vec<_> = clients
+        .into_iter()
+        .map(|client| {
+            let addr = addr.clone();
+            std::thread::spawn(move || client(addr))
+        })
+        .collect();
+    tcp.serve_until(|| handles.iter().all(|h| h.is_finished()))
+        .expect("serve");
+    for handle in handles {
+        handle.join().expect("client thread");
+    }
+}
+
+/// Spin up a served loopback service and hand one connected client to
+/// `drive`.
+fn with_loopback_server(drive: impl FnOnce(&mut NetClient<TcpTransport>) + Send + 'static) {
+    serve_clients(vec![Box::new(move |addr| {
+        let mut client = NetClient::new(TcpTransport::connect(addr).expect("connect"));
         drive(&mut client);
         client.close();
-        done_flag.store(true, Ordering::Relaxed);
-    });
+    })]);
+}
 
-    tcp.serve_until(|| done.load(Ordering::Relaxed) || handle.is_finished())
-        .expect("serve");
-    handle.join().expect("client thread");
+/// The valid-MSP set of the in-process run of [`QUERY`].
+fn serial_msps() -> Vec<String> {
+    let engine = Oassis::new(figure1_ontology());
+    let mut members = figure1_crowd(2);
+    let serial = engine.execute(QUERY, &mut members, &test_config()).unwrap();
+    let msps = valid_msp_set(&serial);
+    assert!(!msps.is_empty(), "vacuous baseline");
+    msps
+}
+
+/// Hello, then `Submit` [`QUERY`] under `token`; returns the session id.
+fn greet_and_submit(client: &mut NetClient<TcpTransport>, token: u64) -> u64 {
+    let hello = Request::Hello {
+        version: PROTOCOL_VERSION,
+    };
+    match call_one(client, &hello) {
+        Response::Welcome { .. } => {}
+        other => panic!("expected Welcome, got {other:?}"),
+    }
+    let spec = SessionSpec::builder(QUERY)
+        .config(test_config())
+        .build()
+        .to_admit(Some(token));
+    match call_one(client, &Request::Submit { spec }) {
+        Response::Admitted { session } => session,
+        other => panic!("expected Admitted, got {other:?}"),
+    }
+}
+
+/// Poll `session` to its terminal `Update`; returns its valid MSPs.
+fn poll_to_end(client: &mut NetClient<TcpTransport>, session: u64) -> Vec<String> {
+    loop {
+        match client.call(&Request::Poll { session }).expect("poll").pop() {
+            Some(Response::Update {
+                status: WireStatus::Running,
+                ..
+            }) => {}
+            Some(Response::Update { status, msps, .. }) => {
+                assert_eq!(status, WireStatus::Completed);
+                return msps;
+            }
+            other => panic!("expected Update, got {other:?}"),
+        }
+    }
 }
 
 /// One round-trip; panics unless exactly one response frame comes back.
@@ -97,12 +160,7 @@ fn call_one(client: &mut NetClient<TcpTransport>, req: &Request) -> Response {
 
 #[test]
 fn tcp_loopback_session_matches_in_process_run() {
-    // Serial in-process baseline.
-    let engine = Oassis::new(figure1_ontology());
-    let mut members = figure1_crowd(2);
-    let serial = engine.execute(QUERY, &mut members, &test_config()).unwrap();
-    let serial_msps = valid_msp_set(&serial);
-    assert!(!serial_msps.is_empty(), "vacuous baseline");
+    let serial_msps = serial_msps();
 
     with_loopback_server(move |client| {
         match call_one(client, &Request::Hello { version: PROTOCOL_VERSION }) {
@@ -209,4 +267,107 @@ fn tcp_loopback_rejects_version_and_unknown_sessions() {
             other => panic!("expected token Error, got {other:?}"),
         }
     });
+}
+
+#[test]
+fn concurrent_loopback_clients_are_all_served() {
+    let serial = serial_msps();
+    let clients: Vec<Box<dyn FnOnce(String) + Send>> = (0..3u64)
+        .map(|i| {
+            let serial = serial.clone();
+            Box::new(move |addr: String| {
+                let mut client = NetClient::new(TcpTransport::connect(addr).expect("connect"));
+                let session = greet_and_submit(&mut client, 100 + i);
+                let msps = poll_to_end(&mut client, session);
+                assert_eq!(msps, serial, "client {i} diverged");
+                let bye = call_one(&mut client, &Request::Close);
+                assert!(matches!(bye, Response::Bye), "got {bye:?}");
+            }) as Box<dyn FnOnce(String) + Send>
+        })
+        .collect();
+    serve_clients(clients);
+}
+
+#[test]
+fn a_vanished_client_does_not_block_the_next() {
+    let serial = serial_msps();
+    serve_clients(vec![Box::new(move |addr: String| {
+        // Submit, then drop the connection without `Close`.
+        let mut gone = NetClient::new(TcpTransport::connect(addr.clone()).expect("connect"));
+        greet_and_submit(&mut gone, 7);
+        drop(gone);
+        let mut client = NetClient::new(TcpTransport::connect(addr).expect("connect"));
+        let session = greet_and_submit(&mut client, 8);
+        assert_eq!(poll_to_end(&mut client, session), serial);
+    })]);
+}
+
+#[test]
+fn dropping_the_server_closes_a_live_connection() {
+    let mut tcp = loopback_server();
+    let addr = tcp.local_addr().expect("bound").to_string();
+    let (greeted_tx, greeted) = mpsc::channel();
+    let (dropped, dropped_rx) = mpsc::channel::<()>();
+    let client = std::thread::spawn(move || {
+        let mut client = NetClient::new(TcpTransport::connect(addr).expect("connect"));
+        let hello = Request::Hello {
+            version: PROTOCOL_VERSION,
+        };
+        let welcome = call_one(&mut client, &hello);
+        assert!(
+            matches!(welcome, Response::Welcome { .. }),
+            "got {welcome:?}"
+        );
+        greeted_tx.send(()).expect("main thread waits");
+        dropped_rx.recv().expect("main thread drops the server");
+        client.call(&hello)
+    });
+    tcp.serve_until(|| greeted.try_recv().is_ok() || client.is_finished())
+        .expect("serve");
+    let start = Instant::now();
+    drop(tcp);
+    let took = start.elapsed();
+    dropped.send(()).expect("client waits");
+    let after = client.join().expect("client thread");
+    assert!(
+        took < Duration::from_secs(2),
+        "dropping the server took {took:?}"
+    );
+    assert!(matches!(after, Err(NetError::Closed(_))), "got {after:?}");
+}
+
+#[test]
+fn requests_after_close_are_never_answered() {
+    let mut tcp = loopback_server();
+    let addr = tcp.local_addr().expect("bound").to_string();
+    // One write carries Hello, Close, and a Hello that would start a
+    // fresh sequence: the reader frames all three before the server
+    // answers `Close` and drops the connection.
+    let client = std::thread::spawn(move || {
+        let hello = Request::Hello {
+            version: PROTOCOL_VERSION,
+        };
+        let lines = [
+            encode_request(1, &hello),
+            encode_request(2, &Request::Close),
+            encode_request(1, &hello),
+        ];
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .write_all(format!("{}\n", lines.join("\n")).as_bytes())
+            .expect("write");
+        let mut replies = String::new();
+        stream
+            .read_to_string(&mut replies)
+            .expect("read to the server's close");
+        replies
+    });
+    tcp.serve_until(|| client.is_finished()).expect("serve");
+    let replies = client.join().expect("client thread");
+    assert_eq!(
+        replies.lines().count(),
+        2,
+        "expected Welcome and Bye only: {replies}"
+    );
+    assert_eq!(tcp.server().events_processed(), 2);
 }
