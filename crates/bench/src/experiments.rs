@@ -1158,7 +1158,7 @@ pub fn recovery_scaling(records: usize, snapshot_every: Option<u64>, seed: u64) 
             token: None,
         },
     };
-    let store = AnswerStore::new().with_persistence(Arc::clone(&persistence));
+    let mut store = AnswerStore::new().with_persistence(Arc::clone(&persistence));
     let append_start = Instant::now();
     persistence
         .lock()

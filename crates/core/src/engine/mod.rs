@@ -52,7 +52,8 @@ pub enum OassisError {
     Durability(oassis_store_durable::DurableError),
     /// A service session operation referenced a session that does not
     /// exist (or is not in the required state), e.g. resuming an unknown
-    /// session id.
+    /// session id, or asked for an admission the service cannot honour,
+    /// e.g. a durable service admitting config its log does not carry.
     Session(String),
 }
 

@@ -17,9 +17,10 @@
 //! ([`MiningSession::predict_questions`] — a read-only walk of the same
 //! selection logic the commit loop runs) and dispatches them
 //! speculatively across the pool's member shards. Speculative answers
-//! land in the pool's shared cache; when the commit loop stages such a
-//! question, it is served from the cache and **accounted exactly like a
-//! crowd dispatch** (`crowd_questions`, budget spend, WAL watermark,
+//! are held in the [`AnswerStore`] as unpaid answers; when the commit loop
+//! stages such a question, it is served from there, becomes a paid answer
+//! logged for the session, and is **accounted exactly like a crowd
+//! dispatch** (`crowd_questions`, budget spend, WAL watermark,
 //! `service.question.dispatched/resolved`, plus `wave.hit`) — it *was*
 //! one, just paid earlier. That accounting is what keeps the valid-MSP
 //! sets and question counts identical across wave sizes (the `wave-sweep`
@@ -51,6 +52,8 @@
 //! (OassisService::start_with_persistence) appends one [`WalRecord`] per
 //! state change — a committed crowd answer, an admission, a budget spend,
 //! a close — to a [`Persistence`] log, and periodically checkpoints it.
+//! It refuses to admit a session whose config sets `mode` or
+//! `more_domain`: the `Admit` record does not carry them.
 //! The log is never rewritten, so a checkpoint costs the records since
 //! the last one, not the answer store.
 //! [`recover`](OassisService::recover) /
@@ -72,6 +75,7 @@ use std::sync::Arc;
 use oassis_crowd::{AnswerStore, CrowdMember, MemberId};
 use oassis_obs::{names, EventSink, SinkExt};
 use oassis_ql::Query;
+use oassis_sparql::MatchMode;
 use oassis_store_durable::{
     shared, AdmitSpec, CloseStatus, FileBacked, SharedPersistence, WalRecord,
 };
@@ -161,7 +165,9 @@ impl SessionSpec {
 
     /// The durable/wire shape of this spec: the scalar subset that an
     /// `Admit` WAL record (and the `oassis-net` `Submit` frame) carries.
-    /// `token` is the client idempotency token, if any.
+    /// `token` is the client idempotency token, if any. The config's
+    /// `mode` and `more_domain` are not carried, which is why a durable
+    /// service refuses specs that set them.
     pub fn to_admit(&self, token: Option<u64>) -> AdmitSpec {
         AdmitSpec {
             query: self.query.clone(),
@@ -177,6 +183,21 @@ impl SessionSpec {
             top_k: self.config.top_k,
             use_indexes: self.config.use_indexes,
             token,
+        }
+    }
+
+    /// The first config field that shapes the session's assignment space
+    /// but that [`to_admit`](Self::to_admit) drops, if this spec sets one
+    /// away from its default: `mode` or `more_domain`. A resumption
+    /// rebuilt from the log would mine a different space, so a durable
+    /// service refuses such a spec at admission.
+    fn unlogged_field(&self) -> Option<&'static str> {
+        if self.config.mode != MatchMode::default() {
+            Some("mode")
+        } else if !self.config.more_domain.is_empty() {
+            Some("more_domain")
+        } else {
+            None
         }
     }
 
@@ -335,7 +356,9 @@ pub struct RecoveredSession {
     /// budget is the *original* grant; [`OassisService::resume`] deducts
     /// [`spent`](Self::spent). Runtime-only config (sink, aggregator,
     /// curve tracking) is reset to defaults — adjust before resuming if
-    /// needed.
+    /// needed. The config's `mode` and `more_domain` are always their
+    /// defaults: the log does not carry them, so a durable service refuses
+    /// to admit a session that sets either.
     pub spec: SessionSpec,
     /// Crowd questions the interrupted run already dispatched (from the
     /// last `Budget` watermark; includes any question that was in flight
@@ -569,7 +592,7 @@ impl OassisService {
 
         // Rebuild the answer store from the log *before* attaching the
         // persistence, so replay does not re-append what is already there.
-        let store = AnswerStore::new().with_sink(Arc::clone(&service.sink));
+        let mut store = AnswerStore::new().with_sink(Arc::clone(&service.sink));
         store.replay_records(&records);
         service.store = store.with_persistence(Arc::clone(&persistence));
         service.persistence = Some(persistence);
@@ -716,8 +739,9 @@ impl OassisService {
         self.pool.len()
     }
 
-    /// The cross-query answer store (e.g. for persistence via
-    /// [`AnswerStore::export_text`]).
+    /// The cross-query answer store. Its durable encoding is the WAL's
+    /// `Answer` records ([`AnswerStore::to_records`]); a recovered store's
+    /// [`cache`](AnswerStore::cache) feeds [`Oassis::replay`] (§6.3).
     pub fn store(&self) -> &AnswerStore {
         &self.store
     }
@@ -807,6 +831,15 @@ impl OassisService {
         token: Option<u64>,
         algo: String,
     ) -> Result<SessionId, OassisError> {
+        if self.persistence.is_some() {
+            if let Some(field) = spec.unlogged_field() {
+                return Err(OassisError::Session(format!(
+                    "a durable service cannot admit a session that sets `{field}`: \
+                     its Admit record does not carry it, so a resumed session \
+                     would mine a different assignment space"
+                )));
+            }
+        }
         // Capture the durable shape of the spec before its pieces are
         // moved out below (only when a log is attached).
         let admit_spec = self.persistence.as_ref().map(|_| spec.to_admit(token));
@@ -1126,8 +1159,12 @@ impl OassisService {
         {
             return;
         }
+        // Both callers in `run_cycle` come straight from `route_completed`
+        // with no response absorbed since, so every prefetched answer that
+        // has arrived is already in the store that prediction consults.
         let Self {
             pool,
+            store,
             slots,
             sink,
             wave_claims,
@@ -1151,8 +1188,9 @@ impl OassisService {
         slot.wave_dirty = false;
         // Workers never check a prefetch against the border: sessions mine
         // different query spaces. Staleness is bounded instead by
-        // `predict_questions` filtering against both caches at stage time;
-        // the pool counts the leftovers as wasted speculation on shutdown.
+        // `predict_questions` dropping every answer the session or the
+        // store already holds at stage time; the pool counts the leftovers
+        // as wasted speculation on shutdown.
         //
         // Only the seats the session's round-robin scheduler visits next
         // are predicted for — a prediction costs a walk of the assignment
@@ -1163,11 +1201,11 @@ impl OassisService {
                 break;
             }
             let idx = slot.roster[seat];
-            if wave_claims.contains_key(&idx) || !pool.can_speculate(idx) {
+            if wave_claims.contains_key(&idx) || !pool.idle(idx) {
                 continue;
             }
             let candidates = match pool.member(idx).filter(|m| m.willing()) {
-                Some(member) => slot.session.predict_questions(seat, pool.shared(), member),
+                Some(member) => slot.session.predict_questions(seat, store, member),
                 None => continue,
             };
             if candidates.is_empty() {
@@ -1213,15 +1251,16 @@ impl OassisService {
         // Account it exactly like a dispatch + immediate response — the
         // budget check above, the question count, the spend watermark and
         // the dispatched/resolved events all match the one-at-a-time
-        // path, which is the wave determinism contract.
+        // path, which is the wave determinism contract. Committing it
+        // makes the store's unpaid answer a paid one, logged for this
+        // session.
         if let QuestionPayload::Concrete { factset, .. } = &q.payload {
-            if let Some(s) = self.pool.shared().lookup(factset, q.member) {
+            let session = self.slots[i].id.0;
+            if let Some(s) = self.store.commit_prefetch(factset, q.member, Some(session)) {
                 let slot = &mut self.slots[i];
                 slot.crowd_questions += 1;
-                let session = slot.id.0;
                 let spend_mark = slot.budget.map(|_| slot.crowd_questions as u64);
                 self.pool.note_speculation_hit();
-                self.store.record_tagged(factset, q.member, s, Some(session));
                 if self.sink.enabled() {
                     let label = format!("s{session}");
                     self.sink
@@ -1297,9 +1336,18 @@ impl OassisService {
         }
     }
 
-    /// Route every buffered pool answer to the session that asked it.
+    /// Hold every prefetched answer the pool handed over as unpaid in the
+    /// store, and route every committed answer to the session that asked
+    /// it.
     fn route_completed(&mut self) {
         for (pool_q, pool_idx, value) in self.pool.take_completed() {
+            if let Some(AskValue::Prefetched(answers)) = &value {
+                let member = self.pool.member_id(pool_idx);
+                for (fs, s) in answers {
+                    self.store.record_prefetch(fs, member, *s);
+                }
+                continue;
+            }
             let Some(i) = self.slots.iter().position(|s| {
                 s.in_flight
                     .as_ref()
@@ -1315,9 +1363,7 @@ impl OassisService {
                 Some(AskValue::Support(s)) => Answer::Support(s),
                 Some(AskValue::Choice(c)) => Answer::Choice(c),
                 Some(AskValue::Irrelevant(elems)) => Answer::Irrelevant(elems),
-                // Prefetch answers drain into the shared cache, never the
-                // completed buffer; one here is a stray — treat it as lost.
-                Some(AskValue::Prefetched(_)) => Answer::Unavailable,
+                Some(AskValue::Prefetched(_)) => unreachable!("held in the store above"),
             };
             if let (Some((fs, member)), Answer::Support(s)) = (&inflight.concrete, &answer) {
                 // Log committed concrete answers immediately so sessions

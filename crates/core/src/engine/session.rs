@@ -43,8 +43,7 @@ use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
 use oassis_crowd::{
-    Aggregator, CrowdCache, CrowdMember, Decision, FixedSampleAggregator, MemberId,
-    SharedCrowdCache,
+    Aggregator, AnswerStore, CrowdCache, CrowdMember, Decision, FixedSampleAggregator, MemberId,
 };
 use oassis_obs::{names, Event, EventKind, EventSink, SinkExt};
 use oassis_vocab::{ElementId, FactSet, Vocabulary};
@@ -68,7 +67,7 @@ const PREDICT_HORIZON: usize = 64;
 /// How many candidate questions a single speculative dispatch carries. The
 /// batch is answered in one simulated round-trip (a multi-question form), so
 /// a wider slate raises the prefetch hit rate without extra latency; answers
-/// beyond the first are kept in the shared cache for later turns.
+/// beyond the first wait in the service's answer store for later turns.
 pub(crate) const PREFETCH_WIDTH: usize = 8;
 
 /// What the session needs to know about the crowd *without* asking it:
@@ -416,19 +415,6 @@ impl MiningSession {
         self.advance(view)
     }
 
-    /// The questions the session needs answered right now — `[q]` while a
-    /// question is staged, `[]` once the run has finished. Question-free
-    /// turns are stepped through internally.
-    pub fn next_questions(&mut self, view: &mut dyn CrowdView) -> Vec<PendingQuestion> {
-        loop {
-            match self.poll(view) {
-                SessionEvent::Ask(q) => return vec![q],
-                SessionEvent::TurnEnded { .. } => continue,
-                SessionEvent::Finished => return Vec::new(),
-            }
-        }
-    }
-
     /// Resume the session with the answer to the staged question `id`.
     ///
     /// # Panics
@@ -579,7 +565,10 @@ impl MiningSession {
         if self.seats[seat].cursor.is_none() {
             // Outer loop: find a minimal overall-unclassified assignment
             // this member can still help with.
-            let found = self.find_askable(view, seat);
+            let member_id = self.seats[seat].id;
+            let found = self
+                .find_askable(member_id, 1, |fs| view.can_answer(seat, fs))
+                .pop();
             let Some(phi) = found else {
                 self.seats[seat].exhausted = true;
                 return StepFlow::Done(false);
@@ -778,91 +767,53 @@ impl MiningSession {
         positive
     }
 
-    /// Find a minimal overall-unclassified assignment that the seat's
-    /// member has not yet answered (directly or through pruning).
-    fn find_askable(&self, view: &mut dyn CrowdView, seat: usize) -> Option<Assignment> {
-        let vocab = &self.vocab;
-        let member_id = self.seats[seat].id;
-        let mut askable = |a: &Assignment| {
-            let fs = self.scache.instantiate(&self.space, a);
-            !self.crowd.has_answer_from(&fs, member_id) && view.can_answer(seat, &fs)
-        };
-        let mut stack: Vec<Assignment> = Vec::new();
-        let mut seen: HashSet<Assignment> = HashSet::new();
-        for root in self.space.roots() {
-            match self.overall.status(&root, vocab) {
-                Status::Unclassified if askable(&root) => return Some(root),
-                Status::Insignificant => {}
-                _ => {
-                    if seen.insert(root.clone()) {
-                        stack.push(root);
-                    }
-                }
-            }
-        }
-        while let Some(n) = stack.pop() {
-            for s in self.scache.successors(&self.space, &n).iter() {
-                match self.overall.status(s, vocab) {
-                    Status::Unclassified if askable(s) => return Some(s.clone()),
-                    Status::Insignificant => {}
-                    _ => {
-                        if seen.insert(s.clone()) {
-                            stack.push(s.clone());
-                        }
-                    }
-                }
-            }
-        }
-        None
-    }
-
-    /// Like [`find_askable`](Self::find_askable) but collects up to `width`
-    /// candidates in the same traversal order, descending *through* askable
-    /// nodes so the slate also covers the questions that become minimal once
-    /// the first picks are classified. Prediction-only: the commit loop keeps
-    /// using the single-result variant.
-    fn find_askable_many(
+    /// Collect up to `width` minimal overall-unclassified assignments that
+    /// `member` has not yet answered (directly or through pruning) and
+    /// `can_answer` accepts, in depth-first order from the roots. The walk
+    /// descends *through* the assignments it collects, so a wider slate also
+    /// covers the questions that become minimal once the first picks are
+    /// classified; at width 1 it returns the commit loop's next question.
+    fn find_askable(
         &self,
-        member: &dyn CrowdMember,
+        member: MemberId,
         width: usize,
+        mut can_answer: impl FnMut(&FactSet) -> bool,
     ) -> Vec<Assignment> {
         let vocab = &self.vocab;
-        let askable = |a: &Assignment| {
-            let fs = self.scache.instantiate(&self.space, a);
-            !self.crowd.has_answer_from(&fs, member.id()) && member.can_answer(&fs)
-        };
         let mut found: Vec<Assignment> = Vec::new();
-        let mut stack: Vec<Assignment> = Vec::new();
         let mut seen: HashSet<Assignment> = HashSet::new();
-        for root in self.space.roots() {
-            if self.overall.status(&root, vocab) == Status::Unclassified && askable(&root) {
-                found.push(root.clone());
-                if found.len() >= width {
-                    return found;
+        // Visit one node, asking `status` once: collect it if askable,
+        // queue it unless insignificant or already queued. Returns whether
+        // the slate is full.
+        let mut visit = |a: &Assignment, stack: &mut Vec<Assignment>| -> bool {
+            let status = self.overall.status(a, vocab);
+            if status == Status::Insignificant {
+                return false;
+            }
+            if status == Status::Unclassified && !found.contains(a) {
+                let fs = self.scache.instantiate(&self.space, a);
+                if !self.crowd.has_answer_from(&fs, member) && can_answer(&fs) {
+                    found.push(a.clone());
+                    if found.len() >= width {
+                        return true;
+                    }
                 }
             }
-            if self.overall.status(&root, vocab) != Status::Insignificant
-                && seen.insert(root.clone())
-            {
-                stack.push(root);
+            if seen.insert(a.clone()) {
+                stack.push(a.clone());
+            }
+            false
+        };
+        let mut stack: Vec<Assignment> = Vec::new();
+        for root in self.space.roots() {
+            if visit(&root, &mut stack) {
+                return found;
             }
         }
         while let Some(n) = stack.pop() {
             for s in self.scache.successors(&self.space, &n).iter() {
-                if self.overall.status(s, vocab) == Status::Insignificant {
-                    continue;
-                }
-                if self.overall.status(s, vocab) == Status::Unclassified
-                    && askable(s)
-                    && !found.contains(s)
-                {
-                    found.push(s.clone());
-                    if found.len() >= width {
-                        return found;
-                    }
-                }
-                if seen.insert(s.clone()) {
-                    stack.push(s.clone());
+                if visit(s, &mut stack) {
+                    return found;
                 }
             }
         }
@@ -880,15 +831,20 @@ impl MiningSession {
     /// would move to if other members' answers classify the first picks
     /// before this member's next turn. Prefetching the whole slate keeps the
     /// hit rate high even while the border moves quickly.
+    ///
+    /// Candidates the `store` already holds an answer to (paid or an
+    /// unpaid prefetch) are dropped: the service serves a stored answer
+    /// before it checks for a prefetched one, so prefetching them again
+    /// could never be a wave hit.
     pub(crate) fn predict_questions(
         &self,
         seat: usize,
-        shared: &SharedCrowdCache,
+        store: &AnswerStore,
         member: &dyn CrowdMember,
     ) -> Vec<FactSet> {
         let vocab = &self.vocab;
         let member_id = self.seats[seat].id;
-        let fresh = |fs: &FactSet| !shared.has_answer_from(fs, member_id);
+        let fresh = |fs: &FactSet| !store.holds(fs, member_id);
         let mut cursor = self.seats[seat].cursor.clone();
         for _ in 0..PREDICT_HORIZON {
             match cursor.take() {
@@ -896,7 +852,7 @@ impl MiningSession {
                     // Outer loop: the next questions are the first minimal
                     // overall-unclassified assignments the member can answer.
                     return self
-                        .find_askable_many(member, PREFETCH_WIDTH)
+                        .find_askable(member_id, PREFETCH_WIDTH, |fs| member.can_answer(fs))
                         .into_iter()
                         .map(|phi| FactSet::clone(&self.scache.instantiate(&self.space, &phi)))
                         .filter(|fs| fresh(fs))

@@ -32,10 +32,12 @@
 //! Wall-clock speedup comes from **speculative prefetch**: while other
 //! members take their committed turns, the service's question waves
 //! predict each idle member's next questions and dispatch them
-//! speculatively. Answers land in a lock-striped [`SharedCrowdCache`];
-//! when the commit loop reaches such a question it consumes the prefetched
-//! answer without waiting. Prefetches the commit loop never consumes are
-//! counted as wasted when the pool shuts down.
+//! speculatively. The pool stores no answers: it hands each prefetch's
+//! answers to the service along with its committed completions, and the
+//! service holds them as unpaid answers in its `AnswerStore`. When the
+//! commit loop reaches such a question it consumes the prefetched answer
+//! without waiting. Prefetches the commit loop never consumes are counted
+//! as wasted when the pool shuts down.
 //!
 //! Unresponsive members are handled per question: a member whose simulated
 //! delay exceeds `question_timeout` (or whose answer is dropped) is retried
@@ -60,7 +62,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use oassis_crowd::{CrowdMember, MemberId, SharedCrowdCache};
+use oassis_crowd::{CrowdMember, MemberId};
 use oassis_obs::{names, EventSink, SinkExt, Span};
 use oassis_vocab::{ElementId, FactSet};
 
@@ -405,6 +407,9 @@ pub(crate) struct AskResponse {
     /// The member, checked back in (`None` if its callback panicked).
     pub(crate) member: Option<Box<dyn CrowdMember>>,
     pub(crate) outcome: AskOutcome,
+    /// The request's payload, sent back so that the coordinator, which
+    /// allocated it, also frees it: a free on a worker thread contends
+    /// with the coordinator for its allocator arena.
     pub(crate) payload: AskPayload,
     pub(crate) speculative: bool,
     /// Delivery attempts made serving this request.
@@ -762,7 +767,6 @@ struct Slot {
 pub(crate) struct Pool {
     exec: Box<dyn Executor>,
     slots: Vec<Slot>,
-    shared: SharedCrowdCache,
     sink: Arc<dyn EventSink>,
     /// Member-shard count the executor was built with (1 unless threaded).
     shards: usize,
@@ -771,9 +775,10 @@ pub(crate) struct Pool {
     spec_dispatched: u64,
     spec_hits: u64,
     last_error: Option<RuntimeError>,
-    /// Committed questions whose responses have arrived:
-    /// `(question, seat, answer)`, `answer == None` when the member was
-    /// excluded instead. The service drains this with
+    /// Responses the service has not taken yet, as `(question, seat,
+    /// answer)`: a committed question's answer (`None` when the member was
+    /// excluded instead), or a prefetch's answers
+    /// ([`AskValue::Prefetched`]). The service drains this with
     /// [`take_completed`](Pool::take_completed).
     completed: VecDeque<(QuestionId, usize, Option<AskValue>)>,
 }
@@ -813,7 +818,6 @@ impl Pool {
         Pool {
             exec,
             slots,
-            shared: SharedCrowdCache::with_stripes(oassis_crowd::DEFAULT_STRIPES.max(shards)),
             sink,
             shards,
             next_question: 0,
@@ -848,10 +852,6 @@ impl Pool {
 
     pub(crate) fn excluded_count(&self) -> usize {
         self.slots.iter().filter(|s| s.excluded).count()
-    }
-
-    pub(crate) fn shared(&self) -> &SharedCrowdCache {
-        &self.shared
     }
 
     /// The most recent per-member failure (for `CrowdExhausted` chains).
@@ -910,12 +910,12 @@ impl Pool {
         question
     }
 
-    /// Apply one response: check the member back in, fold speculative
-    /// answers into the shared cache, exclude failed members. A response
-    /// that completes a *committed* question is buffered in
-    /// [`completed`](Pool::completed) — never dropped, even when the
+    /// Apply one response: check the member back in, exclude failed
+    /// members, and buffer every answer — committed or prefetched — in
+    /// [`completed`](Pool::completed). No answer is lost, even when the
     /// coordinator was blocked on a different seat at the time.
     fn absorb(&mut self, response: AskResponse) {
+        drop(response.payload);
         let idx = response.member_idx;
         debug_assert_eq!(self.slots[idx].pending, Some(response.question));
         self.slots[idx].pending = None;
@@ -931,21 +931,8 @@ impl Pool {
         let committed = !response.speculative;
         match response.outcome {
             AskOutcome::Answered(value) => {
-                if committed {
-                    self.completed.push_back((response.question, idx, Some(value)));
-                } else {
-                    match (&response.payload, &value) {
-                        (AskPayload::Concrete { factset, .. }, AskValue::Support(s)) => {
-                            self.shared.record(factset, self.slots[idx].id, *s);
-                        }
-                        (AskPayload::Prefetch { .. }, AskValue::Prefetched(answers)) => {
-                            for (fs, s) in answers {
-                                self.shared.record(fs, self.slots[idx].id, *s);
-                            }
-                        }
-                        _ => {}
-                    }
-                }
+                self.completed
+                    .push_back((response.question, idx, Some(value)));
             }
             AskOutcome::TimedOut { attempts } => {
                 self.exclude(
@@ -998,14 +985,6 @@ impl Pool {
         }
     }
 
-    /// Whether `idx` may take a committed question right now: home, not
-    /// excluded, nothing pending. (Same condition as
-    /// [`can_speculate`](Pool::can_speculate); named for the service
-    /// layer's committed-dispatch path.)
-    pub(crate) fn available(&self, idx: usize) -> bool {
-        self.can_speculate(idx)
-    }
-
     /// Non-blocking committed dispatch for the service layer. `None` when
     /// the seat cannot take a question (excluded, checked out, or lost).
     /// The answer arrives later via [`take_completed`](Pool::take_completed).
@@ -1014,7 +993,7 @@ impl Pool {
         idx: usize,
         payload: AskPayload,
     ) -> Option<QuestionId> {
-        if !self.available(idx) {
+        if !self.idle(idx) {
             return None;
         }
         Some(self.dispatch(idx, payload, false))
@@ -1034,15 +1013,17 @@ impl Pool {
         true
     }
 
-    /// Drain the committed-response buffer: `(question, seat, answer)`
-    /// triples in arrival order; `answer == None` means the member was
-    /// excluded instead of answering.
+    /// Drain the response buffer: `(question, seat, answer)` triples in
+    /// arrival order. `answer == None` means the member was excluded
+    /// instead of answering; [`AskValue::Prefetched`] carries a prefetch's
+    /// answers, given by the member in `seat`.
     pub(crate) fn take_completed(&mut self) -> Vec<(QuestionId, usize, Option<AskValue>)> {
         self.completed.drain(..).collect()
     }
 
-    /// Whether `idx` may receive a speculative question right now.
-    pub(crate) fn can_speculate(&self, idx: usize) -> bool {
+    /// Whether `idx` may take a question right now: home, not excluded,
+    /// nothing pending.
+    pub(crate) fn idle(&self, idx: usize) -> bool {
         let slot = &self.slots[idx];
         !slot.excluded && slot.pending.is_none() && slot.member.is_some()
     }
@@ -1064,7 +1045,7 @@ impl Pool {
     /// next question plus fallback candidates, answered in one simulated
     /// crowd round-trip (a multi-question form).
     pub(crate) fn speculate(&mut self, idx: usize, candidates: Vec<FactSet>) {
-        if candidates.is_empty() || !self.can_speculate(idx) {
+        if candidates.is_empty() || !self.idle(idx) {
             return;
         }
         self.dispatch(idx, AskPayload::Prefetch { candidates }, true);
@@ -1347,15 +1328,24 @@ mod tests {
     }
 
     #[test]
-    fn speculative_answers_land_in_the_shared_cache() {
+    fn speculative_answers_are_handed_over_with_completions() {
         let runtime = SessionRuntime::new(vec![scripted(4, 0.6)]).workers(1);
         let mut pool = Pool::start(runtime, oassis_obs::null_sink());
-        assert!(pool.can_speculate(0));
+        assert!(pool.idle(0));
         pool.speculate(0, vec![FactSet::new()]);
-        assert!(!pool.can_speculate(0), "one in-flight question per member");
+        assert!(!pool.idle(0), "one in-flight question per member");
         pool.sync(0);
-        assert_eq!(pool.shared().lookup(&FactSet::new(), MemberId(4)), Some(0.6));
-        assert!(pool.can_speculate(0));
+        assert!(pool.idle(0));
+        let completed = pool.take_completed();
+        assert!(
+            matches!(
+                completed.as_slice(),
+                [(_, 0, Some(AskValue::Prefetched(answers)))]
+                    if answers == &[(FactSet::new(), 0.6)]
+            ),
+            "{completed:?}"
+        );
+        assert!(pool.take_completed().is_empty(), "taken once");
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! The cross-query answer store (the service-layer extension of §6 of the
 //! paper's answer-reuse methodology).
 //!
-//! A [`CrowdCache`](crate::CrowdCache) lives for one query execution; the
-//! [`AnswerStore`] outlives queries. Every committed concrete answer a
-//! member gives through the service is logged here as a `(fact-set, member)
-//! → support` record, and two reuse paths read it back:
+//! A session's [`CrowdCache`] lives for one query execution; the
+//! [`AnswerStore`] wraps one that outlives queries. Every committed
+//! concrete answer a member gives through the service is stored here as a
+//! `(fact-set, member) → support` answer, and two reuse paths read it back:
 //!
 //! * **serve** — when a session is about to dispatch a concrete question
 //!   the service first consults the store ([`lookup`](AnswerStore::lookup))
@@ -15,21 +15,35 @@
 //!   `CrowdCache`, so questions the crowd already answered in earlier
 //!   queries are never staged at all.
 //!
+//! The store also holds the answers to the service's speculative
+//! prefetches (question waves) as *unpaid* answers
+//! ([`record_prefetch`](AnswerStore::record_prefetch)). An unpaid answer is
+//! never served, seeded or logged. It becomes a paid answer, attributed to
+//! the session, only when that session commits it as a wave hit
+//! ([`commit_prefetch`](AnswerStore::commit_prefetch)); a paid answer for
+//! the same `(fact-set, member)` replaces it.
+//!
 //! Answers are threshold-independent (the same property that powers the
 //! §6.3 replay methodology), so reuse across queries with different
-//! `WITH SUPPORT` clauses is sound. Per-fact-set answer order is preserved
-//! verbatim — re-running a fixed-sample aggregator over a seeded prefix
-//! reproduces the original run's decisions deterministically.
+//! `WITH SUPPORT` clauses is sound. Per-fact-set answer order is the order
+//! the answers were paid for — re-running a fixed-sample aggregator over a
+//! seeded prefix reproduces the original run's decisions deterministically.
 //!
 //! When a [`SharedPersistence`] is attached
 //! ([`with_persistence`](AnswerStore::with_persistence)), every *new or
-//! changed* `(fact-set, member)` answer is appended to the durable log as a
+//! changed* paid answer is appended to the durable log as a
 //! `WalRecord::Answer` — unchanged re-records (e.g. a finished session's
 //! cache being absorbed after its answers were already logged at dispatch
 //! time) append nothing, so the log stays proportional to real crowd work.
+//! Those records are the store's only encoding
+//! ([`to_records`](AnswerStore::to_records) /
+//! [`replay_records`](AnswerStore::replay_records)); a store rebuilt from
+//! them exposes its [`cache`](AnswerStore::cache) to feed a §6.3 replay.
+//!
+//! The store has one owner, the service thread, and no lock of its own:
+//! every write takes `&mut self`.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use oassis_obs::{names, null_sink, EventSink, SinkExt};
 use oassis_store_durable::{SharedPersistence, WalRecord};
@@ -37,23 +51,12 @@ use oassis_vocab::FactSet;
 
 use crate::cache::CrowdCache;
 use crate::member::MemberId;
-use crate::placement;
-use crate::shared::DEFAULT_STRIPES;
-
-type Stripe = Mutex<HashMap<FactSet, Vec<(MemberId, f64)>>>;
 
 /// A persistent member×question answer log shared across query sessions.
-///
-/// Interior-mutable and lock-striped by fact-set hash (the same
-/// [`placement`] scheme as [`SharedCrowdCache`](crate::SharedCrowdCache)),
-/// so one store can be read and written by many concurrent sessions through
-/// a shared reference without serializing on a single mutex. A fact-set
-/// lives wholly in one stripe, which preserves per-fact-set insertion
-/// order — the property the seeded-aggregator determinism depends on.
 pub struct AnswerStore {
-    /// Per stripe, per fact-set, the answers in insertion order (first
-    /// answer first); a member re-answering overwrites in place.
-    stripes: Box<[Stripe]>,
+    /// Per fact-set, the paid answers in the order they were paid for
+    /// (a member re-answering overwrites in place), then the unpaid ones.
+    cache: CrowdCache,
     sink: Arc<dyn EventSink>,
     /// Durable log receiving one `Answer` record per new/changed answer.
     persistence: Option<SharedPersistence>,
@@ -63,7 +66,6 @@ impl std::fmt::Debug for AnswerStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AnswerStore")
             .field("fact_sets", &self.len())
-            .field("stripes", &self.stripes.len())
             .field("durable", &self.persistence.is_some())
             .finish()
     }
@@ -71,34 +73,18 @@ impl std::fmt::Debug for AnswerStore {
 
 impl Default for AnswerStore {
     fn default() -> Self {
-        Self::with_stripes(DEFAULT_STRIPES)
-    }
-}
-
-impl AnswerStore {
-    /// An empty store with the default stripe count.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty store with `stripes` independently locked stripes
-    /// (clamped to ≥ 1). Size this like the shared cache: enough stripes
-    /// that concurrent sessions rarely collide on one lock.
-    pub fn with_stripes(stripes: usize) -> Self {
         AnswerStore {
-            stripes: (0..stripes.max(1)).map(|_| Stripe::default()).collect(),
+            cache: CrowdCache::new(),
             sink: null_sink(),
             persistence: None,
         }
     }
+}
 
-    /// How many stripes this store was built with.
-    pub fn stripes(&self) -> usize {
-        self.stripes.len()
-    }
-
-    fn stripe(&self, fs: &FactSet) -> &Stripe {
-        &self.stripes[placement::factset_stripe(fs, self.stripes.len())]
+impl AnswerStore {
+    /// An empty store.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Report `answerstore.hit` / `answerstore.miss` lookups to `sink`.
@@ -116,9 +102,9 @@ impl AnswerStore {
         self
     }
 
-    /// Log `member`'s answer for `fs` (a repeat answer by the same member
+    /// Store `member`'s answer for `fs` (a repeat answer by the same member
     /// overwrites; members are assumed self-consistent).
-    pub fn record(&self, fs: &FactSet, member: MemberId, support: f64) {
+    pub fn record(&mut self, fs: &FactSet, member: MemberId, support: f64) {
         self.record_tagged(fs, member, support, None);
     }
 
@@ -126,109 +112,108 @@ impl AnswerStore {
     /// that paid for the answer (`None` = unattributed). Only a *new or
     /// changed* answer reaches the log.
     pub fn record_tagged(
-        &self,
+        &mut self,
         fs: &FactSet,
         member: MemberId,
         support: f64,
         session: Option<u64>,
     ) {
-        let changed = {
-            let mut answers = self.stripe(fs).lock().expect("answer store poisoned");
-            let entry = answers.entry(fs.clone()).or_default();
-            match entry.iter_mut().find(|(m, _)| *m == member) {
-                Some(slot) => {
-                    let changed = slot.1.to_bits() != support.to_bits();
-                    slot.1 = support;
-                    changed
-                }
-                None => {
-                    entry.push((member, support));
-                    true
-                }
-            }
-        };
-        if changed {
-            if let Some(p) = &self.persistence {
-                p.lock()
-                    .expect("persistence poisoned")
-                    .append(&WalRecord::Answer {
-                        session,
-                        member: member.0,
-                        support,
-                        factset: fs.clone(),
-                    })
-                    .expect("wal append failed");
-            }
+        if !self.cache.seed(fs, member, support) {
+            return;
+        }
+        if let Some(p) = &self.persistence {
+            p.lock()
+                .expect("persistence poisoned")
+                .append(&WalRecord::Answer {
+                    session,
+                    member: member.0,
+                    support,
+                    factset: fs.clone(),
+                })
+                .expect("wal append failed");
         }
     }
 
-    /// Serialize the full store as `WalRecord::Answer`s in canonical
+    /// Hold `member`'s answer to a speculative prefetch of `fs` as unpaid,
+    /// unless the store already holds an answer of theirs for it.
+    pub fn record_prefetch(&mut self, fs: &FactSet, member: MemberId, support: f64) {
+        self.cache.hold_unpaid(fs, member, support);
+    }
+
+    /// Commit `member`'s unpaid answer for `fs` as a wave hit: it becomes
+    /// a paid answer attributed to `session` (and is logged). Returns the
+    /// support, or `None` when the store holds no unpaid answer for the
+    /// pair.
+    pub fn commit_prefetch(
+        &mut self,
+        fs: &FactSet,
+        member: MemberId,
+        session: Option<u64>,
+    ) -> Option<f64> {
+        let support = self.cache.unpaid(fs, member)?;
+        self.record_tagged(fs, member, support, session);
+        Some(support)
+    }
+
+    /// Whether the store holds an answer by `member` for `fs`, paid or
+    /// unpaid — prefetching it again could never be a wave hit.
+    pub fn holds(&self, fs: &FactSet, member: MemberId) -> bool {
+        self.cache.holds(fs, member)
+    }
+
+    /// Serialize the paid answers as `WalRecord::Answer`s in canonical
     /// order: fact-sets sorted by their text encoding, answers within a
-    /// fact-set in insertion order. Replaying them into an empty store
-    /// ([`replay_records`](Self::replay_records)) reproduces the exact
-    /// state — including the per-fact-set order the seeded-aggregator
-    /// determinism depends on — so this is what service snapshots embed.
+    /// fact-set in the order they were paid for. Replaying them into an
+    /// empty store ([`replay_records`](Self::replay_records)) reproduces
+    /// the exact state — including the per-fact-set order the
+    /// seeded-aggregator determinism depends on.
     pub fn to_records(&self) -> Vec<WalRecord> {
-        type Keyed = (String, FactSet, Vec<(MemberId, f64)>);
-        let mut keyed: Vec<Keyed> = Vec::new();
-        for stripe in self.stripes.iter() {
-            let answers = stripe.lock().expect("answer store poisoned");
-            for (fs, entries) in answers.iter() {
-                let key = fs
-                    .iter()
-                    .map(|f| format!("{},{},{}", f.subject.0, f.relation.0, f.object.0))
-                    .collect::<Vec<_>>()
-                    .join(";");
-                keyed.push((key, fs.clone(), entries.clone()));
-            }
-        }
-        keyed.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut out = Vec::new();
-        for (_, fs, entries) in keyed {
-            for (m, s) in entries {
-                out.push(WalRecord::Answer {
+        let mut by_text: Vec<_> = self.cache.iter().collect();
+        by_text.sort_by_cached_key(|(fs, _)| {
+            fs.iter()
+                .map(|f| format!("{},{},{}", f.subject.0, f.relation.0, f.object.0))
+                .collect::<Vec<_>>()
+                .join(";")
+        });
+        by_text
+            .into_iter()
+            .flat_map(|(fs, entries)| {
+                entries.iter().map(move |&(m, s)| WalRecord::Answer {
                     session: None,
                     member: m.0,
                     support: s,
                     factset: fs.clone(),
-                });
-            }
-        }
-        out
+                })
+            })
+            .collect()
     }
 
     /// Replay `Answer` records (from a log or snapshot) into this store
     /// in order, without re-appending them to any attached persistence.
     /// Non-`Answer` records are ignored (the service replays those).
-    pub fn replay_records<'a>(&self, records: impl IntoIterator<Item = &'a WalRecord>) {
+    pub fn replay_records<'a>(&mut self, records: impl IntoIterator<Item = &'a WalRecord>) {
         for rec in records {
-            let WalRecord::Answer {
+            if let WalRecord::Answer {
                 member,
                 support,
                 factset,
                 ..
             } = rec
-            else {
-                continue;
-            };
-            let mut answers = self.stripe(factset).lock().expect("answer store poisoned");
-            let entry = answers.entry(factset.clone()).or_default();
-            let member = MemberId(*member);
-            match entry.iter_mut().find(|(m, _)| *m == member) {
-                Some(slot) => slot.1 = *support,
-                None => entry.push((member, *support)),
+            {
+                self.cache.seed(factset, MemberId(*member), *support);
             }
         }
     }
 
-    /// `member`'s stored answer for `fs`, if any. This is the dispatch-time
-    /// reuse probe: a hit spares one crowd question (counted as
-    /// `answerstore.hit[serve]`), a miss means the crowd must be asked.
+    /// `member`'s stored (paid) answer for `fs`, if any. This is the
+    /// dispatch-time reuse probe: a hit spares one crowd question (counted
+    /// as `answerstore.hit[serve]`), a miss means the crowd must be asked.
     pub fn lookup(&self, fs: &FactSet, member: MemberId) -> Option<f64> {
-        let answers = self.stripe(fs).lock().expect("answer store poisoned");
-        let found = answers
-            .get(fs)
-            .and_then(|v| v.iter().find(|(m, _)| *m == member))
+        let found = self
+            .cache
+            .answers(fs)
+            .iter()
+            .find(|(m, _)| *m == member)
             .map(|&(_, s)| s);
         match found {
             Some(_) => self.sink.count_labeled(names::ANSWERSTORE_HIT, "serve", 1),
@@ -238,17 +223,14 @@ impl AnswerStore {
     }
 
     /// Snapshot every stored answer given by one of `members`, preserving
-    /// per-fact-set insertion order. The triples are replayed into a new
-    /// session's `CrowdCache` at admission (see `CrowdCache::seed`).
+    /// per-fact-set order. The triples are replayed into a new session's
+    /// `CrowdCache` at admission (see `CrowdCache::seed`).
     pub fn seed_for(&self, members: &[MemberId]) -> Vec<(FactSet, MemberId, f64)> {
         let mut out = Vec::new();
-        for stripe in self.stripes.iter() {
-            let answers = stripe.lock().expect("answer store poisoned");
-            for (fs, entries) in answers.iter() {
-                for &(m, s) in entries {
-                    if members.contains(&m) {
-                        out.push((fs.clone(), m, s));
-                    }
+        for (fs, entries) in self.cache.iter() {
+            for &(m, s) in entries {
+                if members.contains(&m) {
+                    out.push((fs.clone(), m, s));
                 }
             }
         }
@@ -256,7 +238,7 @@ impl AnswerStore {
     }
 
     /// Merge every answer of a finished session's `cache` into the store.
-    pub fn absorb_cache(&self, cache: &CrowdCache) {
+    pub fn absorb_cache(&mut self, cache: &CrowdCache) {
         for (fs, entries) in cache.iter() {
             for &(m, s) in entries {
                 self.record(fs, m, s);
@@ -264,12 +246,15 @@ impl AnswerStore {
         }
     }
 
+    /// The paid answers as a [`CrowdCache`] — e.g. to re-run a query at
+    /// another threshold from a recovered store (`Oassis::replay`, §6.3).
+    pub fn cache(&self) -> &CrowdCache {
+        &self.cache
+    }
+
     /// Number of distinct fact-sets with at least one stored answer.
     pub fn len(&self) -> usize {
-        self.stripes
-            .iter()
-            .map(|s| s.lock().expect("answer store poisoned").len())
-            .sum()
+        self.cache.unique_questions()
     }
 
     /// Whether the store holds no answers.
@@ -279,56 +264,29 @@ impl AnswerStore {
 
     /// Total `(fact-set, member)` answers stored.
     pub fn answer_count(&self) -> usize {
-        self.stripes
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .expect("answer store poisoned")
-                    .values()
-                    .map(Vec::len)
-                    .sum::<usize>()
-            })
-            .sum()
-    }
-
-    /// Serialize to the same line-oriented text format as
-    /// [`CrowdCache::export_text`] (ids are vocabulary-interned integers,
-    /// meaningful only against the same ontology build).
-    pub fn export_text(&self) -> String {
-        let mut cache = CrowdCache::new();
-        for stripe in self.stripes.iter() {
-            let answers = stripe.lock().expect("answer store poisoned");
-            for (fs, entries) in answers.iter() {
-                for &(m, s) in entries {
-                    cache.seed(fs, m, s);
-                }
-            }
-        }
-        cache.export_text()
-    }
-
-    /// Parse a dump produced by [`export_text`](Self::export_text) (or by
-    /// [`CrowdCache::export_text`] — the formats are identical).
-    pub fn import_text(input: &str) -> Result<AnswerStore, String> {
-        let cache = CrowdCache::import_text(input)?;
-        let store = AnswerStore::new();
-        store.absorb_cache(&cache);
-        Ok(store)
+        self.cache.iter().map(|(_, entries)| entries.len()).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oassis_store_durable::{shared, InMemory, Persistence};
     use oassis_vocab::{ElementId, Fact, RelationId};
 
     fn fs(n: u32) -> FactSet {
         FactSet::from_facts([Fact::new(ElementId(n), RelationId(0), ElementId(0))])
     }
 
+    fn logged() -> (AnswerStore, Arc<std::sync::Mutex<InMemory>>) {
+        let mem = Arc::new(std::sync::Mutex::new(InMemory::new()));
+        let store = AnswerStore::new().with_persistence(mem.clone() as SharedPersistence);
+        (store, mem)
+    }
+
     #[test]
     fn record_lookup_roundtrip() {
-        let store = AnswerStore::new();
+        let mut store = AnswerStore::new();
         assert!(store.is_empty());
         store.record(&fs(1), MemberId(1), 0.5);
         store.record(&fs(1), MemberId(2), 0.25);
@@ -341,7 +299,7 @@ mod tests {
 
     #[test]
     fn same_member_overwrites() {
-        let store = AnswerStore::new();
+        let mut store = AnswerStore::new();
         store.record(&fs(1), MemberId(1), 0.5);
         store.record(&fs(1), MemberId(1), 0.75);
         assert_eq!(store.lookup(&fs(1), MemberId(1)), Some(0.75));
@@ -350,7 +308,7 @@ mod tests {
 
     #[test]
     fn seed_for_filters_by_roster_and_keeps_order() {
-        let store = AnswerStore::new();
+        let mut store = AnswerStore::new();
         store.record(&fs(1), MemberId(1), 0.1);
         store.record(&fs(1), MemberId(2), 0.2);
         store.record(&fs(1), MemberId(3), 0.3);
@@ -364,49 +322,18 @@ mod tests {
     }
 
     #[test]
-    fn export_import_roundtrip() {
-        let store = AnswerStore::new();
-        store.record(&fs(1), MemberId(1), 0.5);
-        store.record(&fs(2), MemberId(2), 1.0 / 3.0);
-        let text = store.export_text();
-        let back = AnswerStore::import_text(&text).unwrap();
-        assert_eq!(back.lookup(&fs(1), MemberId(1)), Some(0.5));
-        assert_eq!(back.lookup(&fs(2), MemberId(2)), Some(1.0 / 3.0));
-        assert_eq!(back.answer_count(), store.answer_count());
-    }
-
-    #[test]
     fn absorb_cache_merges_answers() {
         let mut cache = CrowdCache::new();
         cache.record(&fs(1), MemberId(1), 0.4);
-        let store = AnswerStore::new();
+        let mut store = AnswerStore::new();
         store.absorb_cache(&cache);
         assert_eq!(store.lookup(&fs(1), MemberId(1)), Some(0.4));
-    }
-
-    #[test]
-    fn empty_store_roundtrips_through_text() {
-        let store = AnswerStore::new();
-        let text = store.export_text();
-        let back = AnswerStore::import_text(&text).expect("empty dump parses");
-        assert!(back.is_empty());
-        assert_eq!(back.answer_count(), 0);
-        assert_eq!(back.export_text(), text, "stable on re-export");
-    }
-
-    #[test]
-    fn duplicate_pair_roundtrips_as_one_answer() {
-        let store = AnswerStore::new();
-        store.record(&fs(1), MemberId(1), 0.5);
-        store.record(&fs(1), MemberId(1), 0.75); // same (fact-set, member)
-        let back = AnswerStore::import_text(&store.export_text()).unwrap();
-        assert_eq!(back.answer_count(), 1, "overwrite survives the roundtrip");
-        assert_eq!(back.lookup(&fs(1), MemberId(1)), Some(0.75));
+        assert_eq!(store.cache().answers(&fs(1)), [(MemberId(1), 0.4)]);
     }
 
     #[test]
     fn log_replay_roundtrip_is_stable() {
-        let store = AnswerStore::new();
+        let mut store = AnswerStore::new();
         // Insertion order deliberately differs from member-id order so the
         // roundtrip must preserve *order*, not just content.
         store.record(&fs(2), MemberId(3), 0.3);
@@ -416,60 +343,26 @@ mod tests {
         let records = store.to_records();
         assert_eq!(records.len(), store.answer_count());
 
-        let replayed = AnswerStore::new();
+        let mut replayed = AnswerStore::new();
         replayed.replay_records(&records);
         assert_eq!(
             replayed.to_records(),
             records,
             "records are a fixed point of replay"
         );
-        let members = [MemberId(1), MemberId(2), MemberId(3)];
-        assert_eq!(
-            replayed.seed_for(&members),
-            store.seed_for(&members),
-            "per-fact-set insertion order survives the log roundtrip"
-        );
+        for n in [1, 2] {
+            assert_eq!(
+                replayed.cache().answers(&fs(n)),
+                store.cache().answers(&fs(n)),
+                "per-fact-set insertion order survives the log roundtrip"
+            );
+        }
         assert_eq!(replayed.lookup(&fs(2), MemberId(3)), Some(0.9));
     }
 
     #[test]
-    fn stripe_count_is_configurable_and_invisible() {
-        for stripes in [1, 3, 64] {
-            let store = AnswerStore::with_stripes(stripes);
-            assert_eq!(store.stripes(), stripes);
-            for n in 0..32 {
-                store.record(&fs(n), MemberId(n % 4), f64::from(n) / 32.0);
-            }
-            assert_eq!(store.len(), 32);
-            assert_eq!(store.answer_count(), 32);
-            assert_eq!(store.lookup(&fs(7), MemberId(3)), Some(7.0 / 32.0));
-        }
-        assert_eq!(AnswerStore::with_stripes(0).stripes(), 1, "clamped");
-    }
-
-    #[test]
-    fn to_records_order_is_stripe_count_independent() {
-        let mut stores = [AnswerStore::with_stripes(1), AnswerStore::with_stripes(16)];
-        for store in &mut stores {
-            store.record(&fs(9), MemberId(2), 0.2);
-            store.record(&fs(9), MemberId(1), 0.1);
-            for n in 0..24 {
-                store.record(&fs(n), MemberId(0), 0.5);
-            }
-        }
-        assert_eq!(
-            stores[0].to_records(),
-            stores[1].to_records(),
-            "canonical order must not depend on striping"
-        );
-    }
-
-    #[test]
     fn persistence_logs_only_new_or_changed_answers() {
-        use oassis_store_durable::{shared, InMemory, Persistence};
-        let mem = std::sync::Arc::new(std::sync::Mutex::new(InMemory::new()));
-        let store =
-            AnswerStore::new().with_persistence(mem.clone() as SharedPersistence);
+        let (mut store, mem) = logged();
         store.record(&fs(1), MemberId(1), 0.5);
         store.record(&fs(1), MemberId(1), 0.5); // unchanged: no append
         store.record(&fs(1), MemberId(1), 0.75); // changed: appends
@@ -486,10 +379,73 @@ mod tests {
 
         // Replaying the log reproduces the store; replay does not re-log.
         let records = mem.lock().unwrap().replay().unwrap();
-        let recovered = AnswerStore::new();
+        let mut recovered = AnswerStore::new();
         recovered.replay_records(&records);
         let recovered = recovered.with_persistence(shared(InMemory::new()));
         assert_eq!(recovered.lookup(&fs(1), MemberId(1)), Some(0.75));
         assert_eq!(recovered.lookup(&fs(2), MemberId(2)), Some(0.25));
+    }
+
+    /// An unpaid prefetch answer is held but never served, seeded, listed
+    /// or logged.
+    #[test]
+    fn unpaid_prefetches_are_held_but_invisible() {
+        let (mut store, mem) = logged();
+        store.record_prefetch(&fs(1), MemberId(1), 0.5);
+        assert!(store.holds(&fs(1), MemberId(1)));
+        assert!(!store.holds(&fs(1), MemberId(2)));
+        assert_eq!(store.lookup(&fs(1), MemberId(1)), None);
+        assert!(store.seed_for(&[MemberId(1)]).is_empty());
+        assert!(store.to_records().is_empty());
+        assert!(store.is_empty());
+        assert_eq!(mem.lock().unwrap().history_len(), 0);
+    }
+
+    /// Committing a prefetch logs it once, tagged with the paying session,
+    /// and it joins the fact-set's paid answers last.
+    #[test]
+    fn committed_prefetch_becomes_a_tagged_paid_answer() {
+        let (mut store, mem) = logged();
+        store.record_prefetch(&fs(1), MemberId(2), 0.2);
+        store.record_tagged(&fs(1), MemberId(1), 0.1, Some(4));
+        assert_eq!(store.commit_prefetch(&fs(1), MemberId(3), Some(5)), None);
+        assert_eq!(
+            store.commit_prefetch(&fs(1), MemberId(2), Some(5)),
+            Some(0.2)
+        );
+        assert_eq!(
+            store.commit_prefetch(&fs(1), MemberId(2), Some(6)),
+            None,
+            "a committed prefetch is paid, not unpaid"
+        );
+        assert_eq!(store.lookup(&fs(1), MemberId(2)), Some(0.2));
+        assert_eq!(
+            store.cache().answers(&fs(1)),
+            [(MemberId(1), 0.1), (MemberId(2), 0.2)]
+        );
+        let history = mem.lock().unwrap().history().to_vec();
+        assert_eq!(history.len(), 2);
+        assert!(matches!(
+            history[1],
+            WalRecord::Answer {
+                session: Some(5),
+                member: 2,
+                ..
+            }
+        ));
+    }
+
+    /// A paid record replaces an unpaid answer (and is logged as new); an
+    /// unpaid answer never replaces a paid one.
+    #[test]
+    fn paid_records_replace_unpaid_ones() {
+        let (mut store, mem) = logged();
+        store.record_prefetch(&fs(1), MemberId(1), 0.5);
+        store.record_tagged(&fs(1), MemberId(1), 0.75, Some(1));
+        assert_eq!(mem.lock().unwrap().history_len(), 1);
+        assert_eq!(store.commit_prefetch(&fs(1), MemberId(1), Some(2)), None);
+        store.record_prefetch(&fs(1), MemberId(1), 0.25);
+        assert_eq!(store.lookup(&fs(1), MemberId(1)), Some(0.75));
+        assert_eq!(store.answer_count(), 1);
     }
 }

@@ -6,6 +6,13 @@
 //! for every fact-set ever asked about, which member answered what, and
 //! counts both unique questions (crowd complexity, Section 4.1) and total
 //! questions (overall user effort, Section 6.3).
+//!
+//! The cross-query [`AnswerStore`](crate::AnswerStore) wraps one cache and
+//! also parks *unpaid* answers in it: a member's answers to a speculative
+//! prefetch that no session has committed yet. An unpaid answer is seen
+//! only by the store's prefetch calls; every read below sees the paid
+//! answers alone, and a paid answer for the same `(fact-set, member)`
+//! replaces it. A session's own cache never holds one.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -15,10 +22,28 @@ use oassis_vocab::FactSet;
 
 use crate::member::MemberId;
 
+/// The answers to one fact-set: `list[..paid]` in the order they were
+/// paid for, then the unpaid ones (see the module docs).
+#[derive(Debug, Clone, Default)]
+struct Answers {
+    list: Vec<(MemberId, f64)>,
+    paid: usize,
+}
+
+impl Answers {
+    fn paid(&self) -> &[(MemberId, f64)] {
+        &self.list[..self.paid]
+    }
+
+    fn position(&self, member: MemberId) -> Option<usize> {
+        self.list.iter().position(|(m, _)| *m == member)
+    }
+}
+
 /// Answer storage for one query execution.
 #[derive(Debug, Clone)]
 pub struct CrowdCache {
-    answers: HashMap<FactSet, Vec<(MemberId, f64)>>,
+    answers: HashMap<FactSet, Answers>,
     total_questions: usize,
     sink: Arc<dyn EventSink>,
 }
@@ -51,11 +76,7 @@ impl CrowdCache {
     /// self-consistent; spam detection happens elsewhere).
     pub fn record(&mut self, fs: &FactSet, member: MemberId, support: f64) {
         self.total_questions += 1;
-        let entry = self.answers.entry(fs.clone()).or_default();
-        match entry.iter_mut().find(|(m, _)| *m == member) {
-            Some(slot) => slot.1 = support,
-            None => entry.push((member, support)),
-        }
+        self.seed(fs, member, support);
     }
 
     /// Record `member`'s answer for `fs` **without** counting a question:
@@ -64,17 +85,59 @@ impl CrowdCache {
     /// this run. Ordering matters — seeded answers keep their original
     /// per-fact-set insertion order, which is what makes re-running the
     /// aggregator over them reproduce the earlier run's decisions.
-    pub fn seed(&mut self, fs: &FactSet, member: MemberId, support: f64) {
-        let entry = self.answers.entry(fs.clone()).or_default();
-        match entry.iter_mut().find(|(m, _)| *m == member) {
-            Some(slot) => slot.1 = support,
-            None => entry.push((member, support)),
+    ///
+    /// Returns whether the answer is new or changed. A new answer, or one
+    /// replacing an unpaid answer, joins the fact-set's answers last; a
+    /// repeat by the same member overwrites in place.
+    pub fn seed(&mut self, fs: &FactSet, member: MemberId, support: f64) -> bool {
+        let answers = self.answers.entry(fs.clone()).or_default();
+        match answers.position(member) {
+            Some(i) if i < answers.paid => {
+                let slot = &mut answers.list[i].1;
+                let changed = slot.to_bits() != support.to_bits();
+                *slot = support;
+                changed
+            }
+            unpaid => {
+                if let Some(i) = unpaid {
+                    answers.list.remove(i);
+                }
+                answers.list.insert(answers.paid, (member, support));
+                answers.paid += 1;
+                true
+            }
         }
+    }
+
+    /// Park `member`'s answer for `fs` as unpaid, unless the cache already
+    /// holds an answer of theirs for it.
+    pub(crate) fn hold_unpaid(&mut self, fs: &FactSet, member: MemberId, support: f64) {
+        let answers = self.answers.entry(fs.clone()).or_default();
+        if answers.position(member).is_none() {
+            answers.list.push((member, support));
+        }
+    }
+
+    /// `member`'s unpaid answer for `fs`, if that is what the cache holds.
+    pub(crate) fn unpaid(&self, fs: &FactSet, member: MemberId) -> Option<f64> {
+        let answers = self.answers.get(fs)?;
+        answers.list[answers.paid..]
+            .iter()
+            .find(|(m, _)| *m == member)
+            .map(|&(_, s)| s)
+    }
+
+    /// Whether the cache holds an answer by `member` for `fs`, paid or
+    /// unpaid.
+    pub(crate) fn holds(&self, fs: &FactSet, member: MemberId) -> bool {
+        self.answers
+            .get(fs)
+            .is_some_and(|a| a.position(member).is_some())
     }
 
     /// All answers recorded for `fs`.
     pub fn answers(&self, fs: &FactSet) -> &[(MemberId, f64)] {
-        self.answers.get(fs).map_or(&[], Vec::as_slice)
+        self.answers.get(fs).map_or(&[], Answers::paid)
     }
 
     /// Just the support values for `fs` (aggregator input).
@@ -107,7 +170,7 @@ impl CrowdCache {
 
     /// Number of distinct fact-sets asked about (crowd complexity).
     pub fn unique_questions(&self) -> usize {
-        self.answers.len()
+        self.iter().count()
     }
 
     /// Total questions asked, including repetitions across members.
@@ -117,7 +180,10 @@ impl CrowdCache {
 
     /// Iterate `(fact-set, answers)` pairs in arbitrary order.
     pub fn iter(&self) -> impl Iterator<Item = (&FactSet, &[(MemberId, f64)])> {
-        self.answers.iter().map(|(k, v)| (k, v.as_slice()))
+        self.answers
+            .iter()
+            .map(|(k, v)| (k, v.paid()))
+            .filter(|(_, v)| !v.is_empty())
     }
 }
 
@@ -161,130 +227,49 @@ mod tests {
     }
 
     #[test]
+    fn seed_reports_new_or_changed_answers() {
+        let mut c = CrowdCache::new();
+        assert!(c.seed(&fs(1), MemberId(1), 0.5), "new");
+        assert!(!c.seed(&fs(1), MemberId(1), 0.5), "unchanged");
+        assert!(c.seed(&fs(1), MemberId(1), 0.75), "changed");
+        assert_eq!(c.total_questions(), 0, "seeding spends no effort");
+    }
+
+    #[test]
+    fn unpaid_answers_stay_hidden_until_paid_then_join_last() {
+        let mut c = CrowdCache::new();
+        c.hold_unpaid(&fs(1), MemberId(2), 0.2);
+        c.seed(&fs(1), MemberId(1), 0.1);
+        c.hold_unpaid(&fs(2), MemberId(2), 0.9);
+        assert_eq!(c.answers(&fs(1)), [(MemberId(1), 0.1)]);
+        assert!(!c.has_answer_from(&fs(1), MemberId(2)));
+        assert!(c.holds(&fs(1), MemberId(2)));
+        assert_eq!(c.unpaid(&fs(1), MemberId(2)), Some(0.2));
+        assert_eq!(
+            c.unique_questions(),
+            1,
+            "unpaid-only fact-sets are not listed"
+        );
+
+        c.hold_unpaid(&fs(1), MemberId(1), 0.9); // already paid: ignored
+        assert_eq!(c.answers(&fs(1)), [(MemberId(1), 0.1)]);
+        assert_eq!(c.unpaid(&fs(1), MemberId(1)), None);
+
+        c.seed(&fs(1), MemberId(3), 0.3);
+        assert!(c.seed(&fs(1), MemberId(2), 0.2), "paying is a new answer");
+        assert_eq!(
+            c.answers(&fs(1)),
+            [(MemberId(1), 0.1), (MemberId(3), 0.3), (MemberId(2), 0.2)],
+            "paid order, not arrival order"
+        );
+        assert_eq!(c.unpaid(&fs(1), MemberId(2)), None);
+    }
+
+    #[test]
     fn iter_visits_everything() {
         let mut c = CrowdCache::new();
         c.record(&fs(1), MemberId(1), 0.5);
         c.record(&fs(2), MemberId(1), 0.1);
         assert_eq!(c.iter().count(), 2);
-    }
-}
-
-impl CrowdCache {
-    /// Serialize to a line-oriented text format (ids are vocabulary-interned
-    /// integers, so the dump is only meaningful against the same ontology
-    /// build): `member support s,r,o;s,r,o;...` with `-` for the empty
-    /// fact-set.
-    pub fn export_text(&self) -> String {
-        let mut lines: Vec<String> = Vec::new();
-        for (fs, answers) in self.iter() {
-            let facts = if fs.is_empty() {
-                "-".to_owned()
-            } else {
-                fs.iter()
-                    .map(|f| format!("{},{},{}", f.subject.0, f.relation.0, f.object.0))
-                    .collect::<Vec<_>>()
-                    .join(";")
-            };
-            for &(m, s) in answers {
-                lines.push(format!("{} {} {}", m.0, s, facts));
-            }
-        }
-        lines.sort();
-        let mut out = String::from("# oassis crowd cache v1\n");
-        out.push_str(&lines.join("\n"));
-        out.push('\n');
-        out
-    }
-
-    /// Parse a dump produced by [`export_text`](Self::export_text).
-    /// The total-question counter is restored as one question per answer.
-    pub fn import_text(input: &str) -> Result<CrowdCache, String> {
-        use oassis_vocab::{ElementId, Fact, RelationId};
-        let mut cache = CrowdCache::new();
-        for (no, line) in input.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut parts = line.splitn(3, ' ');
-            let (Some(m), Some(s), Some(facts)) = (parts.next(), parts.next(), parts.next()) else {
-                return Err(format!("line {}: expected `member support facts`", no + 1));
-            };
-            let member = MemberId(
-                m.parse()
-                    .map_err(|e| format!("line {}: bad member id: {e}", no + 1))?,
-            );
-            let support: f64 = s
-                .parse()
-                .map_err(|e| format!("line {}: bad support: {e}", no + 1))?;
-            let fs = if facts == "-" {
-                FactSet::new()
-            } else {
-                let mut v = Vec::new();
-                for triple in facts.split(';') {
-                    let ids: Vec<&str> = triple.split(',').collect();
-                    let [s, r, o] = ids.as_slice() else {
-                        return Err(format!("line {}: bad fact {triple:?}", no + 1));
-                    };
-                    let parse = |x: &str| {
-                        x.parse::<u32>()
-                            .map_err(|e| format!("line {}: {e}", no + 1))
-                    };
-                    v.push(Fact::new(
-                        ElementId(parse(s)?),
-                        RelationId(parse(r)?),
-                        ElementId(parse(o)?),
-                    ));
-                }
-                FactSet::from_facts(v)
-            };
-            cache.record(&fs, member, support);
-        }
-        Ok(cache)
-    }
-}
-
-#[cfg(test)]
-mod export_tests {
-    use super::*;
-    use oassis_vocab::{ElementId, Fact, RelationId};
-
-    fn fs(n: u32) -> FactSet {
-        FactSet::from_facts([Fact::new(ElementId(n), RelationId(1), ElementId(n + 1))])
-    }
-
-    #[test]
-    fn roundtrip() {
-        let mut c = CrowdCache::new();
-        c.record(&fs(1), MemberId(1), 0.5);
-        c.record(&fs(1), MemberId(2), 0.25);
-        c.record(&fs(7), MemberId(1), 1.0 / 3.0);
-        c.record(&FactSet::new(), MemberId(3), 1.0);
-        let text = c.export_text();
-        let back = CrowdCache::import_text(&text).unwrap();
-        assert_eq!(back.unique_questions(), c.unique_questions());
-        assert_eq!(back.total_questions(), 4);
-        let mut a = back.supports(&fs(1));
-        let mut b = c.supports(&fs(1));
-        a.sort_by(f64::total_cmp);
-        b.sort_by(f64::total_cmp);
-        assert_eq!(a, b);
-        assert_eq!(back.supports(&fs(7)), c.supports(&fs(7)));
-        assert_eq!(back.supports(&FactSet::new()), vec![1.0]);
-    }
-
-    #[test]
-    fn import_rejects_malformed_lines() {
-        assert!(CrowdCache::import_text("1 0.5").is_err());
-        assert!(CrowdCache::import_text("x 0.5 -").is_err());
-        assert!(CrowdCache::import_text("1 nope -").is_err());
-        assert!(CrowdCache::import_text("1 0.5 1,2").is_err());
-        assert!(CrowdCache::import_text("1 0.5 a,b,c").is_err());
-    }
-
-    #[test]
-    fn comments_and_blanks_are_skipped() {
-        let cache = CrowdCache::import_text("# header\n\n1 0.5 -\n").unwrap();
-        assert_eq!(cache.total_questions(), 1);
     }
 }

@@ -17,14 +17,14 @@
 //!   (random answers, for quality-control experiments) and
 //!   [`UnreliableMember`] (a seeded latency/drop channel model around any
 //!   member, for the concurrent session runtime),
-//! * the [`SharedCrowdCache`] — a lock-striped, thread-safe answer store the
-//!   session runtime's workers share,
 //! * the answer [`Aggregator`] black-box of Section 4.2 (default: the
 //!   paper's five-answers-then-average rule),
 //! * the [`CrowdCache`] — per-assignment answer storage enabling the
 //!   threshold-replay methodology of Section 6.3,
 //! * the [`AnswerStore`] — a cross-query answer log the multi-query service
-//!   layer uses to serve repeated questions without re-asking the crowd,
+//!   layer uses to serve repeated questions without re-asking the crowd;
+//!   it wraps one [`CrowdCache`], also holds the service's prefetched
+//!   answers as unpaid entries, and is encoded only as WAL records,
 //! * [`quality`] — the Section 4.2 consistency check (support monotonicity
 //!   across a member's own answers) used to filter spammers.
 
@@ -36,7 +36,6 @@ pub mod member;
 pub mod placement;
 pub mod profile;
 pub mod quality;
-pub mod shared;
 pub mod transaction;
 pub mod unreliable;
 
@@ -49,6 +48,5 @@ pub use cache::CrowdCache;
 pub use frequency::FrequencyScale;
 pub use member::{CrowdMember, DbMember, MemberId, ScriptedMember, SpammerMember};
 pub use profile::{select_members, ProfiledMember};
-pub use shared::{SharedCrowdCache, DEFAULT_STRIPES};
 pub use transaction::{PersonalDb, SupportIndex, Transaction};
 pub use unreliable::{ResponseModel, UnreliableMember};

@@ -1,30 +1,15 @@
-//! Consistent placement: one hash scheme shared by every sharded structure.
+//! Consistent placement: the hash that pins each member to one shard of
+//! the runtime's sharded dispatch.
 //!
-//! Three layers partition state by hash — the [`SharedCrowdCache`] stripes
-//! answers by fact-set, the [`AnswerStore`] stripes its log the same way,
-//! and the runtime's sharded dispatch pins each member to one worker shard.
-//! They must agree: a fact-set's cache stripe and store stripe are the same
-//! index (so a future cross-node split can co-locate them), and a member's
-//! shard never changes while the roster is stable. Centralizing the hashing
-//! here is what makes that agreement a property instead of a convention.
-//!
+//! A member's shard never changes while the roster is stable, and every
+//! pool built with the same shard count places a member identically.
 //! Hashes use [`DefaultHasher`] seeded identically everywhere; indices are
-//! reduced modulo the structure's stripe/shard count. Counts need not be
-//! powers of two, but the defaults are, so the modulo compiles to a mask.
+//! reduced modulo the shard count. Counts need not be powers of two.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
-use oassis_vocab::FactSet;
-
 use crate::member::MemberId;
-
-/// Stable hash of a fact-set, used for answer-store and cache striping.
-pub fn hash_factset(fs: &FactSet) -> u64 {
-    let mut h = DefaultHasher::new();
-    fs.hash(&mut h);
-    h.finish()
-}
 
 /// Stable hash of a member id, used for member-shard placement.
 pub fn hash_member(member: MemberId) -> u64 {
@@ -39,11 +24,6 @@ pub fn index_for(hash: u64, count: usize) -> usize {
     (hash as usize) % count
 }
 
-/// The stripe a fact-set lives in, for a structure with `count` stripes.
-pub fn factset_stripe(fs: &FactSet, count: usize) -> usize {
-    index_for(hash_factset(fs), count)
-}
-
 /// The shard a member is pinned to, for a pool with `count` shards.
 /// Consistent: the same member always lands on the same shard for a given
 /// shard count.
@@ -54,20 +34,11 @@ pub fn member_shard(member: MemberId, count: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oassis_vocab::{ElementId, Fact, RelationId};
-
-    fn fs(n: u32) -> FactSet {
-        FactSet::from_facts([Fact::new(ElementId(n), RelationId(0), ElementId(0))])
-    }
 
     #[test]
     fn placement_is_stable() {
         for n in 0..32 {
-            assert_eq!(factset_stripe(&fs(n), 16), factset_stripe(&fs(n), 16));
-            assert_eq!(
-                member_shard(MemberId(n), 8),
-                member_shard(MemberId(n), 8)
-            );
+            assert_eq!(member_shard(MemberId(n), 8), member_shard(MemberId(n), 8));
         }
     }
 
@@ -75,7 +46,6 @@ mod tests {
     fn placement_stays_in_range() {
         for count in [1, 2, 3, 8, 16, 100] {
             for n in 0..64 {
-                assert!(factset_stripe(&fs(n), count) < count);
                 assert!(member_shard(MemberId(n), count) < count);
             }
         }
@@ -85,7 +55,6 @@ mod tests {
     fn single_shard_maps_everything_to_zero() {
         for n in 0..16 {
             assert_eq!(member_shard(MemberId(n), 1), 0);
-            assert_eq!(factset_stripe(&fs(n), 1), 0);
         }
     }
 

@@ -96,7 +96,7 @@ fn run_durability_sweep(n: u64) -> ExitCode {
     println!(
         "sim durability-sweep: {n} seeds, kill-at-any-index crash recovery \
          (transparency, replay, overlap MSPs, disjoint MSPs + crowd counts, \
-         compacted = uncompacted recovery)"
+         compacted = uncompacted recovery, waved durable run = volatile)"
     );
     let start = Instant::now();
     let report = durability_sweep(0..n);

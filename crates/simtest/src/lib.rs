@@ -799,7 +799,7 @@ pub struct ServiceSimOutcome {
 /// delay + jitter (nobody excluded), so the sweep explores genuinely
 /// different arrival schedules.
 pub fn simulate_service(seed: u64, plans: &[ServicePlan], latency: bool) -> ServiceSimOutcome {
-    run_service(seed, plans, latency, None, 1)
+    run_service(seed, plans, latency, None, 1).0
 }
 
 /// [`simulate_service`] with question waves: the service stages up to
@@ -812,7 +812,7 @@ pub fn simulate_service_waved(
     latency: bool,
     wave: usize,
 ) -> ServiceSimOutcome {
-    run_service(seed, plans, latency, None, wave)
+    run_service(seed, plans, latency, None, wave).0
 }
 
 /// The simulated service crowd: `crowd(2)` as-is, or wrapped in
@@ -884,13 +884,17 @@ fn session_outcome(r: &SessionReport) -> ServiceSessionOutcome {
     }
 }
 
+/// One service run; with `persistence` attached it also returns the live
+/// store's [`to_records`](oassis_crowd::AnswerStore::to_records) at the
+/// end of the run (empty when volatile).
 fn run_service(
     seed: u64,
     plans: &[ServicePlan],
     latency: bool,
     persistence: Option<SharedPersistence>,
     wave: usize,
-) -> ServiceSimOutcome {
+) -> (ServiceSimOutcome, Vec<WalRecord>) {
+    let durable = persistence.is_some();
     let runtime = service_runtime(seed, latency);
     let recorder = Arc::new(RecordingSink::default());
     let engine = Oassis::new(figure1_ontology());
@@ -906,6 +910,11 @@ fn run_service(
             .expect("service plan admits");
     }
     let reports = service.run();
+    let store = if durable {
+        service.store().to_records()
+    } else {
+        Vec::new()
+    };
     drop(service);
     let sessions: Vec<ServiceSessionOutcome> = reports.iter().map(session_outcome).collect();
     let mut transcript = recorder.events.lock().expect("recording sink").join("\n");
@@ -919,12 +928,13 @@ fn run_service(
             s.status
         ));
     }
-    ServiceSimOutcome {
+    let outcome = ServiceSimOutcome {
         seed,
         sessions,
         transcript,
         snapshot: recorder.totals.snapshot(),
-    }
+    };
+    (outcome, store)
 }
 
 /// The starvation metric: over the ordered crowd dispatches of a run, the
@@ -1197,6 +1207,8 @@ pub struct DurableRun {
     pub outcome: ServiceSimOutcome,
     /// The WAL the run appended to, with full history and snapshot points.
     pub log: Arc<Mutex<InMemory>>,
+    /// The live answer store's canonical records when the run finished.
+    pub store: Vec<WalRecord>,
 }
 
 /// [`simulate_service`] with durability: every committed crowd answer,
@@ -1208,14 +1220,75 @@ pub fn simulate_durable_service(
     latency: bool,
     snapshot_every: Option<u64>,
 ) -> DurableRun {
+    simulate_durable_service_waved(seed, plans, latency, snapshot_every, 1)
+}
+
+/// [`simulate_durable_service`] with question waves of `wave` (see
+/// [`simulate_service_waved`]): prefetched answers sit unpaid in the
+/// persisted store until a session commits them.
+pub fn simulate_durable_service_waved(
+    seed: u64,
+    plans: &[ServicePlan],
+    latency: bool,
+    snapshot_every: Option<u64>,
+    wave: usize,
+) -> DurableRun {
     let mut mem = InMemory::new();
     if let Some(every) = snapshot_every {
         mem = mem.with_snapshot_every(every);
     }
     let log = Arc::new(Mutex::new(mem));
     let persistence: SharedPersistence = Arc::clone(&log) as SharedPersistence;
-    let outcome = run_service(seed, plans, latency, Some(persistence), 1);
-    DurableRun { outcome, log }
+    let (outcome, store) = run_service(seed, plans, latency, Some(persistence), wave);
+    DurableRun {
+        outcome,
+        log,
+        store,
+    }
+}
+
+/// The wave size of the waved durable run [`check_durable_waves`] checks.
+pub const DURABLE_WAVE: usize = 4;
+
+/// The waved-durability oracle for one seed, over `plans`: a durable run
+/// at wave [`DURABLE_WAVE`]
+///
+/// * has the same per-session outcomes as the volatile waved run;
+/// * logs exactly the live store — replaying its WAL rebuilds the live
+///   store's `to_records()`, so no unpaid prefetch was logged and no paid
+///   answer is missing;
+/// * serves exactly the summed `store_hits` as `answerstore.hit[serve]`.
+///
+/// Returns whether the run committed any prefetch as a wave hit.
+pub fn check_durable_waves(seed: u64, plans: &[ServicePlan]) -> Result<bool, String> {
+    let run =
+        simulate_durable_service_waved(seed, plans, true, Some(SIM_SNAPSHOT_EVERY), DURABLE_WAVE);
+    let volatile = simulate_service_waved(seed, plans, true, DURABLE_WAVE);
+    if run.outcome.sessions != volatile.sessions {
+        return Err(format!(
+            "attaching the WAL changed waved outcomes: {:?} vs {:?}",
+            run.outcome.sessions, volatile.sessions
+        ));
+    }
+    let records = run.log.lock().expect("wal").replay().expect("wal replays");
+    let mut replayed = oassis_crowd::AnswerStore::new();
+    replayed.replay_records(&records);
+    let replayed = replayed.to_records();
+    if replayed != run.store {
+        return Err(format!(
+            "replaying the WAL rebuilt {} answers, the live store held {}",
+            replayed.len(),
+            run.store.len()
+        ));
+    }
+    let hits: usize = run.outcome.sessions.iter().map(|s| s.store_hits).sum();
+    let served = counter(&run.outcome.snapshot, names::ANSWERSTORE_HIT, "serve");
+    if hits as u64 != served {
+        return Err(format!(
+            "sessions report {hits} store hits, the store served {served}"
+        ));
+    }
+    Ok(counter(&run.outcome.snapshot, names::RUNTIME_SPECULATION, "hit") > 0)
 }
 
 /// Kill points for one crash sweep over a log of `len` appends: both ends,
@@ -1461,7 +1534,11 @@ fn committed_answers(log: &InMemory, s: u64, k: usize) -> usize {
 ///    closed outcomes (ancestor aliases included), `resume_by_id`
 ///    verdicts and token mappings. The odd-numbered overlapping plans
 ///    carry a budget no plan exhausts, so their runs log `Budget`
-///    watermarks, while the others still run unbudgeted.
+///    watermarks, while the others still run unbudgeted;
+/// 6. **durable-waves** — the overlapping plans at wave
+///    [`DURABLE_WAVE`] pass [`check_durable_waves`]: the durable run
+///    matches the volatile waved run, its log replays to exactly the live
+///    store, and its store hits balance `answerstore.hit[serve]`.
 pub fn check_durability_seed(seed: u64) -> Result<(), OracleFailure> {
     let fail = |oracle: &'static str, detail: String| OracleFailure {
         seed,
@@ -1507,6 +1584,8 @@ pub fn check_durability_seed(seed: u64) -> Result<(), OracleFailure> {
             ));
         }
     }
+
+    check_durable_waves(seed, &plans).map_err(|e| fail("durable-waves", e))?;
 
     let log = durable.log.lock().expect("wal");
     for k in kill_points(seed, log.history_len()) {

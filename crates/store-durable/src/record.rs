@@ -3,11 +3,10 @@
 //! Wire format (version 1): `seq|kind|fields...|checksum` where
 //! `checksum` is the FNV-1a-64 hash (hex) of everything before the final
 //! separator. Fields that may contain the separator (only the query
-//! source) are percent-escaped. Fact-sets reuse the crowd-cache text
-//! encoding (`s,r,o;s,r,o`, `-` for the empty set); member ids are the
-//! raw vocabulary-interned integers, so a log is only meaningful against
-//! the same ontology build — exactly the caveat `CrowdCache::export_text`
-//! already carries.
+//! source) are percent-escaped. Fact-sets are encoded as `s,r,o;s,r,o`
+//! (`-` for the empty set); ids are the raw vocabulary-interned
+//! integers, so a log is only meaningful against the same ontology
+//! build. These records are the only encoding of crowd answers.
 
 use oassis_vocab::{ElementId, Fact, FactSet, RelationId};
 

@@ -6,8 +6,8 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --workspace"
+cargo test -q --workspace
 
 echo "==> cargo clippy --workspace --tests -- -D warnings"
 cargo clippy --workspace --tests -- -D warnings

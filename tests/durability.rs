@@ -1,9 +1,11 @@
 //! Integration tests for the durability layer: a file-backed service
 //! surviving restart, exhaustive kill-point recovery on a small plan,
 //! conservative budget accounting across a crash, torn-tail /
-//! corrupt-log handling through `OassisService::recover`, and compaction
+//! corrupt-log handling through `OassisService::recover`, compaction
 //! that drops no record, costs no more than the live sessions, and keeps
-//! closed sessions' idempotency tokens.
+//! closed sessions' idempotency tokens, question waves over a persisted
+//! store, admission refusing config the log cannot carry, and a recovered
+//! store feeding a §6.3 threshold replay.
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
@@ -14,11 +16,14 @@ use oassis::core::{
 };
 use oassis::crowd::transaction::table3_dbs;
 use oassis::crowd::{CrowdMember, DbMember, MemberId};
+use oassis::obs::null_sink;
+use oassis::sparql::MatchMode;
 use oassis::store::ontology::figure1_ontology;
 use oassis::store_durable::{InMemory, Persistence, SharedPersistence, WalRecord, WAL_FILE};
+use oassis::vocab::{ElementId, Fact, RelationId};
 use oassis_simtest::{
-    finish_after_crash, service_plans, simulate_durable_service, ServicePlan, SIM_SNAPSHOT_EVERY,
-    SIM_UNSPENT_BUDGET,
+    check_durable_waves, finish_after_crash, service_plans, simulate_durable_service, ServicePlan,
+    SIM_SNAPSHOT_EVERY, SIM_UNSPENT_BUDGET,
 };
 
 const QUERY: &str = "SELECT FACT-SETS WHERE \
@@ -459,4 +464,115 @@ fn closed_outcome_is_aliased_under_resumed_ancestors() {
         );
         assert!(!service.is_recoverable(SessionId(0)));
     }
+}
+
+/// Question waves over a persisted store: prefetched answers wait unpaid
+/// in the store, yet the waved durable run matches the volatile one, its
+/// log replays to exactly the live store (no unpaid answer logged, no paid
+/// one missing) and its store hits balance `answerstore.hit[serve]`. The
+/// rosters overlap, and the odd plan carries a budget, so wave hits also
+/// log spend watermarks.
+#[test]
+fn waved_durable_runs_log_exactly_the_paid_answers() {
+    let plans: Vec<ServicePlan> = service_plans(3)
+        .into_iter()
+        .enumerate()
+        .map(|(i, plan)| ServicePlan {
+            budget: (i % 2 == 1).then_some(SIM_UNSPENT_BUDGET),
+            ..plan
+        })
+        .collect();
+    let mut committed = false;
+    for seed in 0..4 {
+        committed |=
+            check_durable_waves(seed, &plans).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+    }
+    assert!(committed, "no seed in 0..4 committed a prefetch");
+}
+
+/// A durable service refuses a spec that sets config its `Admit` record
+/// does not carry (`mode`, `more_domain`): a resumption rebuilt from the
+/// log would mine a different assignment space. The refusal names the
+/// field and logs nothing; a volatile service admits the same spec.
+#[test]
+fn durable_admission_refuses_config_the_log_cannot_carry() {
+    let extra = Fact::new(ElementId(0), RelationId(0), ElementId(0));
+    let configs = [
+        (
+            "mode",
+            EngineConfig::builder().mode(MatchMode::Syntactic).build(),
+        ),
+        (
+            "more_domain",
+            EngineConfig::builder().more_domain(vec![extra]).build(),
+        ),
+    ];
+    for (field, config) in configs {
+        let spec = SessionSpec::builder(QUERY).config(config).build();
+        let mem = Arc::new(Mutex::new(InMemory::new()));
+        let mut durable = OassisService::start_with_persistence(
+            Oassis::new(figure1_ontology()),
+            SessionRuntime::new(figure1_crowd(1)),
+            null_sink(),
+            Arc::clone(&mem) as SharedPersistence,
+        );
+        match durable.submit(spec.clone()) {
+            Err(OassisError::Session(msg)) => assert!(msg.contains(&format!("`{field}`")), "{msg}"),
+            other => panic!("a durable service admitted a spec setting `{field}`: {other:?}"),
+        }
+        assert_eq!(durable.active_sessions(), 0);
+        assert_eq!(
+            mem.lock().unwrap().history_len(),
+            0,
+            "a refusal logs nothing"
+        );
+        let mut volatile = OassisService::start(
+            Oassis::new(figure1_ontology()),
+            SessionRuntime::new(figure1_crowd(1)),
+        );
+        volatile.submit(spec).expect("a volatile service admits it");
+    }
+}
+
+/// A store recovered from the log is an answer cache for the §6.3
+/// threshold replay: replaying the query at a higher threshold over the
+/// recovered store gives what replaying the run's own cache gives.
+#[test]
+fn recovered_store_feeds_a_threshold_replay() {
+    let config = EngineConfig::builder().aggregator_sample(2).build();
+    let mem = Arc::new(Mutex::new(InMemory::new()));
+    let mut service = OassisService::start_with_persistence(
+        Oassis::new(figure1_ontology()),
+        SessionRuntime::new(figure1_crowd(2)),
+        null_sink(),
+        Arc::clone(&mem) as SharedPersistence,
+    );
+    service
+        .submit(SessionSpec::builder(QUERY).config(config.clone()).build())
+        .unwrap();
+    let report = service.run().remove(0);
+    drop(service);
+    let (recovered, _) = OassisService::recover_with(
+        Oassis::new(figure1_ontology()),
+        SessionRuntime::new(figure1_crowd(2)),
+        null_sink(),
+        mem,
+    )
+    .expect("log replays");
+
+    let engine = Oassis::new(figure1_ontology());
+    let query = engine.parse(QUERY).unwrap();
+    let valid = |threshold: f64, cache| {
+        let result = engine.replay(&query, threshold, cache, &config).unwrap();
+        let msps: BTreeSet<String> = result
+            .answers
+            .iter()
+            .filter(|a| a.valid)
+            .map(|a| a.rendered.clone())
+            .collect();
+        (msps, result.stats.total_questions)
+    };
+    let from_log = valid(0.5, recovered.store().cache());
+    assert!(!from_log.0.is_empty(), "vacuous replay");
+    assert_eq!(from_log, valid(0.5, &report.result.cache));
 }

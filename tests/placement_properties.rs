@@ -1,17 +1,15 @@
-//! Property tests for the hash-placement layer (`oassis::crowd::placement`)
-//! and the `AnswerStore`'s canonical serialization. Placement must be a
-//! pure function of the value being placed — invariant to the insertion
-//! order of a fact-set's facts and consistent across every structure
-//! sizing — and `to_records` must render the same canonical record
-//! sequence no matter how many stripes the store was built with (that
-//! order is what service snapshots embed, so a restart with a different
-//! stripe configuration must not perturb the durable image).
+//! Property tests for the member-placement hash (`oassis::crowd::placement`)
+//! and the `AnswerStore`'s canonical serialization. A member's shard must
+//! be a pure function of its id and the shard count; the store must key
+//! answers by the fact-set alone, whatever order its facts were listed
+//! in; and `to_records` must render one canonical record sequence for the
+//! same recordings, whatever the store's hash-map iteration order (that
+//! sequence is what recovery replays, so it must not depend on the
+//! process that wrote it).
 
 use proptest::prelude::*;
 
-use oassis::crowd::placement::{
-    factset_stripe, hash_factset, hash_member, index_for, member_shard,
-};
+use oassis::crowd::placement::{hash_member, index_for, member_shard};
 use oassis::crowd::{AnswerStore, MemberId};
 use oassis::vocab::{ElementId, Fact, FactSet, RelationId};
 
@@ -27,69 +25,63 @@ fn materialize(raw: &[(usize, usize, usize)]) -> FactSet {
     }))
 }
 
-/// Stripe/shard counts worth probing: degenerate, odd, power-of-two, and
+/// Shard counts worth probing: degenerate, odd, power-of-two, and
 /// larger-than-typical.
 const COUNTS: [usize; 5] = [1, 2, 7, 16, 64];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The fact-set hash — and with it every stripe assignment — depends
-    /// only on the *set*, not on the order its facts were inserted in.
+    /// An answer recorded under one listing of a fact-set's facts is found,
+    /// and serialized, under any other listing of the same set.
     #[test]
-    fn factset_placement_ignores_insertion_order(
+    fn store_keys_ignore_fact_insertion_order(
         raw in proptest::collection::vec((0usize..64, 0usize..64, 0usize..64), 1..8),
         rotate in 0usize..8,
+        member in 0u32..6,
     ) {
         let fs = materialize(&raw);
         let mut rotated = raw.clone();
         rotated.rotate_left(rotate % raw.len().max(1));
         let fs_rot = materialize(&rotated);
-        prop_assert_eq!(hash_factset(&fs), hash_factset(&fs_rot));
-        for count in COUNTS {
-            prop_assert_eq!(factset_stripe(&fs, count), factset_stripe(&fs_rot, count));
-        }
+        let mut store = AnswerStore::new();
+        store.record(&fs, MemberId(member), 0.5);
+        prop_assert_eq!(store.lookup(&fs_rot, MemberId(member)), Some(0.5));
+        let mut rotated_store = AnswerStore::new();
+        rotated_store.record(&fs_rot, MemberId(member), 0.5);
+        prop_assert_eq!(store.to_records(), rotated_store.to_records());
     }
 
-    /// Changing a structure's stripe/shard count never changes the placed
-    /// value's identity: every assignment is `index_for(hash, count)` of
-    /// the *same* hash, stays in range, and two layers sized alike place
-    /// the fact-set (or member) in the same bucket.
+    /// Changing the shard count never changes the member's identity: every
+    /// placement is `index_for(hash, count)` of the *same* hash and stays
+    /// in range.
     #[test]
-    fn placement_is_stable_across_stripe_counts(
-        raw in proptest::collection::vec((0usize..64, 0usize..64, 0usize..64), 1..8),
-        member in 0u32..10_000,
-    ) {
-        let fs = materialize(&raw);
-        let fs_hash = hash_factset(&fs);
+    fn member_placement_is_stable_across_shard_counts(member in 0u32..10_000) {
         let m_hash = hash_member(MemberId(member));
         for count in COUNTS {
-            let stripe = factset_stripe(&fs, count);
-            prop_assert!(stripe < count);
-            prop_assert_eq!(stripe, index_for(fs_hash, count));
             let shard = member_shard(MemberId(member), count);
             prop_assert!(shard < count);
             prop_assert_eq!(shard, index_for(m_hash, count));
         }
     }
 
-    /// `AnswerStore::to_records` renders the same canonical sequence for
-    /// any stripe count: stores built with different stripe counts but fed
-    /// the same recordings serialize identically (fact-sets in text order,
-    /// answers within a fact-set in insertion order).
+    /// `AnswerStore::to_records` renders one canonical sequence (fact-sets
+    /// in text order, answers within a fact-set in insertion order): stores
+    /// fed the same recordings — each with its own hash-map iteration
+    /// order — serialize identically, and replaying the records into an
+    /// empty store reproduces them.
     #[test]
-    fn to_records_is_invariant_to_stripe_count(
+    fn to_records_is_canonical_and_replays_exactly(
         entries in proptest::collection::vec(
             ((0usize..64, 0usize..64, 0usize..64), 0u32..6, 0u32..10),
             1..12,
         ),
     ) {
-        let stores: Vec<AnswerStore> =
-            COUNTS.iter().map(|&c| AnswerStore::with_stripes(c)).collect();
+        let mut stores: Vec<AnswerStore> = (0..4).map(|_| AnswerStore::new()).collect();
         for (raw, member, support) in &entries {
             let fs = materialize(std::slice::from_ref(raw));
             let support = f64::from(*support) / 10.0;
-            for store in &stores {
+            for store in &mut stores {
                 store.record(&fs, MemberId(*member), support);
             }
         }
@@ -98,5 +90,8 @@ proptest! {
         for store in &stores[1..] {
             prop_assert_eq!(&store.to_records(), &reference);
         }
+        let mut replayed = AnswerStore::new();
+        replayed.replay_records(&reference);
+        prop_assert_eq!(replayed.to_records(), reference);
     }
 }
