@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is the full gate (see scripts/check.sh).
 
-.PHONY: build test test-all clippy check figures bench sim service-bench durability-bench crowdscale-bench net-bench planner-bench bench-summary
+.PHONY: build test test-all clippy check figures bench sim service-bench durability-bench crowdscale-bench net-bench planner-bench mining-bench bench-summary
 
 # Seed count for the deterministic-simulation sweep (`make sim SEEDS=10000`).
 SEEDS ?= 10000
@@ -56,6 +56,12 @@ net-bench:
 # assignments and crowd questions; writes BENCH_planner.json.
 planner-bench:
 	cargo run --release -p oassis-bench --bin figures -- planner
+
+# Mining-cost benchmark: per domain, one cold execute with 24 members,
+# untraced µs per question (median of 5) and each engine.mine.* span's
+# share of a traced run; writes BENCH_mining.json.
+mining-bench:
+	cargo run --release -p oassis-bench --bin figures -- mining
 
 # One line per checked-in BENCH_*.json: headline numbers for quick diffing.
 bench-summary:

@@ -20,7 +20,10 @@
 //! (`OASSIS_NET_SMOKE=1`) — and `planner` writes `BENCH_planner.json`:
 //! the query planner's constraint pushdown on a `FILTER`-constrained
 //! variant of each canonical query, asserting identical valid MSPs with
-//! the planner on and off (`OASSIS_PLANNER_SMOKE=1`).
+//! the planner on and off (`OASSIS_PLANNER_SMOKE=1`) — and `mining`
+//! writes `BENCH_mining.json`: mining µs per question per domain and its
+//! split across the session's `engine.mine.*` spans
+//! (`OASSIS_MINING_SMOKE=1`).
 //!
 //! Alongside the tables, machine-readable telemetry is appended as JSON
 //! lines (one event object per line) to `$OASSIS_FIGURES_JSON`, default
@@ -34,10 +37,10 @@ use std::time::Duration;
 
 use oassis_bench::experiments::{
     algorithm_comparison, answer_type_effect, complexity_bounds, crowd_growth, crowd_mix,
-    crowd_scale, crowd_statistics_observed, distribution_variation, multiplicity_variation,
-    net_overhead, pace_of_collection, planner_effect, recovery_scaling, runtime_speedup,
-    scale_speedup, service_reuse, shape_variation, CrowdScaleOutcome, CurveSeries, DurabilityRow,
-    NetRow, PaceResult, PlannerRow, ScaleRow, ServiceRow,
+    crowd_scale, crowd_statistics_observed, distribution_variation, mining_split,
+    multiplicity_variation, net_overhead, pace_of_collection, planner_effect, recovery_scaling,
+    runtime_speedup, scale_speedup, service_reuse, shape_variation, CrowdScaleOutcome, CurveSeries,
+    DurabilityRow, MiningRow, NetRow, PaceResult, PlannerRow, ScaleRow, ServiceRow,
 };
 use oassis_bench::table::render;
 use oassis_obs::{null_sink, EventSink, JsonLinesSink, SinkExt};
@@ -914,13 +917,137 @@ fn run_planner(sink: &Arc<dyn EventSink>, seed: u64) {
     }
 }
 
+/// Run the mining-cost benchmark and write `BENCH_mining.json` at the
+/// repo root: per domain, one cold `Oassis::execute` with 24 members, its
+/// untraced µs per question (median of 5 runs) and the share of a traced
+/// run spent in each `engine.mine.*` span. `OASSIS_MINING_SMOKE=1` mines
+/// self-treatment once with a small crowd, asserting that tracing leaves
+/// the run unchanged and that the spans account for mining time.
+fn run_mining(seed: u64) {
+    let smoke = std::env::var("OASSIS_MINING_SMOKE").is_ok_and(|v| v == "1");
+    let (members, runs) = if smoke { (8, 1) } else { (24, 5) };
+    let mode = if smoke { "smoke" } else { "full" };
+    println!("== mining: µs per question and its split by session span ({mode}) ==");
+    // A traced run counts the whole DAG first (`engine.dag.count`), which
+    // takes minutes on the two multiplicity domains: the smoke run keeps
+    // to self-treatment.
+    let domains = if smoke {
+        vec![self_treatment_domain()]
+    } else {
+        vec![travel_domain(), culinary_domain(), self_treatment_domain()]
+    };
+    let rows: Vec<MiningRow> = domains
+        .iter()
+        .map(|d| mining_split(d, members, seed, runs))
+        .collect();
+    for r in &rows {
+        let covered: f64 = r.span_shares.iter().map(|&(_, s)| s).sum();
+        assert!(
+            r.questions > 0 && covered > 0.0 && covered <= 1.0 + 1e-9,
+            "{}: spans cover {covered:.3} of the traced run",
+            r.domain
+        );
+    }
+    let mut headers = vec![
+        "domain",
+        "#questions",
+        "nodes",
+        "µs/question",
+        "trace overhead",
+        "DAG count",
+    ];
+    let short: Vec<String> = rows[0]
+        .span_shares
+        .iter()
+        .map(|(name, _)| name.trim_start_matches("engine.mine.").to_owned())
+        .collect();
+    headers.extend(short.iter().map(String::as_str));
+    let table: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            let mut row = vec![
+                r.domain.clone(),
+                r.questions.to_string(),
+                r.nodes_generated.to_string(),
+                format!("{:.1}", r.us_per_question),
+                format!("{:.1}%", r.trace_overhead * 100.0),
+                format!("{:.2}s", r.dag_count_secs),
+            ];
+            row.extend(
+                r.span_shares
+                    .iter()
+                    .map(|(_, s)| format!("{:.1}%", s * 100.0)),
+            );
+            row
+        })
+        .collect();
+    println!("{}", render(&headers, &table));
+    let json_rows: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            let shares: Vec<String> = r
+                .span_shares
+                .iter()
+                .map(|(name, s)| format!("{name:?}: {s:.4}"))
+                .collect();
+            format!(
+                concat!(
+                    "  {{\"domain\": {:?}, \"members\": {}, \"questions\": {}, ",
+                    "\"nodes_generated\": {}, \"us_per_question\": {:.2}, ",
+                    "\"trace_overhead\": {:.3}, \"dag_count_secs\": {:.3}, ",
+                    "\"span_shares\": {{{}}}}}"
+                ),
+                r.domain,
+                r.members,
+                r.questions,
+                r.nodes_generated,
+                r.us_per_question,
+                r.trace_overhead,
+                r.dag_count_secs,
+                shares.join(", "),
+            )
+        })
+        .collect();
+    let json = format!(
+        "{{\n\"experiment\": \"mining\",\n\"mode\": {mode:?},\n\"seed\": {seed},\n\"runs\": {runs},\n\"rows\": [\n{}\n]\n}}\n",
+        json_rows.join(",\n")
+    );
+    let path = if smoke {
+        "target/BENCH_mining.smoke.json"
+    } else {
+        "BENCH_mining.json"
+    };
+    match std::fs::write(path, &json) {
+        Ok(()) => println!("wrote {path}"),
+        Err(e) => eprintln!("cannot write {path}: {e}"),
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let wanted: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
         vec![
-            "fig4a", "fig4b", "fig4c", "fig4d", "fig4e", "fig4f", "fig5", "shape", "dist", "mult",
-            "crowdmix", "bounds", "growth", "runtime", "scale", "service", "durability",
-            "crowd-scale", "net", "planner",
+            "fig4a",
+            "fig4b",
+            "fig4c",
+            "fig4d",
+            "fig4e",
+            "fig4f",
+            "fig5",
+            "shape",
+            "dist",
+            "mult",
+            "crowdmix",
+            "bounds",
+            "growth",
+            "runtime",
+            "scale",
+            "service",
+            "durability",
+            "crowd-scale",
+            "net",
+            "planner",
+            "mining",
         ]
     } else {
         args.iter().map(String::as_str).collect()
@@ -1151,6 +1278,7 @@ fn main() {
             "crowd-scale" => run_crowd_scale(&sink, seed),
             "net" => run_net(&sink, seed),
             "planner" => run_planner(&sink, seed),
+            "mining" => run_mining(seed),
             other => eprintln!("unknown experiment {other:?} (try: all)"),
         }
     }

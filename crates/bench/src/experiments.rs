@@ -9,7 +9,7 @@ use oassis_core::{
     VerticalMiner,
 };
 use oassis_crowd::{CrowdMember, MemberId, ResponseModel, UnreliableMember};
-use oassis_obs::{null_sink, EventSink};
+use oassis_obs::{names, null_sink, EventSink, InMemorySink};
 use oassis_datagen::{
     generate_crowd, plant::plant_multiplicity_msps, plant_msps, CrowdGenConfig, Domain,
     MspDistribution, PlantedOracle, SynthConfig, SynthInstance,
@@ -1807,5 +1807,115 @@ mod planner_tests {
             row.filtered_questions,
             row.base_questions
         );
+    }
+}
+
+/// The `MiningSession` spans the `mining` experiment splits a run into.
+pub const MINING_SPANS: [&str; 6] = [
+    names::SPAN_MINE_SEARCH,
+    names::SPAN_MINE_CURSOR,
+    names::SPAN_MINE_ABSORB,
+    names::SPAN_MINE_PREDICT,
+    names::SPAN_MINE_CLASSIFY,
+    names::SPAN_MINE_END_TURN,
+];
+
+/// One row of the mining-cost benchmark: one cold `Oassis::execute` of a
+/// domain's query, timed untraced, then split by the session's spans.
+#[derive(Debug, Clone)]
+pub struct MiningRow {
+    /// Domain name.
+    pub domain: String,
+    /// Crowd size.
+    pub members: usize,
+    /// Questions asked (identical in every run).
+    pub questions: usize,
+    /// Lazily generated DAG nodes (identical in every run).
+    pub nodes_generated: usize,
+    /// Wall-clock µs per question, the median over the untraced runs.
+    pub us_per_question: f64,
+    /// The traced run's wall-clock over the untraced median, minus 1.
+    /// The traced run's DAG count (`engine.dag.count`) is left out.
+    pub trace_overhead: f64,
+    /// Seconds the traced run spent in `engine.dag.count`: the exhaustive
+    /// count behind the `engine.dag.nodes_total` gauge, which only a run
+    /// with an enabled sink pays.
+    pub dag_count_secs: f64,
+    /// Each of [`MINING_SPANS`]' share of the traced run's wall-clock,
+    /// without its DAG count.
+    pub span_shares: Vec<(&'static str, f64)>,
+}
+
+/// Mine `domain` cold with `members` generated members: `runs` untraced
+/// executions (the median wall-clock per question is the row's cost),
+/// then one traced execution whose `engine.mine.*` spans split the run
+/// (less the DAG count an enabled sink adds, reported on its own).
+/// Uses only the public engine API, so it runs on any revision that has
+/// `Oassis::execute`; a revision without the spans reports zero shares.
+pub fn mining_split(domain: &Domain, members: usize, seed: u64, runs: usize) -> MiningRow {
+    let engine = Oassis::new(domain.ontology.clone());
+    let crowd_cfg = CrowdGenConfig {
+        members,
+        transactions_per_member: 20,
+        popular_patterns: 8,
+        popularity: 0.8,
+        zipf: 1.0,
+        facts_per_transaction: 2,
+        discretize: false,
+        seed,
+    };
+    let run = |sink: Arc<dyn EventSink>| {
+        let cfg = EngineConfig::builder().seed(seed).sink(sink).build();
+        let mut crowd: Vec<Box<dyn CrowdMember>> = generate_crowd(domain, &crowd_cfg)
+            .members
+            .into_iter()
+            .map(|m| Box::new(m) as Box<dyn CrowdMember>)
+            .collect();
+        let start = Instant::now();
+        let result = engine
+            .execute(&domain.query, &mut crowd, &cfg)
+            .expect("execution succeeds");
+        (result, start.elapsed())
+    };
+    let (first, elapsed) = run(null_sink());
+    let (questions, nodes) = (first.stats.total_questions, first.stats.nodes_generated);
+    let mut times = vec![elapsed];
+    for _ in 1..runs {
+        let (result, elapsed) = run(null_sink());
+        assert_eq!(result.stats.total_questions, questions, "{}", domain.name);
+        times.push(elapsed);
+    }
+    times.sort_unstable();
+    let median = times[times.len() / 2];
+
+    let sink = Arc::new(InMemorySink::new());
+    let (traced, traced_elapsed) = run(Arc::clone(&sink) as Arc<dyn EventSink>);
+    assert_eq!(
+        (traced.stats.total_questions, traced.stats.nodes_generated),
+        (questions, nodes),
+        "{}: tracing changed the run",
+        domain.name
+    );
+    let snapshot = sink.snapshot();
+    let dag_count_secs = snapshot
+        .span(names::SPAN_DAG_COUNT)
+        .map_or(0.0, |s| s.total_nanos as f64 / 1e9);
+    let wall = (traced_elapsed.as_secs_f64() - dag_count_secs).max(f64::EPSILON);
+    let span_shares = MINING_SPANS
+        .iter()
+        .map(|&name| {
+            let nanos = snapshot.span(name).map_or(0, |s| s.total_nanos);
+            (name, nanos as f64 / 1e9 / wall)
+        })
+        .collect();
+    MiningRow {
+        domain: domain.name.to_owned(),
+        members,
+        questions,
+        nodes_generated: nodes,
+        us_per_question: median.as_secs_f64() * 1e6 / questions.max(1) as f64,
+        trace_overhead: wall / median.as_secs_f64().max(f64::EPSILON) - 1.0,
+        dag_count_secs,
+        span_shares,
     }
 }

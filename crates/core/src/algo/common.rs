@@ -1,6 +1,5 @@
 //! Shared miner configuration, outcome type and the question-asking helper.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
@@ -12,7 +11,7 @@ use oassis_vocab::FactSet;
 
 use crate::assignment::Assignment;
 use crate::border::{ClassificationState, Status};
-use crate::space::{AssignSpace, SpaceCache};
+use crate::space::{AssignSpace, NodeId, NodeSet, SpaceCache};
 use crate::stats::{ExecutionStats, QuestionKind, Recorder};
 use crate::value::AValue;
 
@@ -107,20 +106,21 @@ pub(crate) enum SpecOutcome {
 }
 
 /// Wraps one member with the classification state, statistics recorder and
-/// the question-type policy. All miners ask through this.
+/// the question-type policy. All miners ask through this, and walk the DAG
+/// on the node ids of its arena.
 pub(crate) struct Asker<'a> {
     pub space: &'a AssignSpace,
     pub member: &'a mut dyn CrowdMember,
     pub state: ClassificationState,
-    /// Memoized space derivations; pass-through when indexes are off.
-    pub cache: SpaceCache,
+    /// The run's node arena; memoizes derivations only when indexes are on.
+    nodes: SpaceCache,
     pub recorder: Recorder,
     pub threshold: f64,
     spec_ratio: f64,
     prune_ratio: f64,
     max_questions: usize,
     rng: SmallRng,
-    generated: HashSet<Assignment>,
+    generated: NodeSet,
 }
 
 impl<'a> Asker<'a> {
@@ -142,26 +142,26 @@ impl<'a> Asker<'a> {
         if let Some(t) = &cfg.targets {
             recorder = recorder.with_targets(t.clone());
         }
-        let (state, cache) = if cfg.use_indexes {
+        let (state, nodes) = if cfg.use_indexes {
             (
                 ClassificationState::new(),
                 SpaceCache::with_sink(Arc::clone(&cfg.sink)),
             )
         } else {
-            (ClassificationState::unindexed(), SpaceCache::disabled())
+            (ClassificationState::unindexed(), SpaceCache::reference())
         };
         Asker {
             space,
             member,
             state,
-            cache,
+            nodes,
             recorder,
             threshold: cfg.threshold,
             spec_ratio: cfg.specialization_ratio,
             prune_ratio: cfg.pruning_ratio,
             max_questions: cfg.max_questions,
             rng: SmallRng::seed_from_u64(cfg.seed),
-            generated: HashSet::new(),
+            generated: NodeSet::default(),
         }
     }
 
@@ -170,20 +170,59 @@ impl<'a> Asker<'a> {
         self.recorder.stats.total_questions < self.max_questions && self.member.willing()
     }
 
+    /// The node id of `phi`.
+    pub fn id(&mut self, phi: &Assignment) -> NodeId {
+        self.nodes.intern(phi)
+    }
+
+    /// The assignment of node `id`.
+    pub fn node(&self, id: NodeId) -> &Assignment {
+        self.nodes.assignment(id)
+    }
+
+    /// The classification of node `id`, memoized by id.
+    pub fn status(&mut self, id: NodeId) -> Status {
+        let vocab = self.space.ontology().vocabulary();
+        self.state.status_of(id, self.nodes.assignment(id), vocab)
+    }
+
+    /// The space's roots.
+    pub fn roots(&mut self) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        self.nodes.roots_into(self.space, &mut out);
+        out
+    }
+
+    /// The immediate successors of `id`.
+    pub fn successors(&mut self, id: NodeId) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        self.nodes.successors_into(self.space, id, &mut out);
+        out
+    }
+
+    /// The immediate predecessors of `id`.
+    pub fn predecessors(&mut self, id: NodeId) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        self.nodes.predecessors_into(self.space, id, &mut out);
+        out
+    }
+
+    /// Whether node `id` is a valid assignment.
+    pub fn is_valid(&mut self, id: NodeId) -> bool {
+        self.nodes.is_valid(self.space, id)
+    }
+
     /// Count the lazily generated DAG nodes in `succs` not seen before.
-    pub fn on_nodes_generated(&mut self, succs: &[Assignment]) {
-        let fresh = succs
-            .iter()
-            .filter(|s| self.generated.insert((*s).clone()))
-            .count();
+    pub fn on_nodes_generated(&mut self, succs: &[NodeId]) {
+        let fresh = succs.iter().filter(|&&s| self.generated.insert(s)).count();
         self.recorder.on_nodes_generated(fresh);
     }
 
     /// Ask a concrete question about `phi` (with an optional pruning
     /// interaction first). Returns whether `phi` is significant.
-    pub fn ask(&mut self, phi: &Assignment) -> bool {
+    pub fn ask(&mut self, phi: NodeId) -> bool {
         let vocab = self.space.ontology().vocabulary();
-        let fs = self.cache.instantiate(self.space, phi);
+        let fs = self.nodes.factset(self.space, phi).clone();
 
         // User-guided pruning (Section 6.2): while viewing the question, the
         // member may flag a value as irrelevant with a single click — that
@@ -197,7 +236,7 @@ impl<'a> Asker<'a> {
                     self.state.mark_pruned(AValue::Elem(e));
                 }
                 self.recorder.on_state_change(&self.state, vocab);
-                if self.state.status(phi, vocab) == Status::Insignificant {
+                if self.status(phi) == Status::Insignificant {
                     return false;
                 }
             }
@@ -206,10 +245,11 @@ impl<'a> Asker<'a> {
         self.recorder.on_question(QuestionKind::Concrete, &fs);
         let s = self.member.ask_concrete(&fs);
         let significant = s >= self.threshold;
+        let assignment = self.nodes.assignment(phi);
         if significant {
-            self.state.mark_significant(phi, vocab);
+            self.state.mark_significant(assignment, vocab);
         } else {
-            self.state.mark_insignificant(phi, vocab);
+            self.state.mark_insignificant(assignment, vocab);
         }
         self.recorder.on_state_change(&self.state, vocab);
         significant
@@ -217,7 +257,7 @@ impl<'a> Asker<'a> {
 
     /// Possibly ask a specialization question about `phi`'s unclassified
     /// successors `candidates`.
-    pub fn try_specialize(&mut self, phi: &Assignment, candidates: &[Assignment]) -> SpecOutcome {
+    pub fn try_specialize(&mut self, phi: NodeId, candidates: &[NodeId]) -> SpecOutcome {
         if candidates.is_empty()
             || self.spec_ratio <= 0.0
             || self.rng.random::<f64>() >= self.spec_ratio
@@ -225,20 +265,21 @@ impl<'a> Asker<'a> {
             return SpecOutcome::NotUsed;
         }
         let vocab = self.space.ontology().vocabulary();
-        let base = self.cache.instantiate(self.space, phi);
+        let base = self.nodes.factset(self.space, phi).clone();
         let cand_fs: Vec<FactSet> = candidates
             .iter()
-            .map(|c| FactSet::clone(&self.cache.instantiate(self.space, c)))
+            .map(|&c| self.nodes.factset(self.space, c).clone())
             .collect();
         match self.member.ask_specialization(&base, &cand_fs) {
             Some((idx, s)) => {
                 self.recorder
                     .on_question(QuestionKind::Specialization, &base);
                 let significant = s >= self.threshold;
+                let chosen = self.nodes.assignment(candidates[idx]);
                 if significant {
-                    self.state.mark_significant(&candidates[idx], vocab);
+                    self.state.mark_significant(chosen, vocab);
                 } else {
-                    self.state.mark_insignificant(&candidates[idx], vocab);
+                    self.state.mark_insignificant(chosen, vocab);
                 }
                 self.recorder.on_state_change(&self.state, vocab);
                 SpecOutcome::Chosen { idx, significant }
@@ -246,8 +287,9 @@ impl<'a> Asker<'a> {
             None => {
                 // "None of these": support 0 for every candidate at once.
                 self.recorder.on_question(QuestionKind::NoneOfThese, &base);
-                for c in candidates {
-                    self.state.mark_insignificant(c, vocab);
+                for &c in candidates {
+                    self.state
+                        .mark_insignificant(self.nodes.assignment(c), vocab);
                 }
                 self.recorder.on_state_change(&self.state, vocab);
                 SpecOutcome::NoneOfThese
@@ -257,11 +299,14 @@ impl<'a> Asker<'a> {
 
     /// Extract the MSPs from the final state: the positive border, split by
     /// validity.
-    pub fn finish(self) -> MinerOutcome {
+    pub fn finish(mut self) -> MinerOutcome {
         let msps: Vec<Assignment> = self.state.significant_border().to_vec();
         let valid_msps: Vec<Assignment> = msps
             .iter()
-            .filter(|m| self.cache.is_valid(self.space, m))
+            .filter(|m| {
+                let id = self.nodes.intern(m);
+                self.nodes.is_valid(self.space, id)
+            })
             .cloned()
             .collect();
         MinerOutcome {

@@ -4,14 +4,14 @@
 //! the same inference scheme the vertical algorithm uses.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 use oassis_crowd::CrowdMember;
 
 use crate::algo::common::{Asker, MinerConfig, MinerOutcome};
 use crate::assignment::Assignment;
 use crate::border::Status;
-use crate::space::AssignSpace;
+use crate::space::{AssignSpace, NodeId, NodeSet};
 use crate::value::AValue;
 
 /// The Apriori-style level-wise miner.
@@ -44,21 +44,26 @@ impl HorizontalMiner {
         config: &MinerConfig,
     ) -> MinerOutcome {
         let mut asker = Asker::new(space, member, config, "horizontal");
-        let mut heap: BinaryHeap<Reverse<(usize, Assignment)>> = BinaryHeap::new();
-        let mut enqueued: HashSet<Assignment> = HashSet::new();
+        // Ordered by rank, then by assignment (the node id only rides
+        // along), so the visiting order does not depend on interning.
+        let mut heap: BinaryHeap<Reverse<(usize, Assignment, NodeId)>> = BinaryHeap::new();
+        let mut enqueued = NodeSet::default();
+        let enqueue = |asker: &Asker<'_>, heap: &mut BinaryHeap<_>, id: NodeId| {
+            let phi = asker.node(id);
+            heap.push(Reverse((rank(space, phi), phi.clone(), id)));
+        };
 
-        for root in space.roots() {
-            if enqueued.insert(root.clone()) {
-                heap.push(Reverse((rank(space, &root), root)));
+        for root in asker.roots() {
+            if enqueued.insert(root) {
+                enqueue(&asker, &mut heap, root);
             }
         }
 
-        while let Some(Reverse((_, phi))) = heap.pop() {
+        while let Some(Reverse((_, _, phi))) = heap.pop() {
             if !asker.budget_left() {
                 break;
             }
-            let vocab = space.ontology().vocabulary();
-            let significant = match asker.state.status(&phi, vocab) {
+            let significant = match asker.status(phi) {
                 Status::Insignificant => continue,
                 Status::Significant => true,
                 Status::Unclassified => {
@@ -66,38 +71,36 @@ impl HorizontalMiner {
                     // significant first. Predecessors have smaller rank, so
                     // if one is still unclassified it was never enqueued —
                     // enqueue it and retry this node afterwards.
-                    let preds = asker.cache.predecessors(space, &phi);
+                    let preds = asker.predecessors(phi);
                     let mut deferred = false;
-                    for p in preds.iter() {
-                        if asker.state.status(p, vocab) == Status::Unclassified
-                            && enqueued.insert(p.clone())
-                        {
-                            heap.push(Reverse((rank(space, p), p.clone())));
+                    for &p in &preds {
+                        if asker.status(p) == Status::Unclassified && enqueued.insert(p) {
+                            enqueue(&asker, &mut heap, p);
                             deferred = true;
                         }
                     }
                     if deferred {
-                        heap.push(Reverse((rank(space, &phi), phi)));
+                        enqueue(&asker, &mut heap, phi);
                         continue;
                     }
                     if preds
-                        .iter()
-                        .any(|p| asker.state.status(p, vocab) != Status::Significant)
+                        .into_iter()
+                        .any(|p| asker.status(p) != Status::Significant)
                     {
                         // Some predecessor is insignificant (and inference
                         // will have marked us) or still unclassified after a
                         // defer cycle: skip.
                         continue;
                     }
-                    asker.ask(&phi)
+                    asker.ask(phi)
                 }
             };
             if significant {
-                let succs = asker.cache.successors(space, &phi);
+                let succs = asker.successors(phi);
                 asker.on_nodes_generated(&succs);
-                for s in succs.iter() {
-                    if enqueued.insert(s.clone()) {
-                        heap.push(Reverse((rank(space, s), s.clone())));
+                for s in succs {
+                    if enqueued.insert(s) {
+                        enqueue(&asker, &mut heap, s);
                     }
                 }
             }

@@ -39,7 +39,8 @@ impl NaiveMiner {
             }
             let i = rng.random_range(0..remaining.len());
             let phi = remaining.swap_remove(i);
-            asker.ask(&phi);
+            let id = asker.id(&phi);
+            asker.ask(id);
         }
         asker.finish()
     }

@@ -6,14 +6,11 @@
 //! regions of the DAG through the order-based inference of Observation 4.4,
 //! and the DAG itself is generated lazily (Section 5).
 
-use std::collections::HashSet;
-
 use oassis_crowd::CrowdMember;
 
 use crate::algo::common::{Asker, MinerConfig, MinerOutcome, SpecOutcome};
-use crate::assignment::Assignment;
 use crate::border::Status;
-use crate::space::AssignSpace;
+use crate::space::{AssignSpace, NodeId, NodeSet};
 
 /// The paper's top-down miner.
 ///
@@ -54,13 +51,13 @@ impl VerticalMiner {
         let mut asker = Asker::new(space, member, config, "vertical");
         // Significant nodes whose entire successor region is known
         // classified; sound to cache because classification is monotone.
-        let mut closed: HashSet<Assignment> = HashSet::new();
+        let mut closed = NodeSet::default();
 
         while asker.budget_left() {
-            let Some(mut phi) = find_minimal_unclassified(space, &asker, &mut closed) else {
+            let Some(mut phi) = find_minimal_unclassified(&mut asker, &mut closed) else {
                 break;
             };
-            if !asker.ask(&phi) {
+            if !asker.ask(phi) {
                 continue;
             }
             // Descend through significant successors.
@@ -68,33 +65,31 @@ impl VerticalMiner {
                 if !asker.budget_left() {
                     break;
                 }
-                let vocab = space.ontology().vocabulary();
-                let succs = asker.cache.successors(space, &phi);
+                let succs = asker.successors(phi);
                 asker.on_nodes_generated(&succs);
 
                 // Move freely into an already-known-significant successor:
                 // no question needed, and it keeps us below the true MSP.
-                if let Some(s) = succs
+                if let Some(&s) = succs
                     .iter()
-                    .find(|s| asker.state.status(s, vocab) == Status::Significant)
+                    .find(|&&s| asker.status(s) == Status::Significant)
                 {
-                    phi = s.clone();
+                    phi = s;
                     continue;
                 }
-                let unclassified: Vec<Assignment> = succs
-                    .iter()
-                    .filter(|s| asker.state.status(s, vocab) == Status::Unclassified)
-                    .cloned()
+                let unclassified: Vec<NodeId> = succs
+                    .into_iter()
+                    .filter(|&s| asker.status(s) == Status::Unclassified)
                     .collect();
                 if unclassified.is_empty() {
                     break;
                 }
-                match asker.try_specialize(&phi, &unclassified) {
+                match asker.try_specialize(phi, &unclassified) {
                     SpecOutcome::Chosen {
                         idx,
                         significant: true,
                     } => {
-                        phi = unclassified[idx].clone();
+                        phi = unclassified[idx];
                         continue 'descend;
                     }
                     SpecOutcome::Chosen { .. } => continue 'descend,
@@ -106,7 +101,7 @@ impl VerticalMiner {
                     if !asker.budget_left() {
                         break;
                     }
-                    if asker.ask(&s) {
+                    if asker.ask(s) {
                         phi = s;
                         moved = true;
                         break;
@@ -117,14 +112,12 @@ impl VerticalMiner {
                 }
             }
             // φ has no significant successor: it is an MSP.
-            let vocab = space.ontology().vocabulary();
             let no_sig_succ = asker
-                .cache
-                .successors(space, &phi)
-                .iter()
-                .all(|s| asker.state.status(s, vocab) != Status::Significant);
+                .successors(phi)
+                .into_iter()
+                .all(|s| asker.status(s) != Status::Significant);
             if no_sig_succ {
-                let valid = asker.cache.is_valid(space, &phi);
+                let valid = asker.is_valid(phi);
                 asker.recorder.on_msp(valid);
             }
         }
@@ -135,19 +128,14 @@ impl VerticalMiner {
 /// Find a minimal unclassified assignment of `𝒜`, or `None` when everything
 /// is classified. Scans from the roots through the significant region,
 /// caching fully-classified regions in `closed`.
-fn find_minimal_unclassified(
-    space: &AssignSpace,
-    asker: &Asker<'_>,
-    closed: &mut HashSet<Assignment>,
-) -> Option<Assignment> {
-    let vocab = space.ontology().vocabulary();
-    for root in space.roots() {
-        match asker.state.status(&root, vocab) {
-            Status::Unclassified => return Some(minimalize(space, asker, root)),
+fn find_minimal_unclassified(asker: &mut Asker<'_>, closed: &mut NodeSet) -> Option<NodeId> {
+    for root in asker.roots() {
+        match asker.status(root) {
+            Status::Unclassified => return Some(minimalize(asker, root)),
             Status::Insignificant => {}
             Status::Significant => {
-                if let Some(u) = scan(space, asker, closed, &root) {
-                    return Some(minimalize(space, asker, u));
+                if let Some(u) = scan(asker, closed, root) {
+                    return Some(minimalize(asker, u));
                 }
             }
         }
@@ -157,49 +145,35 @@ fn find_minimal_unclassified(
 
 /// DFS below a significant node; returns the first unclassified assignment,
 /// marking fully-classified regions closed.
-fn scan(
-    space: &AssignSpace,
-    asker: &Asker<'_>,
-    closed: &mut HashSet<Assignment>,
-    node: &Assignment,
-) -> Option<Assignment> {
+fn scan(asker: &mut Asker<'_>, closed: &mut NodeSet, node: NodeId) -> Option<NodeId> {
     if closed.contains(node) {
         return None;
     }
-    let vocab = space.ontology().vocabulary();
-    for s in asker.cache.successors(space, node).iter() {
-        match asker.state.status(s, vocab) {
-            Status::Unclassified => return Some(s.clone()),
+    for s in asker.successors(node) {
+        match asker.status(s) {
+            Status::Unclassified => return Some(s),
             Status::Insignificant => {}
             Status::Significant => {
-                if let Some(u) = scan(space, asker, closed, s) {
+                if let Some(u) = scan(asker, closed, s) {
                     return Some(u);
                 }
             }
         }
     }
-    closed.insert(node.clone());
+    closed.insert(node);
     None
 }
 
 /// Walk up to a minimal unclassified assignment (one with no unclassified
 /// predecessor).
-fn minimalize(space: &AssignSpace, asker: &Asker<'_>, mut phi: Assignment) -> Assignment {
-    let vocab = space.ontology().vocabulary();
-    'walk: loop {
-        let preds = asker.cache.predecessors(space, &phi);
-        let mut next = None;
-        for p in preds.iter() {
-            if asker.state.status(p, vocab) == Status::Unclassified {
-                next = Some(p.clone());
-                break;
-            }
-        }
+fn minimalize(asker: &mut Asker<'_>, mut phi: NodeId) -> NodeId {
+    loop {
+        let next = asker
+            .predecessors(phi)
+            .into_iter()
+            .find(|&p| asker.status(p) == Status::Unclassified);
         match next {
-            Some(p) => {
-                phi = p;
-                continue 'walk;
-            }
+            Some(p) => phi = p,
             None => return phi,
         }
     }
@@ -208,6 +182,7 @@ fn minimalize(space: &AssignSpace, asker: &Asker<'_>, mut phi: Assignment) -> As
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assignment::Assignment;
     use crate::value::AValue;
     use oassis_crowd::transaction::table3_dbs;
     use oassis_crowd::{DbMember, MemberId};

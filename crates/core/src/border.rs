@@ -10,11 +10,11 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use oassis_vocab::Vocabulary;
 
 use crate::assignment::Assignment;
+use crate::space::NodeId;
 use crate::value::AValue;
 
 /// Per-witness index metadata: a root-ancestor fingerprint plus the
@@ -68,17 +68,13 @@ impl WitnessMeta {
     }
 }
 
-/// Epoch-tagged per-assignment status memo. The epoch is the owning state's
-/// mutation counter; a mismatch invalidates the whole map.
-#[derive(Debug, Default)]
-struct StatusCache {
-    epoch: u64,
-    map: HashMap<Assignment, Status>,
+/// One slot of the status memo: `status` holds while the owning state's
+/// mutation counter is `stamp - 1` (a zero stamp is an empty slot).
+#[derive(Debug, Clone, Copy)]
+struct MemoSlot {
+    stamp: u64,
+    status: Status,
 }
-
-/// Cap on memoized statuses; beyond this, misses are recomputed but not
-/// stored (the DAG frontier a run revisits is far smaller than this).
-const STATUS_CACHE_CAP: usize = 1 << 15;
 
 /// The classification of one assignment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,10 +90,11 @@ pub enum Status {
 /// Border-based classification knowledge for one mining run.
 ///
 /// Two modes share one observable behavior: the default *indexed* state
-/// keeps per-witness [`WitnessMeta`] for a prefilter plus an epoch-tagged
-/// status memo, while [`unindexed`](Self::unindexed) keeps the plain linear
-/// scans (the reference path benchmarks compare against). Debug builds
-/// cross-check every indexed answer against the reference scan.
+/// keeps per-witness [`WitnessMeta`] for a prefilter plus an epoch-stamped
+/// status memo indexed by [`NodeId`] ([`status_of`](Self::status_of)),
+/// while [`unindexed`](Self::unindexed) keeps the plain linear scans (the
+/// reference path benchmarks compare against). Debug builds cross-check
+/// every indexed answer against the reference scan.
 #[derive(Debug)]
 pub struct ClassificationState {
     /// Maximal known-significant assignments.
@@ -114,10 +111,12 @@ pub struct ClassificationState {
     pruned: Vec<AValue>,
     /// Whether the prefilter + memo are active.
     indexed: bool,
-    /// Mutation counter; tags the status memo.
+    /// Mutation counter; stamps the status memo.
     version: u64,
-    /// Memoized `status()` answers for the current version.
-    cache: Mutex<StatusCache>,
+    /// Memoized [`status_of`](Self::status_of) answers by node id, valid
+    /// for the current version only. Grown on demand, so a state that is
+    /// only ever probed by assignment allocates none.
+    memo: Vec<MemoSlot>,
     /// Witnesses skipped by the prefilter since the last
     /// [`take_index_pruned`](Self::take_index_pruned).
     filtered: AtomicU64,
@@ -134,7 +133,7 @@ impl Default for ClassificationState {
             pruned: Vec::new(),
             indexed: true,
             version: 0,
-            cache: Mutex::new(StatusCache::default()),
+            memo: Vec::new(),
             filtered: AtomicU64::new(0),
         }
     }
@@ -152,7 +151,7 @@ impl Clone for ClassificationState {
             indexed: self.indexed,
             version: self.version,
             // The memo is not carried over; it refills on demand.
-            cache: Mutex::new(StatusCache::default()),
+            memo: Vec::new(),
             filtered: AtomicU64::new(self.filtered.load(Ordering::Relaxed)),
         }
     }
@@ -239,30 +238,53 @@ impl ClassificationState {
         &self.pruned
     }
 
-    /// Classify `phi` from current knowledge.
+    /// Classify `phi` from current knowledge. Nothing is memoized; walks
+    /// that revisit nodes use [`status_of`](Self::status_of).
     pub fn status(&self, phi: &Assignment, vocab: &Vocabulary) -> Status {
         if !self.indexed {
             return self.status_reference(phi, vocab);
         }
-        {
-            let mut cache = self.cache.lock().expect("status cache poisoned");
-            if cache.epoch != self.version {
-                cache.map.clear();
-                cache.epoch = self.version;
-            } else if let Some(&s) = cache.map.get(phi) {
-                return s;
+        self.status_checked(phi, vocab)
+    }
+
+    /// [`status`](Self::status) of the node `id` interned for `phi`,
+    /// memoized by id until the next mark. The ids must all come from one
+    /// [`SpaceCache`](crate::SpaceCache) arena. An unindexed state
+    /// memoizes nothing.
+    pub fn status_of(&mut self, id: NodeId, phi: &Assignment, vocab: &Vocabulary) -> Status {
+        if !self.indexed {
+            return self.status_reference(phi, vocab);
+        }
+        let i = id.0 as usize;
+        let stamp = self.version + 1;
+        if let Some(slot) = self.memo.get(i) {
+            if slot.stamp == stamp {
+                return slot.status;
             }
         }
+        let status = self.status_checked(phi, vocab);
+        if i >= self.memo.len() {
+            self.memo.resize(
+                i + 1,
+                MemoSlot {
+                    stamp: 0,
+                    status: Status::Unclassified,
+                },
+            );
+        }
+        self.memo[i] = MemoSlot { stamp, status };
+        status
+    }
+
+    /// The prefiltered classification, cross-checked against the
+    /// reference scan in debug builds.
+    fn status_checked(&self, phi: &Assignment, vocab: &Vocabulary) -> Status {
         let s = self.status_indexed(phi, vocab);
         debug_assert_eq!(
             s,
             self.status_reference(phi, vocab),
             "indexed status diverged from reference scan for {phi}"
         );
-        let mut cache = self.cache.lock().expect("status cache poisoned");
-        if cache.epoch == self.version && cache.map.len() < STATUS_CACHE_CAP {
-            cache.map.insert(phi.clone(), s);
-        }
         s
     }
 
@@ -532,6 +554,28 @@ mod tests {
             // Second call hits the memo and must not change the answer.
             assert_eq!(idx.status(&q, &v), plain.status(&q, &v));
         }
+    }
+
+    #[test]
+    fn status_memo_by_id_follows_marks() {
+        let v = vocab();
+        let q = a(&v, "Sport", "Park");
+        let id = NodeId(3);
+        let mut st = ClassificationState::new();
+        assert_eq!(st.status_of(id, &q, &v), Status::Unclassified);
+        assert_eq!(st.status_of(id, &q, &v), Status::Unclassified, "memo hit");
+        st.mark_significant(&a(&v, "Biking", "Central Park"), &v);
+        assert_eq!(
+            st.status_of(id, &q, &v),
+            Status::Significant,
+            "a mark invalidates the memo"
+        );
+        assert_eq!(st.status_of(id, &q, &v), st.status(&q, &v));
+
+        let mut plain = ClassificationState::unindexed();
+        plain.mark_significant(&a(&v, "Biking", "Central Park"), &v);
+        assert_eq!(plain.status_of(id, &q, &v), Status::Significant);
+        assert!(plain.memo.is_empty(), "the reference path memoizes nothing");
     }
 
     #[test]

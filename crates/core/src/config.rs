@@ -41,10 +41,12 @@ pub struct EngineConfig {
     /// §8 top-k extension). `None` = mine to completion.
     pub top_k: Option<usize>,
     /// Use the index-backed inference layer ([`SpaceCache`](crate::SpaceCache)
-    /// memoization, indexed border prefilter, tid-list member support).
-    /// `false` runs the reference linear-scan paths — observable behavior is
-    /// identical either way; only wall-clock differs. The `scale` benchmark
-    /// flips this to measure the speedup.
+    /// memoization, the border's witness prefilter and status memo,
+    /// tid-list member support). `false` runs the reference paths, which
+    /// recompute every derivation and every status and share only the
+    /// node interning — observable behavior is identical either way; only
+    /// wall-clock differs. The `scale` benchmark flips this to measure the
+    /// speedup.
     pub use_indexes: bool,
     /// Evaluate the WHERE clause through the query planner: compile to a
     /// logical plan, rewrite it (constraint pushdown into scans,
@@ -54,13 +56,6 @@ pub struct EngineConfig {
     /// way (the `planner` benchmark asserts it); only evaluation cost
     /// differs.
     pub use_query_planner: bool,
-    /// Node capacity of the per-run [`SpaceCache`](crate::SpaceCache)
-    /// arena. Past it the cache evicts least-recently-interned entries
-    /// (counted on `space.cache.evicted`) instead of growing — relevant
-    /// when a long-lived service multiplexes many sessions over shared
-    /// memory. The default (2^16) is above the engine's own
-    /// DAG-materialization cap, so a normal run never evicts.
-    pub space_cache_capacity: usize,
     /// Instrumentation sink receiving the engine's event stream (see
     /// `docs/observability.md`). Defaults to the no-op [`null_sink`], whose
     /// `enabled() == false` lets hot paths skip event construction.
@@ -89,7 +84,6 @@ impl Default for EngineConfig {
             top_k: None,
             use_indexes: true,
             use_query_planner: true,
-            space_cache_capacity: 1 << 16,
             sink: null_sink(),
             aggregator: None,
         }
@@ -205,13 +199,6 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Node capacity of the run's `SpaceCache` arena (values below 1 are
-    /// clamped to 1; default `1 << 16`).
-    pub fn space_cache_capacity(mut self, capacity: usize) -> Self {
-        self.config.space_cache_capacity = capacity.max(1);
-        self
-    }
-
     /// Instrumentation sink receiving the engine's event stream.
     pub fn sink(mut self, sink: Arc<dyn EventSink>) -> Self {
         self.config.sink = sink;
@@ -252,8 +239,6 @@ mod tests {
         assert!(built.use_indexes, "indexes are on by default");
         assert!(built.use_query_planner, "planner is on by default");
         assert_eq!(built.use_query_planner, def.use_query_planner);
-        assert_eq!(built.space_cache_capacity, 1 << 16);
-        assert_eq!(built.space_cache_capacity, def.space_cache_capacity);
         assert!(built.aggregator.is_none(), "the paper's rule by default");
     }
 
@@ -282,7 +267,6 @@ mod tests {
             .targets(Vec::new())
             .more_domain(Vec::new())
             .top_k(2)
-            .space_cache_capacity(1024)
             .aggregator(Arc::new(oassis_crowd::MajorityVoteAggregator { sample_size: 3 }))
             .build();
         assert_eq!(config.aggregator_sample, 1);
@@ -294,14 +278,7 @@ mod tests {
         assert_eq!(config.curve_universe, Some(Vec::new()));
         assert_eq!(config.targets, Some(Vec::new()));
         assert_eq!(config.top_k, Some(2));
-        assert_eq!(config.space_cache_capacity, 1024);
         assert!(config.aggregator.is_some());
-    }
-
-    #[test]
-    fn space_cache_capacity_clamps_to_one() {
-        let config = EngineConfig::builder().space_cache_capacity(0).build();
-        assert_eq!(config.space_cache_capacity, 1);
     }
 
     #[test]

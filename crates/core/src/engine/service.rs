@@ -37,8 +37,10 @@
 //! * at **dispatch**, a staged concrete question is first looked up in the
 //!   store and, on a hit, answered without touching the crowd
 //!   (`answerstore.hit[serve]`);
-//! * at **completion**, the session's collected answers are absorbed back
-//!   into the store for every later query.
+//! * at **routing**, every committed concrete answer is stored as it
+//!   arrives, and at **completion** the answers only the session knew
+//!   (specialization choices, "none of these" and pruning-inferred zeros)
+//!   are stored in the order the session recorded them, tagged with it.
 //!
 //! With an empty store and a single session, the service reproduces the
 //! minimal in-line loop of the simulation harness exactly — same MSP set,
@@ -1383,14 +1385,19 @@ impl OassisService {
         }
     }
 
-    /// End slot `i` with `status`: close its session, absorb its answers
-    /// into the store, finalize the result for the query's SELECT form.
+    /// End slot `i` with `status`: close its session, store the answers
+    /// only the session knew, finalize the result for the query's SELECT
+    /// form. Every other answer in the session's cache reached the store
+    /// when it was seeded, served or routed.
     fn finalize_slot(&mut self, i: usize, status: SessionStatus) {
         self.release_claim(i);
         let fresh = self.slots[i].session.take_new_answers();
         self.slots[i].partials.extend(fresh);
+        let session = self.slots[i].id.0;
+        for (fs, member, s) in self.slots[i].session.take_session_answers() {
+            self.store.record_tagged(&fs, member, s, Some(session));
+        }
         let result = self.slots[i].session.finish();
-        self.store.absorb_cache(&result.cache);
         let result = self
             .engine
             .finalize(result, &self.slots[i].query, &self.slots[i].space);

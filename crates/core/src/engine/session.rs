@@ -35,7 +35,6 @@
 //! simulation harness (the differential tests in `tests/service.rs`
 //! enforce this).
 
-use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -45,14 +44,14 @@ use rand::{RngExt, SeedableRng};
 use oassis_crowd::{
     Aggregator, AnswerStore, CrowdCache, CrowdMember, Decision, FixedSampleAggregator, MemberId,
 };
-use oassis_obs::{names, Event, EventKind, EventSink, SinkExt};
+use oassis_obs::{names, Event, EventKind, EventSink, SinkExt, Span};
 use oassis_vocab::{ElementId, FactSet, Vocabulary};
 
 use crate::assignment::Assignment;
 use crate::border::{ClassificationState, Status};
 use crate::config::EngineConfig;
 use crate::runtime::QuestionId;
-use crate::space::{AssignSpace, SpaceCache};
+use crate::space::{AssignSpace, NodeId, NodeSet, NodeStamps, SpaceCache};
 use crate::stats::{QuestionKind, Recorder};
 use crate::value::AValue;
 
@@ -182,22 +181,42 @@ enum Pending {
     /// A pruning interaction for `phi`; its answer flows into the concrete
     /// question about `phi` (which may resolve from the cache instead).
     Pruning {
-        /// The assignment the follow-up concrete question targets.
-        phi: Assignment,
+        /// The node the follow-up concrete question targets.
+        phi: NodeId,
     },
     /// A concrete question about `phi`.
     Concrete {
-        /// The assignment asked about.
-        phi: Assignment,
+        /// The node asked about.
+        phi: NodeId,
     },
     /// A specialization question below the cursor.
     Specialization {
         /// The base pattern (for statistics labeling).
         base: FactSet,
-        /// The candidate assignments, aligned with the payload's
-        /// `candidates` fact-sets.
-        askable: Vec<Assignment>,
+        /// The candidate nodes, aligned with the payload's `candidates`
+        /// fact-sets.
+        askable: Vec<NodeId>,
     },
+}
+
+/// The state of one [`MiningSession::find_askable`] walk.
+struct Walk {
+    member: MemberId,
+    width: usize,
+    found: Vec<NodeId>,
+    stack: Vec<NodeId>,
+}
+
+/// Who stores an answer the session records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Source {
+    /// An answer to a concrete question, absorbed from outside, or one
+    /// already in the session's cache: the service stores those itself.
+    Routed,
+    /// An answer only the session knows: a specialization choice, a "none
+    /// of these" zero or a pruning-inferred zero. Kept for
+    /// [`MiningSession::take_session_answers`].
+    Session,
 }
 
 /// Control flow of one scheduling step.
@@ -214,10 +233,12 @@ struct SeatState {
     /// The member seated here.
     id: MemberId,
     /// Current descend position (an overall- and member-positive node).
-    cursor: Option<Assignment>,
+    cursor: Option<NodeId>,
     /// This member's own classification knowledge. Their "No" answers stop
     /// only their *descent* (§4.2 modification 4); the outer loop may still
-    /// ask them about any unclassified assignment.
+    /// ask them about any unclassified assignment. Probed by assignment,
+    /// unmemoized: a step asks it about a few successors only, and a
+    /// per-seat memo would be sized seats × nodes.
     personal: ClassificationState,
     /// Values the member declared irrelevant (user-guided pruning): these
     /// genuinely imply support 0, so covered questions are auto-answered.
@@ -248,22 +269,31 @@ impl SeatState {
 /// batteries-included driver.
 pub struct MiningSession {
     space: Arc<AssignSpace>,
-    /// Interned memo over `space`'s derivations; pass-through when
-    /// [`EngineConfig::use_indexes`] is off.
-    scache: Arc<SpaceCache>,
+    /// The run's node arena: every walk below runs on its ids. It
+    /// memoizes derivations only when [`EngineConfig::use_indexes`] is on.
+    nodes: SpaceCache,
     threshold: f64,
     aggregator: Arc<dyn Aggregator>,
     config: Arc<EngineConfig>,
     sink: Arc<dyn EventSink>,
     vocab: Arc<Vocabulary>,
     seats: Vec<SeatState>,
+    /// The overall knowledge, probed by node id through its status memo.
     overall: ClassificationState,
     crowd: CrowdCache,
+    /// The [`Source::Session`] answers, in the order they were recorded.
+    session_answers: Vec<(FactSet, MemberId, f64)>,
     recorder: Recorder,
     rng: SmallRng,
-    msps: Vec<Assignment>,
-    confirmed: HashSet<Assignment>,
-    generated: HashSet<Assignment>,
+    msps: Vec<NodeId>,
+    confirmed: NodeSet,
+    /// Nodes counted on `engine.dag.nodes_generated` so far.
+    generated: NodeSet,
+    /// Visit marks of the current walk.
+    seen: NodeStamps,
+    /// Reusable id buffers of the walks: successor lists and the DFS stack.
+    succ_buf: Vec<NodeId>,
+    stack_buf: Vec<NodeId>,
     /// How many of `msps` have been rendered into `fresh` already.
     delivered: usize,
     valid_confirmed: usize,
@@ -286,6 +316,9 @@ pub struct MiningSession {
     /// `engine.run` span bookkeeping (the session outlives any borrowed
     /// `Span` guard, so enter/exit are emitted manually).
     span_start: Option<Instant>,
+    /// Whether the sink is enabled: the `engine.mine.*` spans are timed
+    /// only then.
+    tracing: bool,
 }
 
 impl MiningSession {
@@ -311,13 +344,10 @@ impl MiningSession {
         seats: Vec<MemberId>,
         algo: String,
     ) -> Self {
-        let scache = if config.use_indexes {
-            Arc::new(SpaceCache::with_capacity(
-                config.space_cache_capacity,
-                Arc::clone(&config.sink),
-            ))
+        let nodes = if config.use_indexes {
+            SpaceCache::with_sink(Arc::clone(&config.sink))
         } else {
-            Arc::new(SpaceCache::disabled())
+            SpaceCache::reference()
         };
         let aggregator = config.aggregator.clone().unwrap_or_else(|| {
             Arc::new(FixedSampleAggregator {
@@ -340,7 +370,11 @@ impl MiningSession {
             // the paper's "<1% of nodes generated" ratio. Counting requires
             // an exhaustive traversal, so only do it for an attached sink
             // and give up on astronomically large spaces.
-            if let Some(total) = space.count_nodes_up_to(NODES_TOTAL_CAP) {
+            let total = {
+                let _span = Span::enter(&*sink, names::SPAN_DAG_COUNT);
+                space.count_nodes_up_to(NODES_TOTAL_CAP)
+            };
+            if let Some(total) = total {
                 sink.gauge(names::DAG_NODES_TOTAL, total as f64);
             }
         }
@@ -367,7 +401,7 @@ impl MiningSession {
         let use_indexes = config.use_indexes;
         MiningSession {
             space,
-            scache,
+            nodes,
             threshold,
             aggregator,
             config,
@@ -379,11 +413,15 @@ impl MiningSession {
                 .collect(),
             overall,
             crowd,
+            session_answers: Vec::new(),
             recorder,
             rng,
             msps: Vec::new(),
-            confirmed: HashSet::new(),
-            generated: HashSet::new(),
+            confirmed: NodeSet::default(),
+            generated: NodeSet::default(),
+            seen: NodeStamps::default(),
+            succ_buf: Vec::new(),
+            stack_buf: Vec::new(),
             delivered: 0,
             valid_confirmed: 0,
             fresh: Vec::new(),
@@ -394,6 +432,7 @@ impl MiningSession {
             turn_done: None,
             next_qid: 0,
             done: false,
+            tracing: span_start.is_some(),
             span_start,
         }
     }
@@ -422,6 +461,22 @@ impl MiningSession {
     /// If no question is staged, `id` is not the staged question, or the
     /// answer kind does not match the question kind.
     pub fn absorb(&mut self, id: QuestionId, answer: Answer) {
+        self.spanned(names::SPAN_MINE_ABSORB, |s| s.apply_answer(id, answer));
+    }
+
+    /// Time `f` as span `name` when the sink is enabled; otherwise run it
+    /// untimed.
+    fn spanned<T>(&mut self, name: &'static str, f: impl FnOnce(&mut Self) -> T) -> T {
+        if !self.tracing {
+            return f(self);
+        }
+        let sink = Arc::clone(&self.sink);
+        let _span = Span::enter(&*sink, name);
+        f(self)
+    }
+
+    /// The body of [`absorb`](Self::absorb).
+    fn apply_answer(&mut self, id: QuestionId, answer: Answer) {
         let staged = self
             .staged
             .take()
@@ -432,7 +487,6 @@ impl MiningSession {
             .take()
             .expect("a staged question always has a continuation");
         let seat = staged.seat;
-        let vocab = Arc::clone(&self.vocab);
         match (pending, answer) {
             (_, Answer::Unavailable) => {
                 // The runtime excluded the member mid-question.
@@ -441,8 +495,8 @@ impl MiningSession {
             }
             (Pending::Pruning { phi }, Answer::Irrelevant(elems)) => {
                 if !elems.is_empty() {
-                    let fs = FactSet::clone(&self.scache.instantiate(&self.space, &phi));
-                    self.recorder.on_question(QuestionKind::Pruning, &fs);
+                    let fs = self.nodes.factset(&self.space, phi);
+                    self.recorder.on_question(QuestionKind::Pruning, fs);
                     for e in elems {
                         self.seats[seat].pruned.mark_pruned(AValue::Elem(e));
                     }
@@ -455,26 +509,26 @@ impl MiningSession {
                 }
             }
             (Pending::Concrete { phi }, Answer::Support(s)) => {
-                self.complete_concrete(seat, phi, s);
+                self.complete_concrete(seat, phi, s, Source::Routed);
                 self.turn_done = Some(seat);
             }
             (Pending::Specialization { base, askable }, Answer::Choice(choice)) => {
                 match choice {
                     Some((chosen, s)) => {
                         self.recorder.on_question(QuestionKind::Specialization, &base);
-                        let phi = askable[chosen].clone();
-                        let positive = self.record_answer(seat, &phi, s);
-                        self.recorder.on_state_change(&self.overall, &vocab);
+                        let phi = askable[chosen];
+                        let positive = self.record_answer(seat, phi, s, Source::Session);
+                        self.recorder.on_state_change(&self.overall, &self.vocab);
                         if positive {
                             self.seats[seat].cursor = Some(phi);
                         }
                     }
                     None => {
                         self.recorder.on_question(QuestionKind::NoneOfThese, &base);
-                        for c in &askable {
-                            self.record_answer(seat, c, 0.0);
+                        for &c in &askable {
+                            self.record_answer(seat, c, 0.0, Source::Session);
                         }
-                        self.recorder.on_state_change(&self.overall, &vocab);
+                        self.recorder.on_state_change(&self.overall, &self.vocab);
                     }
                 }
                 self.turn_done = Some(seat);
@@ -532,15 +586,17 @@ impl MiningSession {
     /// Close out `seat`'s turn: render newly confirmed MSPs, check top-k,
     /// move the round-robin cursor.
     fn end_turn(&mut self, seat: usize) -> SessionEvent {
+        self.spanned(names::SPAN_MINE_END_TURN, |s| s.close_turn(seat))
+    }
+
+    /// The body of [`end_turn`](Self::end_turn).
+    fn close_turn(&mut self, seat: usize) -> SessionEvent {
         while self.delivered < self.msps.len() {
-            let next = self.msps[self.delivered].clone();
-            let answers = self.render_answers(std::slice::from_ref(&next));
-            for a in answers {
-                if a.valid {
-                    self.valid_confirmed += 1;
-                }
-                self.fresh.push(a);
+            let answer = self.render_answer(self.msps[self.delivered]);
+            if answer.valid {
+                self.valid_confirmed += 1;
             }
+            self.fresh.push(answer);
             self.delivered += 1;
         }
         if let Some(k) = self.config.top_k {
@@ -557,69 +613,91 @@ impl MiningSession {
         SessionEvent::Finished
     }
 
+    /// The overall status of node `id`, memoized by id.
+    fn overall_status(&mut self, id: NodeId) -> Status {
+        self.overall
+            .status_of(id, self.nodes.assignment(id), &self.vocab)
+    }
+
+    /// Seat `seat`'s personal status of node `id` (unmemoized).
+    fn personal_status(&self, seat: usize, id: NodeId) -> Status {
+        self.seats[seat]
+            .personal
+            .status(self.nodes.assignment(id), &self.vocab)
+    }
+
     /// One scheduling step for `seat`, up to (but not through) its first
     /// crowd question.
     fn step_begin(&mut self, view: &mut dyn CrowdView, seat: usize) -> StepFlow {
-        let vocab = Arc::clone(&self.vocab);
-
-        if self.seats[seat].cursor.is_none() {
+        let Some(phi) = self.seats[seat].cursor else {
             // Outer loop: find a minimal overall-unclassified assignment
             // this member can still help with.
             let member_id = self.seats[seat].id;
-            let found = self
-                .find_askable(member_id, 1, |fs| view.can_answer(seat, fs))
-                .pop();
+            let found = self.spanned(names::SPAN_MINE_SEARCH, |s| {
+                s.find_askable(member_id, 1, |fs| view.can_answer(seat, fs))
+                    .pop()
+            });
             let Some(phi) = found else {
                 self.seats[seat].exhausted = true;
                 return StepFlow::Done(false);
             };
             return self.begin_ask(seat, phi);
-        }
+        };
 
-        let phi = self.seats[seat].cursor.clone().expect("checked above");
-        let succs = self.scache.successors(&self.space, &phi);
-        let fresh = succs
-            .iter()
-            .filter(|s| self.generated.insert((*s).clone()))
-            .count();
+        self.spanned(names::SPAN_MINE_CURSOR, |s| {
+            let mut succs = std::mem::take(&mut s.succ_buf);
+            let flow = s.cursor_step(view, seat, phi, &mut succs);
+            s.succ_buf = succs;
+            flow
+        })
+    }
+
+    /// The cursor step of [`step_begin`](Self::step_begin): descend from
+    /// `phi` (whose successors land in the reusable buffer `succs`).
+    fn cursor_step(
+        &mut self,
+        view: &mut dyn CrowdView,
+        seat: usize,
+        phi: NodeId,
+        succs: &mut Vec<NodeId>,
+    ) -> StepFlow {
+        self.nodes.successors_into(&self.space, phi, succs);
+        let fresh = succs.iter().filter(|&&s| self.generated.insert(s)).count();
         self.recorder.on_nodes_generated(fresh);
 
         // Move freely into an overall-significant successor.
-        if let Some(s) = succs
+        if let Some(&s) = succs
             .iter()
-            .find(|s| self.overall.status(s, &vocab) == Status::Significant)
+            .find(|&&s| self.overall_status(s) == Status::Significant)
         {
-            self.seats[seat].cursor = Some(s.clone());
+            self.seats[seat].cursor = Some(s);
             return StepFlow::Done(true);
         }
 
-        // Candidate successors: overall-unclassified, not ruled out for this
-        // member personally.
+        // Askable successors: overall-unclassified, not ruled out for this
+        // member personally, not yet answered by them, and answerable.
         let member_id = self.seats[seat].id;
-        let candidates: Vec<Assignment> = succs
-            .iter()
-            .filter(|s| self.overall.status(s, &vocab) == Status::Unclassified)
-            .filter(|s| self.seats[seat].personal.status(s, &vocab) != Status::Insignificant)
-            .cloned()
-            .collect();
-        let askable: Vec<Assignment> = candidates
-            .iter()
-            .filter(|s| {
-                let fs = self.scache.instantiate(&self.space, s);
-                !self.crowd.has_answer_from(&fs, member_id) && view.can_answer(seat, &fs)
-            })
-            .cloned()
-            .collect();
+        let mut askable: Vec<NodeId> = Vec::new();
+        for &s in succs.iter() {
+            if self.overall_status(s) != Status::Unclassified
+                || self.personal_status(seat, s) == Status::Insignificant
+            {
+                continue;
+            }
+            let fs = self.nodes.factset(&self.space, s);
+            if !self.crowd.has_answer_from(fs, member_id) && view.can_answer(seat, fs) {
+                askable.push(s);
+            }
+        }
 
         if askable.is_empty() {
             // Inner loop over: MSP confirmation (modification 5 of §4.2).
-            let is_msp = self.overall.status(&phi, &vocab) == Status::Significant
-                && succs
-                    .iter()
-                    .all(|s| self.overall.status(s, &vocab) != Status::Significant);
-            if is_msp && self.confirmed.insert(phi.clone()) {
-                self.msps.push(phi.clone());
-                self.recorder.on_msp(self.scache.is_valid(&self.space, &phi));
+            // No successor is significant (checked above), so a
+            // significant `phi` is maximal.
+            if self.overall_status(phi) == Status::Significant && self.confirmed.insert(phi) {
+                self.msps.push(phi);
+                let valid = self.nodes.is_valid(&self.space, phi);
+                self.recorder.on_msp(valid);
             }
             self.seats[seat].cursor = None;
             return StepFlow::Done(true);
@@ -629,10 +707,10 @@ impl MiningSession {
         if self.config.specialization_ratio > 0.0
             && self.rng.random::<f64>() < self.config.specialization_ratio
         {
-            let base_fs = FactSet::clone(&self.scache.instantiate(&self.space, &phi));
+            let base_fs = self.nodes.factset(&self.space, phi).clone();
             let cand_fs: Vec<FactSet> = askable
                 .iter()
-                .map(|c| FactSet::clone(&self.scache.instantiate(&self.space, c)))
+                .map(|&c| self.nodes.factset(&self.space, c).clone())
                 .collect();
             return self.stage(
                 seat,
@@ -648,18 +726,17 @@ impl MiningSession {
         }
 
         // Concrete question about the first askable successor.
-        let target = askable[0].clone();
-        self.begin_ask(seat, target)
+        self.begin_ask(seat, askable[0])
     }
 
     /// Begin asking `seat` about `phi`: a pruning interaction first (with
     /// the configured probability), then the concrete question.
-    fn begin_ask(&mut self, seat: usize, phi: Assignment) -> StepFlow {
+    fn begin_ask(&mut self, seat: usize, phi: NodeId) -> StepFlow {
         // User-guided pruning: the member's single click is the answer when
         // the question involves a value irrelevant to them (Section 6.2).
         if self.config.pruning_ratio > 0.0 && self.rng.random::<f64>() < self.config.pruning_ratio
         {
-            let fs = FactSet::clone(&self.scache.instantiate(&self.space, &phi));
+            let fs = self.nodes.factset(&self.space, phi).clone();
             return self.stage(
                 seat,
                 Pending::Pruning { phi },
@@ -672,26 +749,29 @@ impl MiningSession {
     /// The concrete question about `phi`: auto-answered when covered by the
     /// member's own pruning, served from the cache when already answered,
     /// staged for the driver otherwise.
-    fn ask_or_resolve(&mut self, seat: usize, phi: Assignment) -> StepFlow {
-        let vocab = Arc::clone(&self.vocab);
+    fn ask_or_resolve(&mut self, seat: usize, phi: NodeId) -> StepFlow {
         let member_id = self.seats[seat].id;
-        if self.seats[seat].pruned.status(&phi, &vocab) == Status::Insignificant {
+        let pruned = self.seats[seat]
+            .pruned
+            .status(self.nodes.assignment(phi), &self.vocab);
+        if pruned == Status::Insignificant {
             // Covered by the member's own pruning: inferred support 0 at no
             // question cost (Section 6.2).
-            self.complete_concrete(seat, phi, 0.0);
+            self.complete_concrete(seat, phi, 0.0, Source::Session);
             return StepFlow::Done(true);
         }
-        let fs = FactSet::clone(&self.scache.instantiate(&self.space, &phi));
+        let fs = self.nodes.factset(&self.space, phi).clone();
         if let Some(s) = self.crowd.cached_answer(&fs, member_id) {
-            self.complete_concrete(seat, phi, s);
+            self.complete_concrete(seat, phi, s, Source::Routed);
             return StepFlow::Done(true);
         }
         self.recorder.on_question(QuestionKind::Concrete, &fs);
+        let assignment = self.nodes.assignment(phi).clone();
         self.stage(
             seat,
-            Pending::Concrete { phi: phi.clone() },
+            Pending::Concrete { phi },
             QuestionPayload::Concrete {
-                assignment: phi,
+                assignment,
                 factset: fs,
             },
         )
@@ -714,10 +794,9 @@ impl MiningSession {
 
     /// Apply a concrete answer: record, aggregate, and descend on a
     /// member-positive verdict.
-    fn complete_concrete(&mut self, seat: usize, phi: Assignment, s: f64) {
-        let vocab = Arc::clone(&self.vocab);
-        let positive = self.record_answer(seat, &phi, s);
-        self.recorder.on_state_change(&self.overall, &vocab);
+    fn complete_concrete(&mut self, seat: usize, phi: NodeId, s: f64, source: Source) {
+        let positive = self.record_answer(seat, phi, s, source);
+        self.recorder.on_state_change(&self.overall, &self.vocab);
         if positive {
             self.seats[seat].cursor = Some(phi);
         }
@@ -726,16 +805,22 @@ impl MiningSession {
     /// Record `s` as the seat's answer for `phi`, update the member's
     /// personal state, run the aggregator and update the overall state.
     /// Returns the member-positive verdict.
-    fn record_answer(&mut self, seat: usize, phi: &Assignment, s: f64) -> bool {
-        let vocab = Arc::clone(&self.vocab);
-        let fs = FactSet::clone(&self.scache.instantiate(&self.space, phi));
-        self.crowd.record(&fs, self.seats[seat].id, s);
-        if s >= self.threshold {
-            self.seats[seat].personal.mark_significant(phi, &vocab);
-        } else {
-            self.seats[seat].personal.mark_insignificant(phi, &vocab);
+    fn record_answer(&mut self, seat: usize, phi: NodeId, s: f64, source: Source) -> bool {
+        let vocab = &self.vocab;
+        let fs = self.nodes.factset(&self.space, phi);
+        self.crowd.record(fs, self.seats[seat].id, s);
+        if source == Source::Session {
+            self.session_answers
+                .push((fs.clone(), self.seats[seat].id, s));
         }
-        let supports = self.crowd.supports(&fs);
+        let supports = self.crowd.supports(fs);
+        let assignment = self.nodes.assignment(phi);
+        let personal = &mut self.seats[seat].personal;
+        if s >= self.threshold {
+            personal.mark_significant(assignment, vocab);
+        } else {
+            personal.mark_insignificant(assignment, vocab);
+        }
         let decision = self.aggregator.decide(&supports, self.threshold);
         if decision != Decision::Undecided && self.sink.enabled() {
             // How many answers the aggregator needed before committing —
@@ -747,16 +832,16 @@ impl MiningSession {
             Decision::Significant => {
                 self.sink
                     .count_labeled(names::BORDER_UPDATED, "significant", 1);
-                self.overall.mark_significant(phi, &vocab);
+                self.overall.mark_significant(assignment, vocab);
             }
             Decision::Insignificant => {
                 self.sink
                     .count_labeled(names::BORDER_UPDATED, "insignificant", 1);
-                self.overall.mark_insignificant(phi, &vocab);
+                self.overall.mark_insignificant(assignment, vocab);
             }
             Decision::Undecided => {}
         }
-        let positive = s >= self.threshold && self.overall.status(phi, &vocab) != Status::Insignificant;
+        let positive = s >= self.threshold && self.overall_status(phi) != Status::Insignificant;
         if self.sink.enabled() {
             let pruned =
                 self.overall.take_index_pruned() + self.seats[seat].personal.take_index_pruned();
@@ -774,57 +859,71 @@ impl MiningSession {
     /// covers the questions that become minimal once the first picks are
     /// classified; at width 1 it returns the commit loop's next question.
     fn find_askable(
-        &self,
+        &mut self,
         member: MemberId,
         width: usize,
         mut can_answer: impl FnMut(&FactSet) -> bool,
-    ) -> Vec<Assignment> {
-        let vocab = &self.vocab;
-        let mut found: Vec<Assignment> = Vec::new();
-        let mut seen: HashSet<Assignment> = HashSet::new();
-        // Visit one node, asking `status` once: collect it if askable,
-        // queue it unless insignificant or already queued. Returns whether
-        // the slate is full.
-        let mut visit = |a: &Assignment, stack: &mut Vec<Assignment>| -> bool {
-            let status = self.overall.status(a, vocab);
-            if status == Status::Insignificant {
-                return false;
-            }
-            if status == Status::Unclassified && !found.contains(a) {
-                let fs = self.scache.instantiate(&self.space, a);
-                if !self.crowd.has_answer_from(&fs, member) && can_answer(&fs) {
-                    found.push(a.clone());
-                    if found.len() >= width {
-                        return true;
-                    }
-                }
-            }
-            if seen.insert(a.clone()) {
-                stack.push(a.clone());
-            }
-            false
+    ) -> Vec<NodeId> {
+        let mut walk = Walk {
+            member,
+            width,
+            found: Vec::new(),
+            stack: std::mem::take(&mut self.stack_buf),
         };
-        let mut stack: Vec<Assignment> = Vec::new();
-        for root in self.space.roots() {
-            if visit(&root, &mut stack) {
-                return found;
-            }
+        let mut succs = std::mem::take(&mut self.succ_buf);
+        walk.stack.clear();
+        self.seen.begin();
+        self.nodes.roots_into(&self.space, &mut succs);
+        let mut full = succs
+            .iter()
+            .any(|&root| self.visit(&mut walk, root, &mut can_answer));
+        while !full {
+            let Some(n) = walk.stack.pop() else {
+                break;
+            };
+            self.nodes.successors_into(&self.space, n, &mut succs);
+            full = succs
+                .iter()
+                .any(|&s| self.visit(&mut walk, s, &mut can_answer));
         }
-        while let Some(n) = stack.pop() {
-            for s in self.scache.successors(&self.space, &n).iter() {
-                if visit(s, &mut stack) {
-                    return found;
+        self.succ_buf = succs;
+        self.stack_buf = walk.stack;
+        walk.found
+    }
+
+    /// One [`find_askable`](Self::find_askable) visit, asking `status`
+    /// once: collect the node if askable, queue it unless insignificant or
+    /// already queued. Returns whether the slate is full.
+    fn visit(
+        &mut self,
+        walk: &mut Walk,
+        a: NodeId,
+        can_answer: &mut impl FnMut(&FactSet) -> bool,
+    ) -> bool {
+        let status = self.overall_status(a);
+        if status == Status::Insignificant {
+            return false;
+        }
+        if status == Status::Unclassified && !walk.found.contains(&a) {
+            let fs = self.nodes.factset(&self.space, a);
+            if !self.crowd.has_answer_from(fs, walk.member) && can_answer(fs) {
+                walk.found.push(a);
+                if walk.found.len() >= walk.width {
+                    return true;
                 }
             }
         }
-        found
+        if self.seen.insert(a) {
+            walk.stack.push(a);
+        }
+        false
     }
 
     /// Predict the seat's next *concrete* questions by replaying the
-    /// selection logic of [`step_begin`](Self::step_begin) read-only.
-    /// Cursor moves into significant successors and MSP confirmations are
-    /// question-free, so the simulation walks through them (bounded by
-    /// `PREDICT_HORIZON`).
+    /// selection logic of [`step_begin`](Self::step_begin) without
+    /// changing what the session will do. Cursor moves into significant
+    /// successors and MSP confirmations are question-free, so the
+    /// simulation walks through them (bounded by `PREDICT_HORIZON`).
     ///
     /// Returns the fact-sets of up to `PREFETCH_WIDTH` candidates: the
     /// question the commit loop would ask *right now*, plus the fallbacks it
@@ -837,58 +936,71 @@ impl MiningSession {
     /// before it checks for a prefetched one, so prefetching them again
     /// could never be a wave hit.
     pub(crate) fn predict_questions(
-        &self,
+        &mut self,
         seat: usize,
         store: &AnswerStore,
         member: &dyn CrowdMember,
     ) -> Vec<FactSet> {
-        let vocab = &self.vocab;
+        self.spanned(names::SPAN_MINE_PREDICT, |s| s.predict(seat, store, member))
+    }
+
+    /// The body of [`predict_questions`](Self::predict_questions).
+    fn predict(
+        &mut self,
+        seat: usize,
+        store: &AnswerStore,
+        member: &dyn CrowdMember,
+    ) -> Vec<FactSet> {
         let member_id = self.seats[seat].id;
-        let fresh = |fs: &FactSet| !store.holds(fs, member_id);
-        let mut cursor = self.seats[seat].cursor.clone();
+        let mut cursor = self.seats[seat].cursor;
         for _ in 0..PREDICT_HORIZON {
-            match cursor.take() {
-                None => {
-                    // Outer loop: the next questions are the first minimal
-                    // overall-unclassified assignments the member can answer.
-                    return self
-                        .find_askable(member_id, PREFETCH_WIDTH, |fs| member.can_answer(fs))
-                        .into_iter()
-                        .map(|phi| FactSet::clone(&self.scache.instantiate(&self.space, &phi)))
-                        .filter(|fs| fresh(fs))
-                        .collect();
-                }
-                Some(phi) => {
-                    let succs = self.scache.successors(&self.space, &phi);
-                    if let Some(s) = succs
-                        .iter()
-                        .find(|s| self.overall.status(s, vocab) == Status::Significant)
+            let Some(phi) = cursor.take() else {
+                // Outer loop: the next questions are the first minimal
+                // overall-unclassified assignments the member can answer.
+                let found = self.find_askable(member_id, PREFETCH_WIDTH, |fs| member.can_answer(fs));
+                return found
+                    .into_iter()
+                    .filter_map(|id| {
+                        let fs = self.nodes.factset(&self.space, id);
+                        (!store.holds(fs, member_id)).then(|| fs.clone())
+                    })
+                    .collect();
+            };
+            let mut succs = std::mem::take(&mut self.succ_buf);
+            self.nodes.successors_into(&self.space, phi, &mut succs);
+            let significant = succs
+                .iter()
+                .copied()
+                .find(|&s| self.overall_status(s) == Status::Significant);
+            let mut targets: Vec<FactSet> = Vec::new();
+            if significant.is_none() {
+                for &s in &succs {
+                    if targets.len() >= PREFETCH_WIDTH {
+                        break;
+                    }
+                    if self.overall_status(s) != Status::Unclassified
+                        || self.personal_status(seat, s) == Status::Insignificant
                     {
-                        cursor = Some(s.clone());
                         continue;
                     }
-                    let targets: Vec<FactSet> = succs
-                        .iter()
-                        .filter(|s| self.overall.status(s, vocab) == Status::Unclassified)
-                        .filter(|s| {
-                            self.seats[seat].personal.status(s, vocab) != Status::Insignificant
-                        })
-                        .filter_map(|s| {
-                            let fs = self.scache.instantiate(&self.space, s);
-                            (!self.crowd.has_answer_from(&fs, member_id) && member.can_answer(&fs))
-                                .then(|| FactSet::clone(&fs))
-                        })
-                        .take(PREFETCH_WIDTH)
-                        .collect();
-                    if targets.is_empty() {
-                        // Inner loop over: MSP confirmation is question-free
-                        // and resets the cursor to the outer loop.
-                        cursor = None;
-                        continue;
+                    let fs = self.nodes.factset(&self.space, s);
+                    if !self.crowd.has_answer_from(fs, member_id) && member.can_answer(fs) {
+                        targets.push(fs.clone());
                     }
-                    return targets.into_iter().filter(|fs| fresh(fs)).collect();
                 }
             }
+            self.succ_buf = succs;
+            if significant.is_some() {
+                cursor = significant;
+                continue;
+            }
+            if targets.is_empty() {
+                // Inner loop over: MSP confirmation is question-free
+                // and resets the cursor to the outer loop.
+                continue;
+            }
+            targets.retain(|fs| !store.holds(fs, member_id));
+            return targets;
         }
         Vec::new()
     }
@@ -910,7 +1022,7 @@ impl MiningSession {
             }
         }
         if n > 0 {
-            self.classify_from_cache();
+            self.spanned(names::SPAN_MINE_CLASSIFY, Self::classify_from_cache);
         }
         n
     }
@@ -922,46 +1034,51 @@ impl MiningSession {
     /// run(s) the answers came from.
     fn classify_from_cache(&mut self) {
         let vocab = Arc::clone(&self.vocab);
-        let mut stack: Vec<Assignment> = Vec::new();
-        let mut seen: HashSet<Assignment> = HashSet::new();
-        for root in self.space.roots() {
-            if seen.insert(root.clone()) {
+        let mut stack = std::mem::take(&mut self.stack_buf);
+        let mut succs = std::mem::take(&mut self.succ_buf);
+        stack.clear();
+        self.seen.begin();
+        self.nodes.roots_into(&self.space, &mut succs);
+        for &root in &succs {
+            if self.seen.insert(root) {
                 stack.push(root);
             }
         }
         while let Some(n) = stack.pop() {
-            if self.overall.status(&n, &vocab) == Status::Insignificant {
+            if self.overall_status(n) == Status::Insignificant {
                 continue;
             }
-            let fs = FactSet::clone(&self.scache.instantiate(&self.space, &n));
-            let answers: Vec<(MemberId, f64)> = self.crowd.answers(&fs).to_vec();
+            let fs = self.nodes.factset(&self.space, n);
+            let answers: Vec<(MemberId, f64)> = self.crowd.answers(fs).to_vec();
             if !answers.is_empty() {
+                let phi = self.nodes.assignment(n);
                 for &(m, s) in &answers {
                     if let Some(seat) = self.seats.iter_mut().find(|seat| seat.id == m) {
                         if s >= self.threshold {
-                            seat.personal.mark_significant(&n, &vocab);
+                            seat.personal.mark_significant(phi, &vocab);
                         } else {
-                            seat.personal.mark_insignificant(&n, &vocab);
+                            seat.personal.mark_insignificant(phi, &vocab);
                         }
                     }
                 }
-                if self.overall.status(&n, &vocab) == Status::Unclassified {
+                if self.overall_status(n) == Status::Unclassified {
                     let supports: Vec<f64> = answers.iter().map(|&(_, s)| s).collect();
                     let decision = self.aggregator.decide(&supports, self.threshold);
                     if decision != Decision::Undecided && self.sink.enabled() {
                         self.sink
                             .observe(names::CROWD_QUORUM_SIZE, supports.len() as f64);
                     }
+                    let phi = self.nodes.assignment(n);
                     match decision {
                         Decision::Significant => {
                             self.sink
                                 .count_labeled(names::BORDER_UPDATED, "significant", 1);
-                            self.overall.mark_significant(&n, &vocab);
+                            self.overall.mark_significant(phi, &vocab);
                         }
                         Decision::Insignificant => {
                             self.sink
                                 .count_labeled(names::BORDER_UPDATED, "insignificant", 1);
-                            self.overall.mark_insignificant(&n, &vocab);
+                            self.overall.mark_insignificant(phi, &vocab);
                             // A freshly pruned region: don't descend.
                             continue;
                         }
@@ -969,12 +1086,15 @@ impl MiningSession {
                     }
                 }
             }
-            for s in self.scache.successors(&self.space, &n).iter() {
-                if seen.insert(s.clone()) {
-                    stack.push(s.clone());
+            self.nodes.successors_into(&self.space, n, &mut succs);
+            for &s in &succs {
+                if self.seen.insert(s) {
+                    stack.push(s);
                 }
             }
         }
+        self.succ_buf = succs;
+        self.stack_buf = stack;
         if self.sink.enabled() {
             let mut pruned = self.overall.take_index_pruned();
             for seat in &mut self.seats {
@@ -986,25 +1106,25 @@ impl MiningSession {
         }
     }
 
-    fn render_answers(&self, msps: &[Assignment]) -> Vec<QueryAnswer> {
-        msps.iter()
-            .map(|a| {
-                let factset = self.scache.instantiate(&self.space, a);
-                let answers = self.crowd.supports(&factset);
-                let support = if answers.is_empty() {
-                    None
-                } else {
-                    Some(answers.iter().sum::<f64>() / answers.len() as f64)
-                };
-                QueryAnswer {
-                    assignment: a.clone(),
-                    factset: FactSet::clone(&factset),
-                    valid: self.scache.is_valid(&self.space, a),
-                    support,
-                    rendered: self.vocab.factset_to_string(&factset),
-                }
-            })
-            .collect()
+    /// Render MSP node `id` as a query answer; this is where an MSP's
+    /// assignment leaves the arena.
+    fn render_answer(&mut self, id: NodeId) -> QueryAnswer {
+        let valid = self.nodes.is_valid(&self.space, id);
+        let factset = self.nodes.factset(&self.space, id);
+        let answers = self.crowd.supports(factset);
+        let support = if answers.is_empty() {
+            None
+        } else {
+            Some(answers.iter().sum::<f64>() / answers.len() as f64)
+        };
+        let rendered = self.vocab.factset_to_string(factset);
+        QueryAnswer {
+            factset: factset.clone(),
+            assignment: self.nodes.assignment(id).clone(),
+            valid,
+            support,
+            rendered,
+        }
     }
 
     /// Whether the run has finished ([`poll`](Self::poll) returned
@@ -1022,6 +1142,15 @@ impl MiningSession {
     /// Number of member seats.
     pub fn seat_count(&self) -> usize {
         self.seats.len()
+    }
+
+    /// Drain the answers only the session knows — specialization
+    /// choices, "none of these" zeros and pruning-inferred zeros — in the
+    /// order it recorded them. The service stores the answers to the
+    /// concrete questions it resolves itself; these are the rest of the
+    /// session's cache.
+    pub(crate) fn take_session_answers(&mut self) -> Vec<(FactSet, MemberId, f64)> {
+        std::mem::take(&mut self.session_answers)
     }
 
     /// Drain the MSP answers confirmed since the last call (incremental
@@ -1053,8 +1182,16 @@ impl MiningSession {
     /// the overall knowledge (not just the incrementally confirmed ones).
     pub fn finish(&mut self) -> QueryResult {
         self.done = true;
-        let border_msps: Vec<Assignment> = self.overall.significant_border().to_vec();
-        let answers = self.render_answers(&border_msps);
+        let border_msps: Vec<NodeId> = self
+            .overall
+            .significant_border()
+            .iter()
+            .map(|phi| self.nodes.intern(phi))
+            .collect();
+        let answers = border_msps
+            .into_iter()
+            .map(|id| self.render_answer(id))
+            .collect();
         let stats = std::mem::take(&mut self.recorder.stats);
         let cache = std::mem::take(&mut self.crowd);
         let state = std::mem::replace(

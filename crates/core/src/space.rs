@@ -24,7 +24,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use oassis_obs::{names, null_sink, EventSink, SinkExt};
 use oassis_ql::{Multiplicity, QlRel, QlTerm, Query, SatPattern};
@@ -792,93 +792,65 @@ impl AssignSpace {
     }
 }
 
-/// Interned handle of one assignment in a [`SpaceCache`] arena.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Interned handle of one assignment in a [`SpaceCache`] arena. An id
+/// stays valid for the whole run: the arena never evicts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
-/// Memoized derivations for one interned assignment.
-#[derive(Debug, Default)]
-struct NodeEntry {
-    succs: Option<Arc<Vec<Assignment>>>,
-    preds: Option<Arc<Vec<Assignment>>>,
-    valid: Option<bool>,
-    inst: Option<Arc<FactSet>>,
+impl NodeId {
+    fn index(self) -> usize {
+        self.0 as usize
+    }
 }
 
+/// A run of ids in [`SpaceCache::edges`]: one node's memoized successors
+/// or predecessors.
+#[derive(Debug, Clone, Copy)]
+struct Edges {
+    start: u32,
+    len: u32,
+}
+
+/// One interned assignment and its memoized derivations.
 #[derive(Debug)]
-struct CacheInner {
-    ids: HashMap<Assignment, NodeId>,
-    nodes: Vec<NodeEntry>,
-    /// The assignment interned in each arena slot (reverse of `ids`),
-    /// needed to unmap a slot when the clock hand reclaims it.
-    keys: Vec<Assignment>,
-    capacity: usize,
-    /// Clock hand: the next slot to reclaim once the arena is full.
-    victim: usize,
+struct Node {
+    assignment: Arc<Assignment>,
+    succs: Option<Edges>,
+    preds: Option<Edges>,
+    valid: Option<bool>,
+    inst: Option<FactSet>,
 }
 
-impl CacheInner {
-    fn with_capacity(capacity: usize) -> Self {
-        CacheInner {
-            ids: HashMap::new(),
-            nodes: Vec::new(),
-            keys: Vec::new(),
-            capacity: capacity.max(1),
-            victim: 0,
-        }
-    }
-
-    /// Intern `phi`. Once the arena is at capacity, the clock-hand victim
-    /// slot is reclaimed (its memoized derivations are recomputed on the
-    /// next visit). Returns the id and whether an entry was evicted.
-    fn intern(&mut self, phi: &Assignment) -> (NodeId, bool) {
-        if let Some(&id) = self.ids.get(phi) {
-            return (id, false);
-        }
-        if self.nodes.len() < self.capacity {
-            let id = NodeId(self.nodes.len() as u32);
-            self.ids.insert(phi.clone(), id);
-            self.keys.push(phi.clone());
-            self.nodes.push(NodeEntry::default());
-            return (id, false);
-        }
-        let v = self.victim;
-        self.victim = (v + 1) % self.capacity;
-        self.ids.remove(&self.keys[v]);
-        self.keys[v] = phi.clone();
-        self.nodes[v] = NodeEntry::default();
-        let id = NodeId(v as u32);
-        self.ids.insert(phi.clone(), id);
-        (id, true)
-    }
-}
-
-/// Default cap on interned nodes (overridable via
-/// [`EngineConfig::builder().space_cache_capacity(..)`](crate::EngineConfig)).
-/// Chosen above the engine's own DAG-materialization cap so a normal run
-/// never evicts, while a pathological space cannot exhaust memory.
-const SPACE_CACHE_NODE_CAP: usize = 1 << 16;
-
-/// An interning memo layer over one [`AssignSpace`]'s derivation calls.
+/// The run's node arena over one [`AssignSpace`].
 ///
-/// The miners revisit the same DAG nodes constantly — every `find_askable`
-/// walk re-descends from the roots, and each visit used to re-derive and
-/// re-clone fresh `Vec<Assignment>`s. The cache interns assignments into an
-/// arena of [`NodeId`]s and memoizes `successors` / `predecessors` /
-/// `is_valid` / `instantiate` per node, handing out `Arc` clones of the
-/// first-computed result.
+/// Every assignment a walk reaches is interned once and handed out as a
+/// [`NodeId`] that stays valid for the whole run, so the walks keep ids on
+/// their stacks, mark visits in per-node vectors and look successors up
+/// by index: a visit hashes, locks and clones nothing. The arena is owned
+/// by one run through `&mut` and allocates nothing until the first intern.
 ///
-/// Because the underlying derivations are deterministic (results are sorted
-/// before return), memoization is observationally invisible: callers see
-/// exactly the vectors they would have derived, in the same order. A
-/// [`disabled`](Self::disabled) cache forwards every call — the benchmark
-/// baseline. Hits and misses are reported on `space.cache.hit/miss`,
-/// labeled by operation.
+/// A memoizing arena ([`new`](Self::new)) also keeps each node's
+/// derivations — successor and predecessor ids, validity, the
+/// instantiated fact-set — computed on first use. Derivations are
+/// deterministic (sorted before return), so memoization is
+/// observationally invisible. The [`reference`](Self::reference) arena
+/// (`use_indexes = false`) recomputes every derivation on every call and
+/// shares only the interning. With an enabled sink, a memoizing arena
+/// reports each lookup on `space.cache.hit` / `space.cache.miss`, labeled
+/// by operation.
 #[derive(Debug)]
 pub struct SpaceCache {
-    enabled: bool,
+    memoize: bool,
     sink: Arc<dyn EventSink>,
-    inner: Mutex<CacheInner>,
+    counting: bool,
+    ids: HashMap<Arc<Assignment>, NodeId>,
+    nodes: Vec<Node>,
+    /// Successor and predecessor ids of every derived node, back to back.
+    edges: Vec<NodeId>,
+    /// The space's roots, derived once per run (memoizing arenas only).
+    roots: Option<Vec<NodeId>>,
+    /// The reference arena's last instantiation.
+    computed: FactSet,
 }
 
 impl Default for SpaceCache {
@@ -888,145 +860,231 @@ impl Default for SpaceCache {
 }
 
 impl SpaceCache {
-    /// An enabled cache with no instrumentation.
+    /// A memoizing arena with no instrumentation.
     pub fn new() -> Self {
         Self::with_sink(null_sink())
     }
 
-    /// An enabled cache reporting hit/miss counters to `sink`.
+    /// A memoizing arena reporting hit/miss counters to `sink`.
     pub fn with_sink(sink: Arc<dyn EventSink>) -> Self {
-        Self::with_capacity(SPACE_CACHE_NODE_CAP, sink)
+        Self::build(true, sink)
     }
 
-    /// An enabled cache holding at most `capacity` interned nodes (clamped
-    /// to at least 1). Past capacity the clock hand reclaims slots, counted
-    /// on `space.cache.evicted`.
-    pub fn with_capacity(capacity: usize, sink: Arc<dyn EventSink>) -> Self {
+    /// An arena that interns but memoizes nothing: every derivation is
+    /// recomputed on every call. The un-indexed reference path.
+    pub fn reference() -> Self {
+        Self::build(false, null_sink())
+    }
+
+    fn build(memoize: bool, sink: Arc<dyn EventSink>) -> Self {
         SpaceCache {
-            enabled: true,
+            memoize,
+            counting: memoize && sink.enabled(),
             sink,
-            inner: Mutex::new(CacheInner::with_capacity(capacity)),
+            ids: HashMap::new(),
+            nodes: Vec::new(),
+            edges: Vec::new(),
+            roots: None,
+            computed: FactSet::default(),
         }
-    }
-
-    /// A pass-through cache: every call forwards to the space, nothing is
-    /// stored. Used as the un-indexed benchmark baseline.
-    pub fn disabled() -> Self {
-        SpaceCache {
-            enabled: false,
-            sink: null_sink(),
-            inner: Mutex::new(CacheInner::with_capacity(SPACE_CACHE_NODE_CAP)),
-        }
-    }
-
-    /// Whether memoization is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Number of interned assignments.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("space cache poisoned").nodes.len()
+        self.nodes.len()
     }
 
     /// Whether no assignment has been interned yet.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.nodes.is_empty()
     }
 
-    /// Intern `phi` into the arena (no derivation); `None` only when the
-    /// cache is disabled.
-    pub fn intern(&self, phi: &Assignment) -> Option<NodeId> {
-        if !self.enabled {
-            return None;
+    /// The id of `phi`, interning it on first sight.
+    pub fn intern(&mut self, phi: &Assignment) -> NodeId {
+        if let Some(&id) = self.ids.get(phi) {
+            return id;
         }
-        let mut inner = self.inner.lock().expect("space cache poisoned");
-        Some(self.intern_counted(&mut inner, phi))
+        self.insert(Arc::new(phi.clone()))
     }
 
-    /// Intern through `inner`, reporting any eviction to the sink.
-    fn intern_counted(&self, inner: &mut CacheInner, phi: &Assignment) -> NodeId {
-        let (id, evicted) = inner.intern(phi);
-        if evicted {
-            self.sink.count(names::SPACE_CACHE_EVICTED, 1);
+    /// [`intern`](Self::intern) of an owned assignment (no clone when new).
+    fn intern_owned(&mut self, phi: Assignment) -> NodeId {
+        match self.ids.get(&phi) {
+            Some(&id) => id,
+            None => self.insert(Arc::new(phi)),
         }
+    }
+
+    fn insert(&mut self, phi: Arc<Assignment>) -> NodeId {
+        let id = NodeId(u32::try_from(self.nodes.len()).expect("node arena overflow"));
+        self.ids.insert(Arc::clone(&phi), id);
+        self.nodes.push(Node {
+            assignment: phi,
+            succs: None,
+            preds: None,
+            valid: None,
+            inst: None,
+        });
         id
     }
 
-    fn counted<T, F: FnOnce() -> T>(&self, op: &str, hit: bool, f: F) -> T {
-        self.sink.count_labeled(
-            if hit {
+    /// The assignment interned as `id`.
+    pub fn assignment(&self, id: NodeId) -> &Assignment {
+        &self.nodes[id.index()].assignment
+    }
+
+    fn count(&self, op: &str, hit: bool) {
+        if self.counting {
+            let name = if hit {
                 names::SPACE_CACHE_HIT
             } else {
                 names::SPACE_CACHE_MISS
-            },
-            op,
-            1,
-        );
-        f()
+            };
+            self.sink.count_labeled(name, op, 1);
+        }
     }
 
-    /// Memoized [`AssignSpace::successors`].
-    pub fn successors(&self, space: &AssignSpace, phi: &Assignment) -> Arc<Vec<Assignment>> {
-        if !self.enabled {
-            return Arc::new(space.successors(phi));
+    /// The roots of `space` ([`AssignSpace::roots`]), in order, into `out`.
+    pub fn roots_into(&mut self, space: &AssignSpace, out: &mut Vec<NodeId>) {
+        out.clear();
+        if let Some(roots) = &self.roots {
+            out.extend_from_slice(roots);
+            return;
         }
-        let mut inner = self.inner.lock().expect("space cache poisoned");
-        let id = self.intern_counted(&mut inner, phi);
-        if let Some(s) = &inner.nodes[id.0 as usize].succs {
-            let s = Arc::clone(s);
-            return self.counted("successors", true, || s);
+        for root in space.roots() {
+            let id = self.intern_owned(root);
+            out.push(id);
         }
-        let computed = Arc::new(space.successors(phi));
-        inner.nodes[id.0 as usize].succs = Some(Arc::clone(&computed));
-        self.counted("successors", false, || computed)
+        if self.memoize {
+            self.roots = Some(out.clone());
+        }
     }
 
-    /// Memoized [`AssignSpace::predecessors`].
-    pub fn predecessors(&self, space: &AssignSpace, phi: &Assignment) -> Arc<Vec<Assignment>> {
-        if !self.enabled {
-            return Arc::new(space.predecessors(phi));
-        }
-        let mut inner = self.inner.lock().expect("space cache poisoned");
-        let id = self.intern_counted(&mut inner, phi);
-        if let Some(p) = &inner.nodes[id.0 as usize].preds {
-            let p = Arc::clone(p);
-            return self.counted("predecessors", true, || p);
-        }
-        let computed = Arc::new(space.predecessors(phi));
-        inner.nodes[id.0 as usize].preds = Some(Arc::clone(&computed));
-        self.counted("predecessors", false, || computed)
+    /// The immediate successors of `id` ([`AssignSpace::successors`]), in
+    /// order, into `out`.
+    pub fn successors_into(&mut self, space: &AssignSpace, id: NodeId, out: &mut Vec<NodeId>) {
+        self.derive_into(space, id, out, true);
     }
 
-    /// Memoized [`AssignSpace::is_valid`].
-    pub fn is_valid(&self, space: &AssignSpace, phi: &Assignment) -> bool {
-        if !self.enabled {
-            return space.is_valid(phi);
-        }
-        let mut inner = self.inner.lock().expect("space cache poisoned");
-        let id = self.intern_counted(&mut inner, phi);
-        if let Some(v) = inner.nodes[id.0 as usize].valid {
-            return self.counted("valid", true, || v);
-        }
-        let computed = space.is_valid(phi);
-        inner.nodes[id.0 as usize].valid = Some(computed);
-        self.counted("valid", false, || computed)
+    /// The immediate predecessors of `id` ([`AssignSpace::predecessors`]),
+    /// in order, into `out`.
+    pub fn predecessors_into(&mut self, space: &AssignSpace, id: NodeId, out: &mut Vec<NodeId>) {
+        self.derive_into(space, id, out, false);
     }
 
-    /// Memoized [`AssignSpace::instantiate`].
-    pub fn instantiate(&self, space: &AssignSpace, phi: &Assignment) -> Arc<FactSet> {
-        if !self.enabled {
-            return Arc::new(space.instantiate(phi));
+    fn derive_into(&mut self, space: &AssignSpace, id: NodeId, out: &mut Vec<NodeId>, succs: bool) {
+        out.clear();
+        let node = &self.nodes[id.index()];
+        let memo = if succs { node.succs } else { node.preds };
+        let op = if succs { "successors" } else { "predecessors" };
+        if let Some(e) = memo {
+            self.count(op, true);
+            out.extend_from_slice(&self.edges[e.start as usize..(e.start + e.len) as usize]);
+            return;
         }
-        let mut inner = self.inner.lock().expect("space cache poisoned");
-        let id = self.intern_counted(&mut inner, phi);
-        if let Some(f) = &inner.nodes[id.0 as usize].inst {
-            let f = Arc::clone(f);
-            return self.counted("instantiate", true, || f);
+        let derived = if succs {
+            space.successors(&node.assignment)
+        } else {
+            space.predecessors(&node.assignment)
+        };
+        for phi in derived {
+            let id = self.intern_owned(phi);
+            out.push(id);
         }
-        let computed = Arc::new(space.instantiate(phi));
-        inner.nodes[id.0 as usize].inst = Some(Arc::clone(&computed));
-        self.counted("instantiate", false, || computed)
+        if self.memoize {
+            self.count(op, false);
+            let edges = Some(Edges {
+                start: u32::try_from(self.edges.len()).expect("edge arena overflow"),
+                len: out.len() as u32,
+            });
+            self.edges.extend_from_slice(out);
+            let node = &mut self.nodes[id.index()];
+            if succs {
+                node.succs = edges;
+            } else {
+                node.preds = edges;
+            }
+        }
+    }
+
+    /// [`AssignSpace::is_valid`] of `id`.
+    pub fn is_valid(&mut self, space: &AssignSpace, id: NodeId) -> bool {
+        if !self.memoize {
+            return space.is_valid(self.assignment(id));
+        }
+        let hit = self.nodes[id.index()].valid.is_some();
+        self.count("valid", hit);
+        let node = &mut self.nodes[id.index()];
+        *node
+            .valid
+            .get_or_insert_with(|| space.is_valid(&node.assignment))
+    }
+
+    /// [`AssignSpace::instantiate`] of `id`.
+    pub fn factset(&mut self, space: &AssignSpace, id: NodeId) -> &FactSet {
+        if !self.memoize {
+            self.computed = space.instantiate(self.assignment(id));
+            return &self.computed;
+        }
+        let hit = self.nodes[id.index()].inst.is_some();
+        self.count("instantiate", hit);
+        let node = &mut self.nodes[id.index()];
+        node.inst
+            .get_or_insert_with(|| space.instantiate(&node.assignment))
+    }
+}
+
+/// A set of node ids, one bit per node, grown on demand.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct NodeSet(Vec<u64>);
+
+impl NodeSet {
+    /// Add `id`; returns whether it was absent.
+    pub fn insert(&mut self, id: NodeId) -> bool {
+        let (word, bit) = (id.index() / 64, 1u64 << (id.0 % 64));
+        if word >= self.0.len() {
+            self.0.resize(word + 1, 0);
+        }
+        let fresh = self.0[word] & bit == 0;
+        self.0[word] |= bit;
+        fresh
+    }
+
+    /// Whether `id` is in the set.
+    pub fn contains(&self, id: NodeId) -> bool {
+        self.0
+            .get(id.index() / 64)
+            .is_some_and(|w| w & (1u64 << (id.0 % 64)) != 0)
+    }
+}
+
+/// Visit marks for repeated walks: a node is seen in the current walk when
+/// its stamp equals the walk's epoch, so starting a walk clears nothing.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct NodeStamps {
+    stamps: Vec<u32>,
+    epoch: u32,
+}
+
+impl NodeStamps {
+    /// Start a new walk: every node becomes unseen.
+    pub fn begin(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamps.fill(0);
+            self.epoch = 1;
+        }
+    }
+
+    /// Mark `id` seen in the current walk; returns whether it was unseen.
+    pub fn insert(&mut self, id: NodeId) -> bool {
+        if id.index() >= self.stamps.len() {
+            self.stamps.resize(id.index() + 1, 0);
+        }
+        let stamp = &mut self.stamps[id.index()];
+        let fresh = *stamp != self.epoch;
+        *stamp = self.epoch;
+        fresh
     }
 }
 
@@ -1373,49 +1431,63 @@ mod tests {
     #[test]
     fn space_cache_matches_direct_derivation() {
         let s = fig3_space();
-        let cache = SpaceCache::new();
         let root = assign(&s, "Activity", "Attraction");
-        let direct = s.successors(&root);
-        let first = cache.successors(&s, &root);
-        let second = cache.successors(&s, &root);
-        assert_eq!(*first, direct);
-        assert!(Arc::ptr_eq(&first, &second), "second call hits the memo");
-        assert_eq!(cache.is_valid(&s, &root), s.is_valid(&root));
-        assert_eq!(cache.is_valid(&s, &root), s.is_valid(&root), "memo hit");
-        assert_eq!(*cache.predecessors(&s, &root), s.predecessors(&root));
-        assert_eq!(*cache.instantiate(&s, &root), s.instantiate(&root));
-        assert!(!cache.is_empty());
-        assert_eq!(cache.intern(&root), cache.intern(&root), "stable NodeId");
-
-        let off = SpaceCache::disabled();
-        assert!(!off.is_enabled());
-        assert_eq!(*off.successors(&s, &root), direct);
-        assert!(off.intern(&root).is_none());
-        assert!(off.is_empty());
+        let assignments = |cache: &SpaceCache, ids: &[NodeId]| -> Vec<Assignment> {
+            ids.iter().map(|&n| cache.assignment(n).clone()).collect()
+        };
+        for mut cache in [SpaceCache::new(), SpaceCache::reference()] {
+            assert!(cache.is_empty(), "nothing is allocated up front");
+            let id = cache.intern(&root);
+            assert_eq!(cache.intern(&root), id, "stable NodeId");
+            assert_eq!(cache.assignment(id), &root);
+            let mut out = Vec::new();
+            // The second pass is served from the memo (when memoizing).
+            for _ in 0..2 {
+                cache.successors_into(&s, id, &mut out);
+                assert_eq!(assignments(&cache, &out), s.successors(&root));
+                cache.predecessors_into(&s, id, &mut out);
+                assert_eq!(assignments(&cache, &out), s.predecessors(&root));
+                cache.roots_into(&s, &mut out);
+                assert_eq!(assignments(&cache, &out), s.roots());
+                assert_eq!(cache.is_valid(&s, id), s.is_valid(&root));
+                assert_eq!(*cache.factset(&s, id), s.instantiate(&root));
+            }
+            assert_eq!(cache.intern(&root), id, "ids survive derivation");
+        }
     }
 
     #[test]
-    fn space_cache_evicts_at_capacity_and_stays_correct() {
+    fn space_cache_counts_lookups_only_for_an_enabled_sink() {
         let s = fig3_space();
         let sink = Arc::new(oassis_obs::InMemorySink::new());
-        let cache = SpaceCache::with_capacity(2, Arc::clone(&sink) as Arc<dyn oassis_obs::EventSink>);
-        // Three distinct nodes through a 2-slot arena forces an eviction.
-        let a = assign(&s, "Activity", "Attraction");
-        let b = assign(&s, "Sport", "Central Park");
-        let c = assign(&s, "Biking", "Central Park");
-        for phi in [&a, &b, &c, &a, &b, &c] {
-            assert_eq!(*cache.successors(&s, phi), s.successors(phi));
-            assert_eq!(cache.is_valid(&s, phi), s.is_valid(phi));
-            assert_eq!(*cache.instantiate(&s, phi), s.instantiate(phi));
-        }
-        assert_eq!(cache.len(), 2, "arena never exceeds its capacity");
+        let mut cache = SpaceCache::with_sink(Arc::clone(&sink) as Arc<dyn EventSink>);
+        let id = cache.intern(&assign(&s, "Activity", "Attraction"));
+        let mut out = Vec::new();
+        cache.successors_into(&s, id, &mut out);
+        cache.successors_into(&s, id, &mut out);
         let snapshot = sink.snapshot();
-        let evicted = snapshot
-            .counters
-            .get(oassis_obs::names::SPACE_CACHE_EVICTED)
-            .copied()
-            .unwrap_or(0);
-        assert!(evicted > 0, "evictions are counted: {snapshot:?}");
+        assert_eq!(snapshot.counter("space.cache.miss[successors]"), 1);
+        assert_eq!(snapshot.counter("space.cache.hit[successors]"), 1);
+
+        let mut quiet = SpaceCache::with_sink(Arc::new(oassis_obs::NullSink));
+        assert!(!quiet.counting, "a disabled sink is never called");
+        let id = quiet.intern(&assign(&s, "Activity", "Attraction"));
+        quiet.successors_into(&s, id, &mut out);
+        assert!(!SpaceCache::reference().counting);
+    }
+
+    #[test]
+    fn node_marks_grow_on_demand() {
+        let mut set = NodeSet::default();
+        assert!(set.insert(NodeId(70)));
+        assert!(!set.insert(NodeId(70)));
+        assert!(set.contains(NodeId(70)) && !set.contains(NodeId(3)));
+        let mut seen = NodeStamps::default();
+        seen.begin();
+        assert!(seen.insert(NodeId(5)));
+        assert!(!seen.insert(NodeId(5)));
+        seen.begin();
+        assert!(seen.insert(NodeId(5)), "a new walk starts unseen");
     }
 
     #[test]

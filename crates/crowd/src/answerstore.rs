@@ -13,7 +13,8 @@
 //! * **seed** — a newly admitted session receives a roster-filtered
 //!   snapshot ([`seed_for`](AnswerStore::seed_for)) replayed into its
 //!   `CrowdCache`, so questions the crowd already answered in earlier
-//!   queries are never staged at all.
+//!   queries are never staged at all. A per-member index of fact-set
+//!   slots makes the snapshot cost the roster's answers, not the store's.
 //!
 //! The store also holds the answers to the service's speculative
 //! prefetches (question waves) as *unpaid* answers
@@ -32,9 +33,8 @@
 //! When a [`SharedPersistence`] is attached
 //! ([`with_persistence`](AnswerStore::with_persistence)), every *new or
 //! changed* paid answer is appended to the durable log as a
-//! `WalRecord::Answer` — unchanged re-records (e.g. a finished session's
-//! cache being absorbed after its answers were already logged at dispatch
-//! time) append nothing, so the log stays proportional to real crowd work.
+//! `WalRecord::Answer` — an unchanged re-record appends nothing, so the
+//! log stays proportional to real crowd work.
 //! Those records are the store's only encoding
 //! ([`to_records`](AnswerStore::to_records) /
 //! [`replay_records`](AnswerStore::replay_records)); a store rebuilt from
@@ -43,13 +43,14 @@
 //! The store has one owner, the service thread, and no lock of its own:
 //! every write takes `&mut self`.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use oassis_obs::{names, null_sink, EventSink, SinkExt};
 use oassis_store_durable::{SharedPersistence, WalRecord};
 use oassis_vocab::FactSet;
 
-use crate::cache::CrowdCache;
+use crate::cache::{CrowdCache, Paid};
 use crate::member::MemberId;
 
 /// A persistent member×question answer log shared across query sessions.
@@ -57,6 +58,11 @@ pub struct AnswerStore {
     /// Per fact-set, the paid answers in the order they were paid for
     /// (a member re-answering overwrites in place), then the unpaid ones.
     cache: CrowdCache,
+    /// Per member, the cache slots of the fact-sets they hold a paid
+    /// answer for, in the order each was first paid. Unpaid answers are
+    /// never listed. Lets [`seed_for`](Self::seed_for) read only the
+    /// roster's answers.
+    by_member: HashMap<MemberId, Vec<u32>>,
     sink: Arc<dyn EventSink>,
     /// Durable log receiving one `Answer` record per new/changed answer.
     persistence: Option<SharedPersistence>,
@@ -75,6 +81,7 @@ impl Default for AnswerStore {
     fn default() -> Self {
         AnswerStore {
             cache: CrowdCache::new(),
+            by_member: HashMap::new(),
             sink: null_sink(),
             persistence: None,
         }
@@ -118,7 +125,7 @@ impl AnswerStore {
         support: f64,
         session: Option<u64>,
     ) {
-        if !self.cache.seed(fs, member, support) {
+        if !self.pay(fs, member, support) {
             return;
         }
         if let Some(p) = &self.persistence {
@@ -131,6 +138,19 @@ impl AnswerStore {
                     factset: fs.clone(),
                 })
                 .expect("wal append failed");
+        }
+    }
+
+    /// Store `member`'s paid answer for `fs`, keeping the member index.
+    /// Returns whether the answer is new or changed.
+    fn pay(&mut self, fs: &FactSet, member: MemberId, support: f64) -> bool {
+        match self.cache.pay(fs, member, support) {
+            Paid::Unchanged => false,
+            Paid::Changed => true,
+            Paid::New(slot) => {
+                self.by_member.entry(member).or_default().push(slot);
+                true
+            }
         }
     }
 
@@ -200,7 +220,7 @@ impl AnswerStore {
                 ..
             } = rec
             {
-                self.cache.seed(factset, MemberId(*member), *support);
+                self.pay(factset, MemberId(*member), *support);
             }
         }
     }
@@ -222,28 +242,35 @@ impl AnswerStore {
         found
     }
 
-    /// Snapshot every stored answer given by one of `members`, preserving
-    /// per-fact-set order. The triples are replayed into a new session's
-    /// `CrowdCache` at admission (see `CrowdCache::seed`).
+    /// Snapshot every stored (paid) answer given by one of `members`:
+    /// fact-sets in the order they were first stored, each fact-set's
+    /// answers in the order they were paid for. The triples are replayed
+    /// into a new session's `CrowdCache` at admission (see
+    /// `CrowdCache::seed`). Costs the roster's answers, not the store's.
     pub fn seed_for(&self, members: &[MemberId]) -> Vec<(FactSet, MemberId, f64)> {
+        let mut slots: Vec<u32> = members
+            .iter()
+            .filter_map(|m| self.by_member.get(m))
+            .flatten()
+            .copied()
+            .collect();
+        if slots.is_empty() {
+            return Vec::new();
+        }
+        slots.sort_unstable();
+        slots.dedup();
+        let mut roster = members.to_vec();
+        roster.sort_unstable();
         let mut out = Vec::new();
-        for (fs, entries) in self.cache.iter() {
+        for slot in slots {
+            let (fs, entries) = self.cache.slot(slot);
             for &(m, s) in entries {
-                if members.contains(&m) {
+                if roster.binary_search(&m).is_ok() {
                     out.push((fs.clone(), m, s));
                 }
             }
         }
         out
-    }
-
-    /// Merge every answer of a finished session's `cache` into the store.
-    pub fn absorb_cache(&mut self, cache: &CrowdCache) {
-        for (fs, entries) in cache.iter() {
-            for &(m, s) in entries {
-                self.record(fs, m, s);
-            }
-        }
     }
 
     /// The paid answers as a [`CrowdCache`] — e.g. to re-run a query at
@@ -319,16 +346,6 @@ mod tests {
             vec![(MemberId(1), 0.1), (MemberId(3), 0.3)],
             "roster-filtered, insertion order preserved"
         );
-    }
-
-    #[test]
-    fn absorb_cache_merges_answers() {
-        let mut cache = CrowdCache::new();
-        cache.record(&fs(1), MemberId(1), 0.4);
-        let mut store = AnswerStore::new();
-        store.absorb_cache(&cache);
-        assert_eq!(store.lookup(&fs(1), MemberId(1)), Some(0.4));
-        assert_eq!(store.cache().answers(&fs(1)), [(MemberId(1), 0.4)]);
     }
 
     #[test]

@@ -40,10 +40,26 @@ impl Answers {
     }
 }
 
+/// What [`CrowdCache::pay`] did with an answer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Paid {
+    /// The member's paid answer already had this support.
+    Unchanged,
+    /// The member's paid answer was overwritten with a new support.
+    Changed,
+    /// The member had no paid answer for the fact-set in slot `.0`.
+    New(u32),
+}
+
 /// Answer storage for one query execution.
+///
+/// Each fact-set gets a *slot* the first time it is stored: its position
+/// in first-stored order, fixed for the cache's lifetime. The key is
+/// cloned once, then, and shared by the index and the slot.
 #[derive(Debug, Clone)]
 pub struct CrowdCache {
-    answers: HashMap<FactSet, Answers>,
+    index: HashMap<Arc<FactSet>, u32>,
+    slots: Vec<(Arc<FactSet>, Answers)>,
     total_questions: usize,
     sink: Arc<dyn EventSink>,
 }
@@ -51,7 +67,8 @@ pub struct CrowdCache {
 impl Default for CrowdCache {
     fn default() -> Self {
         CrowdCache {
-            answers: HashMap::new(),
+            index: HashMap::new(),
+            slots: Vec::new(),
             total_questions: 0,
             sink: null_sink(),
         }
@@ -90,13 +107,24 @@ impl CrowdCache {
     /// replacing an unpaid answer, joins the fact-set's answers last; a
     /// repeat by the same member overwrites in place.
     pub fn seed(&mut self, fs: &FactSet, member: MemberId, support: f64) -> bool {
-        let answers = self.answers.entry(fs.clone()).or_default();
+        self.pay(fs, member, support) != Paid::Unchanged
+    }
+
+    /// [`seed`](Self::seed), reporting whether the member's paid answer is
+    /// new (and in which slot), changed or unchanged.
+    pub(crate) fn pay(&mut self, fs: &FactSet, member: MemberId, support: f64) -> Paid {
+        let slot = self.slot_or_insert(fs);
+        let answers = &mut self.slots[slot as usize].1;
         match answers.position(member) {
             Some(i) if i < answers.paid => {
-                let slot = &mut answers.list[i].1;
-                let changed = slot.to_bits() != support.to_bits();
-                *slot = support;
-                changed
+                let stored = &mut answers.list[i].1;
+                let changed = stored.to_bits() != support.to_bits();
+                *stored = support;
+                if changed {
+                    Paid::Changed
+                } else {
+                    Paid::Unchanged
+                }
             }
             unpaid => {
                 if let Some(i) = unpaid {
@@ -104,15 +132,32 @@ impl CrowdCache {
                 }
                 answers.list.insert(answers.paid, (member, support));
                 answers.paid += 1;
-                true
+                Paid::New(slot)
             }
         }
+    }
+
+    /// The slot of `fs`, created (the only key clone) when it is new.
+    fn slot_or_insert(&mut self, fs: &FactSet) -> u32 {
+        if let Some(&slot) = self.index.get(fs) {
+            return slot;
+        }
+        let slot = u32::try_from(self.slots.len()).expect("fact-set slots overflow");
+        let key = Arc::new(fs.clone());
+        self.index.insert(Arc::clone(&key), slot);
+        self.slots.push((key, Answers::default()));
+        slot
+    }
+
+    fn get(&self, fs: &FactSet) -> Option<&Answers> {
+        self.index.get(fs).map(|&slot| &self.slots[slot as usize].1)
     }
 
     /// Park `member`'s answer for `fs` as unpaid, unless the cache already
     /// holds an answer of theirs for it.
     pub(crate) fn hold_unpaid(&mut self, fs: &FactSet, member: MemberId, support: f64) {
-        let answers = self.answers.entry(fs.clone()).or_default();
+        let slot = self.slot_or_insert(fs);
+        let answers = &mut self.slots[slot as usize].1;
         if answers.position(member).is_none() {
             answers.list.push((member, support));
         }
@@ -120,7 +165,7 @@ impl CrowdCache {
 
     /// `member`'s unpaid answer for `fs`, if that is what the cache holds.
     pub(crate) fn unpaid(&self, fs: &FactSet, member: MemberId) -> Option<f64> {
-        let answers = self.answers.get(fs)?;
+        let answers = self.get(fs)?;
         answers.list[answers.paid..]
             .iter()
             .find(|(m, _)| *m == member)
@@ -130,14 +175,18 @@ impl CrowdCache {
     /// Whether the cache holds an answer by `member` for `fs`, paid or
     /// unpaid.
     pub(crate) fn holds(&self, fs: &FactSet, member: MemberId) -> bool {
-        self.answers
-            .get(fs)
-            .is_some_and(|a| a.position(member).is_some())
+        self.get(fs).is_some_and(|a| a.position(member).is_some())
+    }
+
+    /// The fact-set in `slot` and its paid answers.
+    pub(crate) fn slot(&self, slot: u32) -> (&FactSet, &[(MemberId, f64)]) {
+        let (fs, answers) = &self.slots[slot as usize];
+        (fs, answers.paid())
     }
 
     /// All answers recorded for `fs`.
     pub fn answers(&self, fs: &FactSet) -> &[(MemberId, f64)] {
-        self.answers.get(fs).map_or(&[], Answers::paid)
+        self.get(fs).map_or(&[], Answers::paid)
     }
 
     /// Just the support values for `fs` (aggregator input).
@@ -178,11 +227,12 @@ impl CrowdCache {
         self.total_questions
     }
 
-    /// Iterate `(fact-set, answers)` pairs in arbitrary order.
+    /// Iterate `(fact-set, answers)` pairs in the order the fact-sets were
+    /// first stored.
     pub fn iter(&self) -> impl Iterator<Item = (&FactSet, &[(MemberId, f64)])> {
-        self.answers
+        self.slots
             .iter()
-            .map(|(k, v)| (k, v.paid()))
+            .map(|(k, v)| (&**k, v.paid()))
             .filter(|(_, v)| !v.is_empty())
     }
 }

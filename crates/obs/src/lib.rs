@@ -54,6 +54,27 @@ pub mod names {
     pub const SPAN_RUN: &str = "engine.run";
     /// Span: one member question/answer round-trip.
     pub const SPAN_ROUNDTRIP: &str = "engine.question.roundtrip";
+    /// Span: the exhaustive DAG count behind the `engine.dag.nodes_total`
+    /// gauge, which a session runs at admission only for an enabled sink.
+    /// It walks up to `NODES_TOTAL_CAP` nodes, so on a multiplicity space
+    /// it can dwarf the mining it precedes.
+    pub const SPAN_DAG_COUNT: &str = "engine.dag.count";
+    /// Span: a `MiningSession` turn's outer search for a minimal
+    /// overall-unclassified assignment its seat can answer.
+    pub const SPAN_MINE_SEARCH: &str = "engine.mine.search";
+    /// Span: a turn's cursor step: descend from the seat's cursor, pick
+    /// its next question or confirm an MSP.
+    pub const SPAN_MINE_CURSOR: &str = "engine.mine.cursor";
+    /// Span: `MiningSession::absorb`: apply one answer (record, aggregate,
+    /// update the borders), including a follow-up question it stages.
+    pub const SPAN_MINE_ABSORB: &str = "engine.mine.absorb";
+    /// Span: one wave prediction (`predict_questions`) for one seat.
+    pub const SPAN_MINE_PREDICT: &str = "engine.mine.predict";
+    /// Span: the admission walk that classifies from seeded answers
+    /// (`classify_from_cache`).
+    pub const SPAN_MINE_CLASSIFY: &str = "engine.mine.classify";
+    /// Span: closing a turn (`end_turn`): render newly confirmed MSPs.
+    pub const SPAN_MINE_END_TURN: &str = "engine.mine.end_turn";
     /// Counter: questions per mining algorithm. Label: `vertical`,
     /// `horizontal`, `naive`, or `multiuser`.
     pub const ALGO_QUESTIONS: &str = "algo.questions";
@@ -96,6 +117,8 @@ pub mod names {
     pub const SPAN_WORKER: &str = "runtime.worker";
     /// Counter: a memoized `SpaceCache` lookup was served from the arena.
     /// Label: `successors`, `predecessors`, `valid`, or `instantiate`.
+    /// Counted only for an enabled sink, and never on the reference
+    /// (`use_indexes = false`) path, which memoizes nothing.
     pub const SPACE_CACHE_HIT: &str = "space.cache.hit";
     /// Counter: a `SpaceCache` lookup had to derive its result afresh.
     /// Same labels as [`SPACE_CACHE_HIT`].
@@ -118,9 +141,6 @@ pub mod names {
     pub const SPARQL_PLAN_UNFOLD: &str = "sparql.plan.unfold";
     /// Counter: plan subtrees pruned as provably empty.
     pub const SPARQL_PLAN_PRUNED: &str = "sparql.plan.pruned";
-    /// Counter: a `SpaceCache` arena slot was reclaimed for a new
-    /// assignment after the configured capacity was reached.
-    pub const SPACE_CACHE_EVICTED: &str = "space.cache.evicted";
     /// Gauge: sessions currently admitted to the `OassisService` and not
     /// yet finalized.
     pub const SERVICE_SESSIONS_ACTIVE: &str = "service.sessions.active";

@@ -38,6 +38,9 @@ for f in "${files[@]}"; do
     planner)
         jq -r '"\(input_filename): \(.rows | length) domains, seeds cut \(.rows | map(.base_seeds - .filtered_seeds) | min)-\(.rows | map(.base_seeds - .filtered_seeds) | max), questions cut \(.rows | map(.base_questions - .filtered_questions) | min)-\(.rows | map(.base_questions - .filtered_questions) | max), eval speedup \(.rows | map(.eval_speedup) | min)-\(.rows | map(.eval_speedup) | max)x, answers_match \(.rows | all(.answers_match))"' "$f"
         ;;
+    mining)
+        jq -r '"\(input_filename): \(.rows | length) domains, \(.rows | map("\(.domain) \(.us_per_question)us/q") | join(", ")), largest span \(.rows | map(.span_shares | to_entries | max_by(.value) | .key) | unique | join("/"))"' "$f"
+        ;;
     *)
         echo "$f: experiment=$exp ($(jq -r '.rows | length // 0' "$f") rows)"
         ;;

@@ -54,6 +54,9 @@ timeout 300 cargo run --release -q -p oassis-simtest --bin sim -- net-sweep 64
 echo "==> planner smoke: FILTER pushdown must shrink seeds + questions, answers identical planner on/off"
 OASSIS_PLANNER_SMOKE=1 cargo run --release -q -p oassis-bench --bin figures -- planner
 
+echo "==> mining smoke: tracing leaves the run unchanged, the engine.mine.* spans cover mining"
+OASSIS_MINING_SMOKE=1 cargo run --release -q -p oassis-bench --bin figures -- mining
+
 echo "==> query-language properties: display/parse roundtrip + 3-way evaluator oracle"
 cargo test -q --release --test ql_roundtrip --test planner_oracle
 

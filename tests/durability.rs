@@ -12,10 +12,10 @@ use std::sync::{Arc, Mutex};
 
 use oassis::core::{
     EngineConfig, Oassis, OassisError, OassisService, SessionId, SessionRuntime, SessionSpec,
-    SessionStatus,
+    SessionStatus, SimConfig,
 };
 use oassis::crowd::transaction::table3_dbs;
-use oassis::crowd::{CrowdMember, DbMember, MemberId};
+use oassis::crowd::{AnswerStore, CrowdMember, DbMember, MemberId};
 use oassis::obs::null_sink;
 use oassis::sparql::MatchMode;
 use oassis::store::ontology::figure1_ontology;
@@ -575,4 +575,80 @@ fn recovered_store_feeds_a_threshold_replay() {
     let from_log = valid(0.5, recovered.store().cache());
     assert!(!from_log.0.is_empty(), "vacuous replay");
     assert_eq!(from_log, valid(0.5, &report.result.cache));
+}
+
+/// Answers only a session knows — specialization choices, "none of these"
+/// zeros and pruning-inferred zeros — reach the log when the session
+/// finalizes, tagged with it and in the order it recorded them. So two
+/// identical runs log the same bytes, replaying the log rebuilds the live
+/// store, and the store holds every answer of every session's result.
+#[test]
+fn session_only_answers_are_logged_in_recorded_order() {
+    let run = || {
+        let mem = Arc::new(Mutex::new(InMemory::new()));
+        let mut service = OassisService::start_with_persistence(
+            Oassis::new(figure1_ontology()),
+            SessionRuntime::new(figure1_crowd(2)).simulated(SimConfig::new(5)),
+            null_sink(),
+            Arc::clone(&mem) as SharedPersistence,
+        );
+        for (i, roster) in [vec![0, 1, 2], vec![1, 2, 3], vec![0, 1, 2, 3]]
+            .into_iter()
+            .enumerate()
+        {
+            let config = EngineConfig::builder()
+                .seed(i as u64)
+                .aggregator_sample(2)
+                .specialization_ratio(0.5)
+                .pruning_ratio(0.5)
+                .build();
+            let spec = SessionSpec::builder(QUERY)
+                .config(config)
+                .roster(roster)
+                .build();
+            service.submit(spec).unwrap();
+        }
+        let reports = service.run();
+        let log: Vec<String> = mem
+            .lock()
+            .unwrap()
+            .history()
+            .iter()
+            .enumerate()
+            .map(|(seq, r)| r.encode(seq as u64))
+            .collect();
+        (service, reports, mem, log)
+    };
+    let (service, reports, mem, log) = run();
+    let (_, _, _, again) = run();
+    assert_eq!(log, again, "identical runs log identical bytes");
+
+    let session_only: usize = reports
+        .iter()
+        .map(|r| {
+            let stats = &r.result.stats;
+            stats.specialization + stats.none_of_these + stats.pruning
+        })
+        .sum();
+    assert!(
+        session_only > 0,
+        "no specialization or pruning answer: vacuous"
+    );
+
+    let records = mem.lock().unwrap().replay().unwrap();
+    let mut replayed = AnswerStore::new();
+    replayed.replay_records(&records);
+    assert_eq!(replayed.to_records(), service.store().to_records());
+
+    for report in &reports {
+        for (fs, answers) in report.result.cache.iter() {
+            for answer in answers {
+                assert!(
+                    service.store().cache().answers(fs).contains(answer),
+                    "session {:?}: the store lacks {answer:?}",
+                    report.id
+                );
+            }
+        }
+    }
 }

@@ -5,11 +5,14 @@
 //! in; and `to_records` must render one canonical record sequence for the
 //! same recordings, whatever the store's hash-map iteration order (that
 //! sequence is what recovery replays, so it must not depend on the
-//! process that wrote it).
+//! process that wrote it). `AnswerStore::seed_for`, which reads a member
+//! index, must return what a scan of every stored answer returns.
 
 use proptest::prelude::*;
 
 use oassis::crowd::placement::{hash_member, index_for, member_shard};
+use std::collections::BTreeMap;
+
 use oassis::crowd::{AnswerStore, MemberId};
 use oassis::vocab::{ElementId, Fact, FactSet, RelationId};
 
@@ -93,5 +96,52 @@ proptest! {
         let mut replayed = AnswerStore::new();
         replayed.replay_records(&reference);
         prop_assert_eq!(replayed.to_records(), reference);
+    }
+
+    /// `seed_for` through the member index returns the triples a scan of
+    /// the whole store returns, each fact-set's answers in paid order, on
+    /// stores built from paid records (with overwrites), unpaid
+    /// prefetches, prefetch commits and log replays.
+    #[test]
+    fn seed_for_matches_a_scan_of_the_store(
+        ops in proptest::collection::vec(
+            (0u8..4, (0usize..64, 0usize..64, 0usize..64), 0u32..8, 0u32..10),
+            1..40,
+        ),
+        roster in proptest::collection::vec(0u32..10, 0..6),
+    ) {
+        let mut store = AnswerStore::new();
+        for (op, raw, member, support) in &ops {
+            let fs = materialize(std::slice::from_ref(raw));
+            let (member, support) = (MemberId(*member), f64::from(*support) / 10.0);
+            match op {
+                0 | 1 => store.record(&fs, member, support),
+                2 => store.record_prefetch(&fs, member, support),
+                _ => {
+                    store.commit_prefetch(&fs, member, Some(1));
+                }
+            }
+        }
+        let mut replayed = AnswerStore::new();
+        replayed.replay_records(&store.to_records());
+        let roster: Vec<MemberId> = roster.into_iter().map(MemberId).collect();
+        let scan = |store: &AnswerStore| {
+            let mut by_fs: BTreeMap<String, Vec<(MemberId, u64)>> = BTreeMap::new();
+            for (fs, answers) in store.cache().iter() {
+                for &(m, s) in answers {
+                    if roster.contains(&m) {
+                        by_fs.entry(format!("{fs:?}")).or_default().push((m, s.to_bits()));
+                    }
+                }
+            }
+            by_fs
+        };
+        for store in [&store, &replayed] {
+            let mut seeded: BTreeMap<String, Vec<(MemberId, u64)>> = BTreeMap::new();
+            for (fs, m, s) in store.seed_for(&roster) {
+                seeded.entry(format!("{fs:?}")).or_default().push((m, s.to_bits()));
+            }
+            prop_assert_eq!(seeded, scan(store));
+        }
     }
 }
