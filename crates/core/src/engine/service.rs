@@ -72,16 +72,17 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use oassis_crowd::{AnswerStore, CrowdMember, MemberId};
 use oassis_obs::{names, EventSink, SinkExt};
-use oassis_ql::Query;
+use oassis_ql::{Query, SelectForm};
 use oassis_sparql::MatchMode;
+use oassis_store::Ontology;
 use oassis_store_durable::{
     shared, AdmitSpec, CloseStatus, FileBacked, SharedPersistence, WalRecord,
 };
-use oassis_vocab::FactSet;
+use oassis_vocab::{Fact, FactSet};
 
 use crate::config::EngineConfig;
 use crate::runtime::{
@@ -397,6 +398,36 @@ fn count_for_session(sink: &Arc<dyn EventSink>, name: &str, session: SessionId, 
     }
 }
 
+/// What [`AssignSpace::build_with_planner`] reads of an admission, and
+/// nothing else: admissions with equal keys mine one space. The support
+/// threshold, roster, priority, budget, `use_indexes`, aggregator and seed
+/// only classify the space's nodes, so they are not part of the key.
+#[derive(PartialEq, Eq, Hash)]
+struct SpaceKey {
+    /// The parsed query printed with its support, SELECT form and `ALL`
+    /// flag cleared. Parsing the printed form gives the query back
+    /// (`tests/ql_roundtrip.rs`), so equal text means an equal shape.
+    shape: String,
+    mode: MatchMode,
+    more_domain: Vec<Fact>,
+    use_query_planner: bool,
+}
+
+impl SpaceKey {
+    fn new(query: &Query, config: &EngineConfig, ontology: &Ontology) -> Self {
+        let mut shape = query.clone();
+        shape.satisfying.support = 0.0;
+        shape.select = SelectForm::FactSets;
+        shape.all = false;
+        SpaceKey {
+            shape: shape.to_ql_string(ontology),
+            mode: config.mode,
+            more_domain: config.more_domain.clone(),
+            use_query_planner: config.use_query_planner,
+        }
+    }
+}
+
 /// A session's view of the shared pool, restricted to its roster.
 ///
 /// `gone` *blocks* (via [`Pool::sync`]) until the seat's member is home:
@@ -483,6 +514,11 @@ pub struct OassisService {
     /// Client idempotency tokens → the latest session id admitted under
     /// each, rebuilt from `Admit` records on recovery.
     tokens: BTreeMap<u64, u64>,
+    /// The assignment space of each query shape, for admissions of the
+    /// same shape to share. Weak: a space lives while a slot's session
+    /// holds it, so these follow the live sessions; dead entries are
+    /// dropped when a new space is inserted.
+    spaces: HashMap<SpaceKey, Weak<AssignSpace>>,
 }
 
 /// Checkpoint interval (appended records) used by
@@ -518,6 +554,7 @@ impl OassisService {
             recovered_closed: BTreeMap::new(),
             superseded: BTreeMap::new(),
             tokens: BTreeMap::new(),
+            spaces: HashMap::new(),
         }
     }
 
@@ -753,8 +790,9 @@ impl OassisService {
         self.slots.iter().filter(|s| s.finished.is_none()).count()
     }
 
-    /// Admit a session: parse the query, build its space, seed its cache
-    /// from the answer store. The session does no crowd work until
+    /// Admit a session: parse the query, take its space from a live
+    /// session of the same shape or build it, seed its cache from the
+    /// answer store. The session does no crowd work until
     /// [`run`](Self::run).
     pub fn submit(&mut self, spec: SessionSpec) -> Result<SessionId, OassisError> {
         self.admit(spec, None, None)
@@ -852,7 +890,7 @@ impl OassisService {
         let wave_eligible =
             spec.config.specialization_ratio == 0.0 && spec.config.pruning_ratio == 0.0;
         let config = Arc::new(spec.config);
-        let space = Arc::new(self.engine.space(&query, &config)?);
+        let space = self.space_for(&query, &config)?;
         let roster = match spec.roster {
             Some(roster) => {
                 for &idx in &roster {
@@ -924,6 +962,26 @@ impl OassisService {
         );
         self.maybe_snapshot();
         Ok(id)
+    }
+
+    /// The assignment space for `query` under `config`: the one a live
+    /// session of the same shape mines ([`SpaceKey`]), or a new one.
+    /// Sessions sharing a space also share its successor memo.
+    fn space_for(
+        &mut self,
+        query: &Query,
+        config: &EngineConfig,
+    ) -> Result<Arc<AssignSpace>, OassisError> {
+        let key = SpaceKey::new(query, config, self.engine.ontology());
+        if let Some(space) = self.spaces.get(&key).and_then(Weak::upgrade) {
+            self.sink.count_labeled(names::SERVICE_SPACE, "reused", 1);
+            return Ok(space);
+        }
+        let space = Arc::new(self.engine.space(query, config)?);
+        self.spaces.retain(|_, space| space.strong_count() > 0);
+        self.spaces.insert(key, Arc::downgrade(&space));
+        self.sink.count_labeled(names::SERVICE_SPACE, "built", 1);
+        Ok(space)
     }
 
     /// Request cancellation of `id`. Takes effect at the session's next

@@ -45,7 +45,7 @@ use oassis_crowd::{
     Aggregator, AnswerStore, CrowdCache, CrowdMember, Decision, FixedSampleAggregator, MemberId,
 };
 use oassis_obs::{names, Event, EventKind, EventSink, SinkExt, Span};
-use oassis_vocab::{ElementId, FactSet, Vocabulary};
+use oassis_vocab::{ElementId, FactSet};
 
 use crate::assignment::Assignment;
 use crate::border::{ClassificationState, Status};
@@ -55,7 +55,7 @@ use crate::space::{AssignSpace, NodeId, NodeSet, NodeStamps, SpaceCache};
 use crate::stats::{QuestionKind, Recorder};
 use crate::value::AValue;
 
-use super::{QueryAnswer, QueryResult, NODES_TOTAL_CAP};
+use super::{QueryAnswer, QueryResult};
 
 /// How far ahead [`MiningSession::predict_questions`] simulates
 /// question-free transitions (cursor moves into significant successors,
@@ -276,7 +276,6 @@ pub struct MiningSession {
     aggregator: Arc<dyn Aggregator>,
     config: Arc<EngineConfig>,
     sink: Arc<dyn EventSink>,
-    vocab: Arc<Vocabulary>,
     seats: Vec<SeatState>,
     /// The overall knowledge, probed by node id through its status memo.
     overall: ClassificationState,
@@ -368,17 +367,13 @@ impl MiningSession {
         if sink.enabled() {
             // The full DAG size turns the lazy generator's node counter into
             // the paper's "<1% of nodes generated" ratio. Counting requires
-            // an exhaustive traversal, so only do it for an attached sink
-            // and give up on astronomically large spaces.
-            let total = {
-                let _span = Span::enter(&*sink, names::SPAN_DAG_COUNT);
-                space.count_nodes_up_to(NODES_TOTAL_CAP)
-            };
-            if let Some(total) = total {
+            // an exhaustive traversal, so only do it for an attached sink,
+            // give up on astronomically large spaces, and count once per
+            // space: later sessions of the shape read the first count.
+            if let Some(total) = space.nodes_total(&*sink) {
                 sink.gauge(names::DAG_NODES_TOTAL, total as f64);
             }
         }
-        let vocab = Arc::new(space.ontology().vocabulary().clone());
         let crowd = CrowdCache::new().with_sink(Arc::clone(&sink));
         let overall = if config.use_indexes {
             ClassificationState::new()
@@ -406,7 +401,6 @@ impl MiningSession {
             aggregator,
             config,
             sink,
-            vocab,
             seats: seats
                 .into_iter()
                 .map(|id| SeatState::new(id, use_indexes))
@@ -518,7 +512,8 @@ impl MiningSession {
                         self.recorder.on_question(QuestionKind::Specialization, &base);
                         let phi = askable[chosen];
                         let positive = self.record_answer(seat, phi, s, Source::Session);
-                        self.recorder.on_state_change(&self.overall, &self.vocab);
+                        self.recorder
+                            .on_state_change(&self.overall, self.space.ontology().vocabulary());
                         if positive {
                             self.seats[seat].cursor = Some(phi);
                         }
@@ -528,7 +523,8 @@ impl MiningSession {
                         for &c in &askable {
                             self.record_answer(seat, c, 0.0, Source::Session);
                         }
-                        self.recorder.on_state_change(&self.overall, &self.vocab);
+                        self.recorder
+                            .on_state_change(&self.overall, self.space.ontology().vocabulary());
                     }
                 }
                 self.turn_done = Some(seat);
@@ -615,15 +611,19 @@ impl MiningSession {
 
     /// The overall status of node `id`, memoized by id.
     fn overall_status(&mut self, id: NodeId) -> Status {
-        self.overall
-            .status_of(id, self.nodes.assignment(id), &self.vocab)
+        self.overall.status_of(
+            id,
+            self.nodes.assignment(id),
+            self.space.ontology().vocabulary(),
+        )
     }
 
     /// Seat `seat`'s personal status of node `id` (unmemoized).
     fn personal_status(&self, seat: usize, id: NodeId) -> Status {
-        self.seats[seat]
-            .personal
-            .status(self.nodes.assignment(id), &self.vocab)
+        self.seats[seat].personal.status(
+            self.nodes.assignment(id),
+            self.space.ontology().vocabulary(),
+        )
     }
 
     /// One scheduling step for `seat`, up to (but not through) its first
@@ -751,9 +751,10 @@ impl MiningSession {
     /// staged for the driver otherwise.
     fn ask_or_resolve(&mut self, seat: usize, phi: NodeId) -> StepFlow {
         let member_id = self.seats[seat].id;
-        let pruned = self.seats[seat]
-            .pruned
-            .status(self.nodes.assignment(phi), &self.vocab);
+        let pruned = self.seats[seat].pruned.status(
+            self.nodes.assignment(phi),
+            self.space.ontology().vocabulary(),
+        );
         if pruned == Status::Insignificant {
             // Covered by the member's own pruning: inferred support 0 at no
             // question cost (Section 6.2).
@@ -796,7 +797,8 @@ impl MiningSession {
     /// member-positive verdict.
     fn complete_concrete(&mut self, seat: usize, phi: NodeId, s: f64, source: Source) {
         let positive = self.record_answer(seat, phi, s, source);
-        self.recorder.on_state_change(&self.overall, &self.vocab);
+        self.recorder
+            .on_state_change(&self.overall, self.space.ontology().vocabulary());
         if positive {
             self.seats[seat].cursor = Some(phi);
         }
@@ -806,7 +808,7 @@ impl MiningSession {
     /// personal state, run the aggregator and update the overall state.
     /// Returns the member-positive verdict.
     fn record_answer(&mut self, seat: usize, phi: NodeId, s: f64, source: Source) -> bool {
-        let vocab = &self.vocab;
+        let vocab = self.space.ontology().vocabulary();
         let fs = self.nodes.factset(&self.space, phi);
         self.crowd.record(fs, self.seats[seat].id, s);
         if source == Source::Session {
@@ -1033,7 +1035,8 @@ impl MiningSession {
     /// border marks are monotone), so this reproduces the decisions of the
     /// run(s) the answers came from.
     fn classify_from_cache(&mut self) {
-        let vocab = Arc::clone(&self.vocab);
+        let space = Arc::clone(&self.space);
+        let vocab = space.ontology().vocabulary();
         let mut stack = std::mem::take(&mut self.stack_buf);
         let mut succs = std::mem::take(&mut self.succ_buf);
         stack.clear();
@@ -1055,9 +1058,9 @@ impl MiningSession {
                 for &(m, s) in &answers {
                     if let Some(seat) = self.seats.iter_mut().find(|seat| seat.id == m) {
                         if s >= self.threshold {
-                            seat.personal.mark_significant(phi, &vocab);
+                            seat.personal.mark_significant(phi, vocab);
                         } else {
-                            seat.personal.mark_insignificant(phi, &vocab);
+                            seat.personal.mark_insignificant(phi, vocab);
                         }
                     }
                 }
@@ -1073,12 +1076,12 @@ impl MiningSession {
                         Decision::Significant => {
                             self.sink
                                 .count_labeled(names::BORDER_UPDATED, "significant", 1);
-                            self.overall.mark_significant(phi, &vocab);
+                            self.overall.mark_significant(phi, vocab);
                         }
                         Decision::Insignificant => {
                             self.sink
                                 .count_labeled(names::BORDER_UPDATED, "insignificant", 1);
-                            self.overall.mark_insignificant(phi, &vocab);
+                            self.overall.mark_insignificant(phi, vocab);
                             // A freshly pruned region: don't descend.
                             continue;
                         }
@@ -1117,7 +1120,11 @@ impl MiningSession {
         } else {
             Some(answers.iter().sum::<f64>() / answers.len() as f64)
         };
-        let rendered = self.vocab.factset_to_string(factset);
+        let rendered = self
+            .space
+            .ontology()
+            .vocabulary()
+            .factset_to_string(factset);
         QueryAnswer {
             factset: factset.clone(),
             assignment: self.nodes.assignment(id).clone(),

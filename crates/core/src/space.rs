@@ -24,15 +24,16 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 
-use oassis_obs::{names, null_sink, EventSink, SinkExt};
+use oassis_obs::{names, null_sink, EventSink, SinkExt, Span};
 use oassis_ql::{Multiplicity, QlRel, QlTerm, Query, SatPattern};
 use oassis_sparql::{evaluate_reference, evaluate_where_with_sink, MatchMode, Var};
 use oassis_store::{Ontology, Term};
 use oassis_vocab::{Fact, FactSet};
 
 use crate::assignment::Assignment;
+use crate::engine::NODES_TOTAL_CAP;
 use crate::value::AValue;
 
 /// How a `SATISFYING` variable relates to the `WHERE` clause.
@@ -66,7 +67,15 @@ impl fmt::Display for SpaceError {
 impl std::error::Error for SpaceError {}
 
 /// The lazily generated assignment DAG for one query.
-#[derive(Debug, Clone)]
+///
+/// The space depends only on the query's `WHERE` and `SATISFYING` clauses,
+/// the match mode, the `MORE` domain and the ontology, never on the support
+/// threshold or the crowd, so one space can serve every session of a query
+/// shape. It memoizes what those sessions would otherwise each derive
+/// again: the successor lists of the nodes they reach, and the node count
+/// behind the `engine.dag.nodes_total` gauge. Derivations are pure, so
+/// sharing them changes no outcome.
+#[derive(Debug)]
 pub struct AssignSpace {
     ontology: Arc<Ontology>,
     sat_patterns: Vec<SatPattern>,
@@ -85,6 +94,34 @@ pub struct AssignSpace {
     domains: Vec<Option<HashSet<AValue>>>,
     /// Candidate facts for the `MORE` clause.
     more_domain: Vec<Fact>,
+    /// Successor lists derived so far, for every memoizing arena over this
+    /// space.
+    successors: SuccessorMemo,
+    /// The node count up to [`NODES_TOTAL_CAP`], once taken.
+    nodes_total: OnceLock<Option<usize>>,
+}
+
+/// The successor lists one space has derived, keyed by node. Only the
+/// thread that drives the space's sessions locks it, so the lock is
+/// uncontended; it makes the space `Sync` for embedders that share one.
+#[derive(Default)]
+struct SuccessorMemo(Mutex<HashMap<Arc<Assignment>, Successors>>);
+
+/// One node's immediate successors, in order, as the memo hands them out.
+type Successors = Arc<[Arc<Assignment>]>;
+
+impl SuccessorMemo {
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<Arc<Assignment>, Successors>> {
+        self.0.lock().expect("successor memo poisoned")
+    }
+}
+
+impl fmt::Debug for SuccessorMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SuccessorMemo")
+            .field("nodes", &self.lock().len())
+            .finish()
+    }
 }
 
 impl AssignSpace {
@@ -295,6 +332,8 @@ impl AssignSpace {
             base_tuples,
             domains,
             more_domain,
+            successors: SuccessorMemo::default(),
+            nodes_total: OnceLock::new(),
         })
     }
 
@@ -629,6 +668,34 @@ impl AssignSpace {
         v
     }
 
+    /// [`successors`](Self::successors) of `φ`, derived once per space:
+    /// every later call, from any session, reads the memo. Only memoizing
+    /// [`SpaceCache`] arenas call this; the reference arena and the
+    /// exhaustive [`count_nodes_up_to`](Self::count_nodes_up_to) derive
+    /// afresh and leave the memo as it is.
+    pub(crate) fn successors_shared(&self, phi: &Arc<Assignment>) -> Successors {
+        if let Some(succs) = self.successors.lock().get(&**phi) {
+            return Arc::clone(succs);
+        }
+        // Derive outside the lock; a racing derivation of the same node
+        // yields the same sorted list, and the first one stored wins.
+        let derived: Successors = self.successors(phi).into_iter().map(Arc::new).collect();
+        Arc::clone(
+            self.successors
+                .lock()
+                .entry(Arc::clone(phi))
+                .or_insert(derived),
+        )
+    }
+
+    /// How much the successor memo holds: `(nodes derived, successor
+    /// entries stored)`.
+    #[cfg(test)]
+    fn memo_len(&self) -> (usize, usize) {
+        let memo = self.successors.lock();
+        (memo.len(), memo.values().map(|s| s.len()).sum())
+    }
+
     /// Immediate predecessors of `φ` (always within `𝒜`, which is downward
     /// closed).
     pub fn predecessors(&self, phi: &Assignment) -> Vec<Assignment> {
@@ -790,6 +857,17 @@ impl AssignSpace {
         }
         Some(seen.len())
     }
+
+    /// [`count_nodes_up_to`](Self::count_nodes_up_to) with
+    /// [`NODES_TOTAL_CAP`], counted once per space, inside an
+    /// `engine.dag.count` span on `sink`: the sessions of one query shape
+    /// share the first count. The walk fills no memo.
+    pub(crate) fn nodes_total(&self, sink: &dyn EventSink) -> Option<usize> {
+        *self.nodes_total.get_or_init(|| {
+            let _span = Span::enter(sink, names::SPAN_DAG_COUNT);
+            self.count_nodes_up_to(NODES_TOTAL_CAP)
+        })
+    }
 }
 
 /// Interned handle of one assignment in a [`SpaceCache`] arena. An id
@@ -831,13 +909,15 @@ struct Node {
 ///
 /// A memoizing arena ([`new`](Self::new)) also keeps each node's
 /// derivations — successor and predecessor ids, validity, the
-/// instantiated fact-set — computed on first use. Derivations are
-/// deterministic (sorted before return), so memoization is
+/// instantiated fact-set — computed on first use. On its first successor
+/// lookup of a node it reads the space's shared successor memo, so a node
+/// is derived once per query shape, not once per session. Derivations
+/// are deterministic (sorted before return), so memoization is
 /// observationally invisible. The [`reference`](Self::reference) arena
-/// (`use_indexes = false`) recomputes every derivation on every call and
-/// shares only the interning. With an enabled sink, a memoizing arena
-/// reports each lookup on `space.cache.hit` / `space.cache.miss`, labeled
-/// by operation.
+/// (`use_indexes = false`) recomputes every derivation on every call,
+/// reads no memo and shares only the interning. With an enabled sink, a
+/// memoizing arena reports each lookup of its own memo on
+/// `space.cache.hit` / `space.cache.miss`, labeled by operation.
 #[derive(Debug)]
 pub struct SpaceCache {
     memoize: bool,
@@ -915,6 +995,14 @@ impl SpaceCache {
         }
     }
 
+    /// [`intern`](Self::intern) of a shared assignment (no deep clone).
+    fn intern_shared(&mut self, phi: &Arc<Assignment>) -> NodeId {
+        match self.ids.get(&**phi) {
+            Some(&id) => id,
+            None => self.insert(Arc::clone(phi)),
+        }
+    }
+
     fn insert(&mut self, phi: Arc<Assignment>) -> NodeId {
         let id = NodeId(u32::try_from(self.nodes.len()).expect("node arena overflow"));
         self.ids.insert(Arc::clone(&phi), id);
@@ -982,14 +1070,21 @@ impl SpaceCache {
             out.extend_from_slice(&self.edges[e.start as usize..(e.start + e.len) as usize]);
             return;
         }
-        let derived = if succs {
-            space.successors(&node.assignment)
+        if succs && self.memoize {
+            for phi in space.successors_shared(&node.assignment).iter() {
+                let id = self.intern_shared(phi);
+                out.push(id);
+            }
         } else {
-            space.predecessors(&node.assignment)
-        };
-        for phi in derived {
-            let id = self.intern_owned(phi);
-            out.push(id);
+            let derived = if succs {
+                space.successors(&node.assignment)
+            } else {
+                space.predecessors(&node.assignment)
+            };
+            for phi in derived {
+                let id = self.intern_owned(phi);
+                out.push(id);
+            }
         }
         if self.memoize {
             self.count(op, false);
@@ -1474,6 +1569,31 @@ mod tests {
         let id = quiet.intern(&assign(&s, "Activity", "Attraction"));
         quiet.successors_into(&s, id, &mut out);
         assert!(!SpaceCache::reference().counting);
+    }
+
+    #[test]
+    fn memoizing_arenas_share_the_successor_memo() {
+        let s = fig3_space();
+        let root = assign(&s, "Activity", "Attraction");
+        let derived = |cache: &mut SpaceCache| {
+            let id = cache.intern(&root);
+            let mut out = Vec::new();
+            cache.successors_into(&s, id, &mut out);
+            out.iter()
+                .map(|&n| cache.assignment(n).clone())
+                .collect::<Vec<_>>()
+        };
+        // The reference arena and the exhaustive count derive afresh and
+        // leave the memo as it is.
+        assert_eq!(derived(&mut SpaceCache::reference()), s.successors(&root));
+        assert!(s.nodes_total(&*null_sink()).is_some());
+        assert_eq!(s.memo_len(), (0, 0));
+        // The first memoizing arena fills the memo; a second one reads it.
+        let succs = s.successors(&root);
+        assert_eq!(derived(&mut SpaceCache::new()), succs);
+        assert_eq!(s.memo_len(), (1, succs.len()));
+        assert_eq!(derived(&mut SpaceCache::new()), succs);
+        assert_eq!(s.memo_len(), (1, succs.len()));
     }
 
     #[test]

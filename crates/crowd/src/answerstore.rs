@@ -229,12 +229,7 @@ impl AnswerStore {
     /// dispatch-time reuse probe: a hit spares one crowd question (counted
     /// as `answerstore.hit[serve]`), a miss means the crowd must be asked.
     pub fn lookup(&self, fs: &FactSet, member: MemberId) -> Option<f64> {
-        let found = self
-            .cache
-            .answers(fs)
-            .iter()
-            .find(|(m, _)| *m == member)
-            .map(|&(_, s)| s);
+        let found = self.cache.answer(fs, member);
         match found {
             Some(_) => self.sink.count_labeled(names::ANSWERSTORE_HIT, "serve", 1),
             None => self.sink.count(names::ANSWERSTORE_MISS, 1),

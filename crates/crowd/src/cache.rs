@@ -23,7 +23,9 @@ use oassis_vocab::FactSet;
 use crate::member::MemberId;
 
 /// The answers to one fact-set: `list[..paid]` in the order they were
-/// paid for, then the unpaid ones (see the module docs).
+/// paid for, then the unpaid ones (see the module docs). A paid answer
+/// never moves: a new one is inserted at `paid`, which shifts only unpaid
+/// ones, so [`CrowdCache`] can index paid answers by position.
 #[derive(Debug, Clone, Default)]
 struct Answers {
     list: Vec<(MemberId, f64)>,
@@ -35,8 +37,13 @@ impl Answers {
         &self.list[..self.paid]
     }
 
-    fn position(&self, member: MemberId) -> Option<usize> {
-        self.list.iter().position(|(m, _)| *m == member)
+    /// Where `member`'s unpaid answer sits in `list`, by a scan of the
+    /// unpaid tail (prefetches not committed yet: short).
+    fn unpaid_position(&self, member: MemberId) -> Option<usize> {
+        self.list[self.paid..]
+            .iter()
+            .position(|(m, _)| *m == member)
+            .map(|i| self.paid + i)
     }
 }
 
@@ -55,11 +62,17 @@ pub(crate) enum Paid {
 ///
 /// Each fact-set gets a *slot* the first time it is stored: its position
 /// in first-stored order, fixed for the cache's lifetime. The key is
-/// cloned once, then, and shared by the index and the slot.
+/// cloned once, then, and shared by the index and the slot. Every paid
+/// answer is also indexed by `(slot, member)`, so probing or overwriting
+/// one member's answer costs O(1), not the fact-set's answer count: in the
+/// cross-query store a popular fact-set collects answers from every
+/// session's crowd.
 #[derive(Debug, Clone)]
 pub struct CrowdCache {
     index: HashMap<Arc<FactSet>, u32>,
     slots: Vec<(Arc<FactSet>, Answers)>,
+    /// Position of every paid answer in its slot's list.
+    paid_at: HashMap<(u32, MemberId), u32>,
     total_questions: usize,
     sink: Arc<dyn EventSink>,
 }
@@ -69,6 +82,7 @@ impl Default for CrowdCache {
         CrowdCache {
             index: HashMap::new(),
             slots: Vec::new(),
+            paid_at: HashMap::new(),
             total_questions: 0,
             sink: null_sink(),
         }
@@ -115,26 +129,24 @@ impl CrowdCache {
     pub(crate) fn pay(&mut self, fs: &FactSet, member: MemberId, support: f64) -> Paid {
         let slot = self.slot_or_insert(fs);
         let answers = &mut self.slots[slot as usize].1;
-        match answers.position(member) {
-            Some(i) if i < answers.paid => {
-                let stored = &mut answers.list[i].1;
-                let changed = stored.to_bits() != support.to_bits();
-                *stored = support;
-                if changed {
-                    Paid::Changed
-                } else {
-                    Paid::Unchanged
-                }
-            }
-            unpaid => {
-                if let Some(i) = unpaid {
-                    answers.list.remove(i);
-                }
-                answers.list.insert(answers.paid, (member, support));
-                answers.paid += 1;
-                Paid::New(slot)
-            }
+        if let Some(&i) = self.paid_at.get(&(slot, member)) {
+            let stored = &mut answers.list[i as usize].1;
+            let changed = stored.to_bits() != support.to_bits();
+            *stored = support;
+            return if changed {
+                Paid::Changed
+            } else {
+                Paid::Unchanged
+            };
         }
+        if let Some(i) = answers.unpaid_position(member) {
+            answers.list.remove(i);
+        }
+        answers.list.insert(answers.paid, (member, support));
+        let position = u32::try_from(answers.paid).expect("answer positions overflow");
+        self.paid_at.insert((slot, member), position);
+        answers.paid += 1;
+        Paid::New(slot)
     }
 
     /// The slot of `fs`, created (the only key clone) when it is new.
@@ -153,29 +165,42 @@ impl CrowdCache {
         self.index.get(fs).map(|&slot| &self.slots[slot as usize].1)
     }
 
+    /// `member`'s paid answer in `slot`, through the position index.
+    fn paid_in(&self, slot: u32, member: MemberId) -> Option<f64> {
+        let &i = self.paid_at.get(&(slot, member))?;
+        Some(self.slots[slot as usize].1.list[i as usize].1)
+    }
+
+    /// Whether `member` holds an answer in `slot`, paid or unpaid.
+    fn holds_in(&self, slot: u32, member: MemberId) -> bool {
+        self.paid_at.contains_key(&(slot, member))
+            || self.slots[slot as usize]
+                .1
+                .unpaid_position(member)
+                .is_some()
+    }
+
     /// Park `member`'s answer for `fs` as unpaid, unless the cache already
     /// holds an answer of theirs for it.
     pub(crate) fn hold_unpaid(&mut self, fs: &FactSet, member: MemberId, support: f64) {
         let slot = self.slot_or_insert(fs);
-        let answers = &mut self.slots[slot as usize].1;
-        if answers.position(member).is_none() {
-            answers.list.push((member, support));
+        if !self.holds_in(slot, member) {
+            self.slots[slot as usize].1.list.push((member, support));
         }
     }
 
     /// `member`'s unpaid answer for `fs`, if that is what the cache holds.
     pub(crate) fn unpaid(&self, fs: &FactSet, member: MemberId) -> Option<f64> {
         let answers = self.get(fs)?;
-        answers.list[answers.paid..]
-            .iter()
-            .find(|(m, _)| *m == member)
-            .map(|&(_, s)| s)
+        answers.unpaid_position(member).map(|i| answers.list[i].1)
     }
 
     /// Whether the cache holds an answer by `member` for `fs`, paid or
     /// unpaid.
     pub(crate) fn holds(&self, fs: &FactSet, member: MemberId) -> bool {
-        self.get(fs).is_some_and(|a| a.position(member).is_some())
+        self.index
+            .get(fs)
+            .is_some_and(|&slot| self.holds_in(slot, member))
     }
 
     /// The fact-set in `slot` and its paid answers.
@@ -196,7 +221,12 @@ impl CrowdCache {
 
     /// Whether `member` already answered about `fs`.
     pub fn has_answer_from(&self, fs: &FactSet, member: MemberId) -> bool {
-        self.answers(fs).iter().any(|(m, _)| *m == member)
+        self.answer(fs, member).is_some()
+    }
+
+    /// `member`'s recorded answer for `fs`, if any, counting nothing.
+    pub(crate) fn answer(&self, fs: &FactSet, member: MemberId) -> Option<f64> {
+        self.paid_in(*self.index.get(fs)?, member)
     }
 
     /// `member`'s recorded answer for `fs`, if any. Unlike the passive
@@ -205,11 +235,7 @@ impl CrowdCache {
     /// `crowd.cache.hit` when the stored answer spares a crowd question and
     /// a `crowd.cache.miss` when the crowd must be asked.
     pub fn cached_answer(&self, fs: &FactSet, member: MemberId) -> Option<f64> {
-        let found = self
-            .answers(fs)
-            .iter()
-            .find(|(m, _)| *m == member)
-            .map(|&(_, s)| s);
+        let found = self.answer(fs, member);
         match found {
             Some(_) => self.sink.count(names::CROWD_CACHE_HIT, 1),
             None => self.sink.count(names::CROWD_CACHE_MISS, 1),

@@ -180,6 +180,9 @@ pub mod names {
     /// seat busy and the session skipped to wave work for the cycle.
     /// Label: `s<session-id>`.
     pub const SERVICE_DISPATCH_STALLED: &str = "service.dispatch.stalled";
+    /// Counter: one admission's assignment space, labeled `reused` (a live
+    /// session of the same query shape already held it) or `built`.
+    pub const SERVICE_SPACE: &str = "service.space";
 }
 
 /// The measurement carried by an [`Event`].

@@ -34,7 +34,7 @@ use crate::ast::{PatTerm, PropPath, SortDir, TriplePattern, Var, VarTable, Where
 use crate::plan::{self, Plan, PlanOp};
 
 /// How pattern relations match stored relations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MatchMode {
     /// Exact relation matching (standard SPARQL).
     Syntactic,

@@ -60,4 +60,19 @@ OASSIS_MINING_SMOKE=1 cargo run --release -q -p oassis-bench --bin figures -- mi
 echo "==> query-language properties: display/parse roundtrip + 3-way evaluator oracle"
 cargo test -q --release --test ql_roundtrip --test planner_oracle
 
+# perfbench is its own package, outside the workspace: build it here so an
+# API change that breaks it fails the gate, then smoke its two end-to-end
+# workloads (the runs stay under `timeout`, the build outside it).
+echo "==> perfbench smoke: the benchmark builds; 2-s durable and wire runs print \"correct\": true"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+for workload in durable wire; do
+  result=$(timeout 300 cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)
+  echo "$result"
+  case "$result" in
+    *'"correct": true'*) ;;
+    *) echo "perfbench $workload: the result line does not carry \"correct\": true" >&2; exit 1 ;;
+  esac
+done
+
 echo "==> all checks passed"

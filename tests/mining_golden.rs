@@ -162,6 +162,69 @@ fn warm_admission_matches_recorded_outcome() {
     assert_eq!(actual, WARM, "actual row:\n    {actual:?}");
 }
 
+/// Per session: `(questions, nodes_generated, crowd_questions, store_hits,
+/// digest)`.
+type SharedSession = (usize, usize, usize, usize, u64);
+
+#[rustfmt::skip]
+const SHARED_SPACE: &[SharedSession] = &[
+    (396, 360, 222, 174, 3661218404360317812),
+    (340, 273, 203, 137, 8983922974712724284),
+    (334, 404, 198, 136, 5592238413043275840),
+    (254, 248, 189, 65, 8983922974712724284),
+];
+
+/// One travel query admitted at once at three thresholds (two spelled in
+/// `WITH SUPPORT`, one as a spec override) plus an un-indexed session, over
+/// overlapping rosters on the simulated runtime. The sessions are of one
+/// query shape, so they mine one assignment space; its shared successor
+/// memo must leave every outcome as recorded.
+#[test]
+fn shared_space_service_matches_recorded_outcome() {
+    let domain = travel_domain();
+    let mut service = OassisService::start(
+        Oassis::new(domain.ontology.clone()),
+        SessionRuntime::new(crowd(&domain, 8, 21)).simulated(SimConfig::new(23)),
+    );
+    let text = |threshold: f64| {
+        domain
+            .query
+            .replace("WITH SUPPORT = 0.2", &format!("WITH SUPPORT = {threshold}"))
+    };
+    let specs = [
+        (text(0.25), None, true, (0..6).collect::<Vec<_>>()),
+        (text(0.35), None, true, (2..8).collect()),
+        (text(0.2), Some(0.3), true, (0..8).collect()),
+        (text(0.2), Some(0.4), false, (1..7).collect()),
+    ];
+    for (i, (query, threshold, use_indexes, roster)) in specs.into_iter().enumerate() {
+        let cfg = EngineConfig::builder()
+            .seed(30 + i as u64)
+            .aggregator_sample(3)
+            .use_indexes(use_indexes)
+            .build();
+        let mut spec = SessionSpec::builder(query).config(cfg).roster(roster);
+        if let Some(t) = threshold {
+            spec = spec.threshold(t);
+        }
+        service.submit(spec.build()).unwrap();
+    }
+    let sessions: Vec<SharedSession> = service
+        .run()
+        .iter()
+        .map(|r| {
+            (
+                r.result.stats.total_questions,
+                r.result.stats.nodes_generated,
+                r.crowd_questions,
+                r.store_hits,
+                msp_digest(&r.result),
+            )
+        })
+        .collect();
+    assert_eq!(sessions, SHARED_SPACE, "actual rows:\n{}", rows(&sessions));
+}
+
 /// Per session: `(questions, crowd_questions, store_hits, digest)`.
 type WavedSession = (usize, usize, usize, u64);
 

@@ -6,7 +6,9 @@
 //! same recordings, whatever the store's hash-map iteration order (that
 //! sequence is what recovery replays, so it must not depend on the
 //! process that wrote it). `AnswerStore::seed_for`, which reads a member
-//! index, must return what a scan of every stored answer returns.
+//! index, must return what a scan of every stored answer returns, and the
+//! store's per-answer probes, which read a position index, must answer
+//! what a scan of a plain model answers.
 
 use proptest::prelude::*;
 
@@ -14,6 +16,7 @@ use oassis::crowd::placement::{hash_member, index_for, member_shard};
 use std::collections::BTreeMap;
 
 use oassis::crowd::{AnswerStore, MemberId};
+use oassis::store_durable::WalRecord;
 use oassis::vocab::{ElementId, Fact, FactSet, RelationId};
 
 /// A small universe keeps collisions (distinct tuples, same fact-set)
@@ -26,6 +29,99 @@ fn materialize(raw: &[(usize, usize, usize)]) -> FactSet {
             ElementId((o % 13) as u32),
         )
     }))
+}
+
+/// A plain model of the answer store: per fact-set, the paid answers in
+/// paid order and the unpaid ones, each probe a scan.
+#[derive(Default)]
+struct ScanStore(Vec<ScanEntry>);
+
+/// A fact-set, its paid answers and its unpaid ones.
+type ScanEntry = (FactSet, Vec<(MemberId, f64)>, Vec<(MemberId, f64)>);
+
+impl ScanStore {
+    fn find(&self, fs: &FactSet) -> Option<&ScanEntry> {
+        self.0.iter().find(|(f, ..)| f == fs)
+    }
+
+    fn entry(&mut self, fs: &FactSet) -> &mut ScanEntry {
+        match self.0.iter().position(|(f, ..)| f == fs) {
+            Some(i) => &mut self.0[i],
+            None => {
+                self.0.push((fs.clone(), Vec::new(), Vec::new()));
+                self.0.last_mut().expect("just pushed")
+            }
+        }
+    }
+
+    fn record(&mut self, fs: &FactSet, member: MemberId, support: f64) {
+        let (_, paid, unpaid) = self.entry(fs);
+        if let Some(answer) = paid.iter_mut().find(|(m, _)| *m == member) {
+            answer.1 = support;
+            return;
+        }
+        unpaid.retain(|(m, _)| *m != member);
+        paid.push((member, support));
+    }
+
+    fn prefetch(&mut self, fs: &FactSet, member: MemberId, support: f64) {
+        let (_, paid, unpaid) = self.entry(fs);
+        if !paid.iter().chain(unpaid.iter()).any(|(m, _)| *m == member) {
+            unpaid.push((member, support));
+        }
+    }
+
+    fn commit(&mut self, fs: &FactSet, member: MemberId) -> Option<f64> {
+        let (_, _, unpaid) = self.find(fs)?;
+        let support = unpaid.iter().find(|(m, _)| *m == member)?.1;
+        self.record(fs, member, support);
+        Some(support)
+    }
+
+    fn paid(&self, fs: &FactSet) -> &[(MemberId, f64)] {
+        self.find(fs).map_or(&[], |(_, paid, _)| paid)
+    }
+
+    fn lookup(&self, fs: &FactSet, member: MemberId) -> Option<f64> {
+        self.paid(fs)
+            .iter()
+            .find(|(m, _)| *m == member)
+            .map(|a| a.1)
+    }
+
+    fn holds(&self, fs: &FactSet, member: MemberId) -> bool {
+        self.find(fs).is_some_and(|(_, paid, unpaid)| {
+            paid.iter().chain(unpaid.iter()).any(|(m, _)| *m == member)
+        })
+    }
+
+    /// A log replay keeps the paid answers only.
+    fn replay(&mut self) {
+        for (_, _, unpaid) in &mut self.0 {
+            unpaid.clear();
+        }
+    }
+
+    /// The canonical record order: fact-sets by text, answers paid order.
+    fn records(&self) -> Vec<WalRecord> {
+        let mut sets: Vec<&ScanEntry> = self.0.iter().filter(|(_, p, _)| !p.is_empty()).collect();
+        sets.sort_by_cached_key(|(fs, ..)| {
+            fs.iter()
+                .map(|f| format!("{},{},{}", f.subject.0, f.relation.0, f.object.0))
+                .collect::<Vec<_>>()
+                .join(";")
+        });
+        sets.into_iter()
+            .flat_map(|(fs, paid, _)| {
+                paid.iter().map(|&(m, support)| WalRecord::Answer {
+                    session: None,
+                    member: m.0,
+                    support,
+                    factset: fs.clone(),
+                })
+            })
+            .collect()
+    }
 }
 
 /// Shard counts worth probing: degenerate, odd, power-of-two, and
@@ -143,5 +239,59 @@ proptest! {
             }
             prop_assert_eq!(seeded, scan(store));
         }
+    }
+
+    /// The store's probes through its position index — `lookup`, `holds`,
+    /// `commit_prefetch`, the cache's `has_answer_from` and `answers`, and
+    /// `to_records` — answer what scans of a plain model answer, on stores
+    /// built from paid records with overwrites, unpaid prefetches, commits
+    /// and log replays.
+    #[test]
+    fn store_probes_match_a_scan(
+        ops in proptest::collection::vec(
+            (0u8..5, (0usize..64, 0usize..64, 0usize..64), 0u32..8, 0u32..10),
+            1..60,
+        ),
+    ) {
+        let mut store = AnswerStore::new();
+        let mut model = ScanStore::default();
+        let mut universe: Vec<FactSet> = Vec::new();
+        for (op, raw, member, support) in &ops {
+            let fs = materialize(std::slice::from_ref(raw));
+            let (member, support) = (MemberId(*member), f64::from(*support) / 10.0);
+            match op {
+                0 | 1 => {
+                    store.record(&fs, member, support);
+                    model.record(&fs, member, support);
+                }
+                2 => {
+                    store.record_prefetch(&fs, member, support);
+                    model.prefetch(&fs, member, support);
+                }
+                3 => prop_assert_eq!(
+                    store.commit_prefetch(&fs, member, Some(1)),
+                    model.commit(&fs, member)
+                ),
+                _ => {
+                    let mut replayed = AnswerStore::new();
+                    replayed.replay_records(&store.to_records());
+                    store = replayed;
+                    model.replay();
+                }
+            }
+            universe.push(fs);
+        }
+        for fs in &universe {
+            prop_assert_eq!(store.cache().answers(fs), model.paid(fs));
+            for member in (0..8).map(MemberId) {
+                prop_assert_eq!(store.lookup(fs, member), model.lookup(fs, member));
+                prop_assert_eq!(store.holds(fs, member), model.holds(fs, member));
+                prop_assert_eq!(
+                    store.cache().has_answer_from(fs, member),
+                    model.lookup(fs, member).is_some()
+                );
+            }
+        }
+        prop_assert_eq!(store.to_records(), model.records());
     }
 }

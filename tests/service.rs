@@ -437,3 +437,198 @@ fn rosters_are_validated_and_respected() {
         "seat 1 is outside the roster and must never be asked"
     );
 }
+
+/// `query` with its `WITH SUPPORT` clause set to `threshold` (the domain
+/// queries all carry 0.2).
+fn at_support(query: &str, threshold: f64) -> String {
+    assert!(query.contains("WITH SUPPORT = 0.2"));
+    query.replace("WITH SUPPORT = 0.2", &format!("WITH SUPPORT = {threshold}"))
+}
+
+/// Sessions of one query shape mine one assignment space and share its
+/// successor memo, and none of it shows: per domain, the query admitted
+/// at three thresholds at once (two spelled in `WITH SUPPORT`, one as a
+/// spec override) plus an un-indexed session each report exactly what the
+/// sequential reference loop reports for the same query text.
+#[test]
+fn sessions_sharing_a_space_match_the_sequential_reference() {
+    for (domain, members, seed) in [
+        (travel_domain(), 8, 3u64),
+        (culinary_domain(), 8, 5),
+        (self_treatment_domain(), 10, 7),
+    ] {
+        // (query text, spec threshold, use_indexes); the reference mines
+        // the text at the threshold the session mines.
+        let sessions = [
+            (at_support(&domain.query, 0.3), None, true),
+            (at_support(&domain.query, 0.4), None, true),
+            (domain.query.clone(), Some(0.5), true),
+            (at_support(&domain.query, 0.35), None, false),
+        ];
+        let mem = InMemorySink::shared();
+        let mut service = OassisService::start_with_sink(
+            Oassis::new(domain.ontology.clone()),
+            SessionRuntime::new(domain_crowd(&domain, members, seed)),
+            Arc::clone(&mem) as Arc<dyn EventSink>,
+        );
+        let config = |use_indexes: bool| {
+            EngineConfig::builder()
+                .seed(seed)
+                .use_indexes(use_indexes)
+                .build()
+        };
+        for (query, threshold, use_indexes) in &sessions {
+            let mut spec = SessionSpec::builder(query.as_str()).config(config(*use_indexes));
+            if let Some(t) = threshold {
+                spec = spec.threshold(*t);
+            }
+            service.submit(spec.build()).unwrap();
+        }
+        let counts = || {
+            let snap = mem.snapshot();
+            let space = |label: &str| snap.counter(&format!("{}[{label}]", names::SERVICE_SPACE));
+            (space("built"), space("reused"))
+        };
+        assert_eq!(counts(), (1, 3), "{}: one shape", domain.name);
+        let reports = service.run();
+
+        for ((query, threshold, use_indexes), report) in sessions.iter().zip(&reports) {
+            let query = threshold.map_or_else(|| query.clone(), |t| at_support(query, t));
+            let engine = Oassis::new(domain.ontology.clone());
+            let mut crowd = domain_crowd(&domain, members, seed);
+            let serial = run_sequential(&engine, &query, &mut crowd, &config(*use_indexes));
+            let what = format!("{} {query:?}", domain.name);
+            assert_eq!(report.status, SessionStatus::Completed, "{what}");
+            assert_eq!(
+                valid_msp_set(&serial),
+                valid_msp_set(&report.result),
+                "{what}: valid MSPs"
+            );
+            assert_eq!(
+                serial.stats.total_questions, report.result.stats.total_questions,
+                "{what}: questions"
+            );
+            assert_eq!(
+                serial.stats.nodes_generated, report.result.stats.nodes_generated,
+                "{what}: generated nodes"
+            );
+        }
+    }
+}
+
+/// The shared space is keyed by what its build reads: specs that differ
+/// only in threshold, seed or `use_indexes` share one, while a FILTER, the
+/// query planner or a `MORE` domain each build their own. A space lives
+/// while a session holds it, finished sessions included, and the service
+/// keeps none once their reports are taken.
+#[test]
+fn space_key_and_lifetime() {
+    let mem = InMemorySink::shared();
+    let mut service = OassisService::start_with_sink(
+        Oassis::new(figure1_ontology()),
+        SessionRuntime::new(figure1_crowd(2)),
+        Arc::clone(&mem) as Arc<dyn EventSink>,
+    );
+    let counts = || {
+        let snap = mem.snapshot();
+        let space = |label: &str| snap.counter(&format!("{}[{label}]", names::SERVICE_SPACE));
+        (space("built"), space("reused"))
+    };
+    let filtered = QUERY.replace(
+        "$y subClassOf* Activity",
+        "$y subClassOf* Activity. FILTER($x IN (<Central Park>))",
+    );
+    let o = figure1_ontology();
+    let v = o.vocabulary();
+    let more = vec![oassis::vocab::Fact::new(
+        v.element("Rent Bikes").unwrap(),
+        v.relation("doAt").unwrap(),
+        v.element("Boathouse").unwrap(),
+    )];
+
+    let first = service.submit(SessionSpec::builder(QUERY).build()).unwrap();
+    assert_eq!(counts(), (1, 0));
+    let sharing = [
+        SessionSpec::builder(QUERY).threshold(0.3).build(),
+        SessionSpec::builder(QUERY.replace("0.4", "0.6")).build(),
+        SessionSpec::builder(QUERY)
+            .config(EngineConfig::builder().seed(9).use_indexes(false).build())
+            .build(),
+    ];
+    for spec in sharing {
+        service.submit(spec).unwrap();
+    }
+    assert_eq!(counts(), (1, 3), "threshold, seed and use_indexes share");
+
+    let own = [
+        SessionSpec::builder(filtered.as_str()).build(),
+        SessionSpec::builder(QUERY)
+            .config(EngineConfig::builder().use_query_planner(false).build())
+            .build(),
+        SessionSpec::builder(QUERY)
+            .config(EngineConfig::builder().more_domain(more).build())
+            .build(),
+    ];
+    for spec in own {
+        service.submit(spec).unwrap();
+    }
+    assert_eq!(
+        counts(),
+        (4, 3),
+        "a FILTER, the planner and MORE each build"
+    );
+
+    // Finished sessions whose reports are not taken keep their space.
+    while service.run_cycle() {}
+    service.take_report(first).unwrap();
+    service.submit(SessionSpec::builder(QUERY).build()).unwrap();
+    assert_eq!(counts(), (4, 4), "three finished sessions still hold it");
+
+    // Once every report is taken the service holds no space: each shape
+    // is built afresh.
+    assert_eq!(service.run().len(), 7);
+    service.submit(SessionSpec::builder(QUERY).build()).unwrap();
+    service
+        .submit(SessionSpec::builder(filtered.as_str()).build())
+        .unwrap();
+    assert_eq!(counts(), (6, 4));
+}
+
+/// The `engine.dag.nodes_total` count is taken once per shared space:
+/// two sessions of one shape, each with an enabled sink, enter
+/// `engine.dag.count` once between them and report the same gauge.
+#[test]
+fn dag_count_runs_once_per_shared_space() {
+    let mut service = OassisService::start(
+        Oassis::new(figure1_ontology()),
+        SessionRuntime::new(figure1_crowd(2)),
+    );
+    let sinks = [InMemorySink::shared(), InMemorySink::shared()];
+    for (i, sink) in sinks.iter().enumerate() {
+        let config = EngineConfig::builder()
+            .seed(i as u64)
+            .sink(Arc::clone(sink) as Arc<dyn EventSink>)
+            .build();
+        let spec = SessionSpec::builder(QUERY)
+            .threshold(0.3 + 0.1 * i as f64)
+            .config(config)
+            .build();
+        service.submit(spec).unwrap();
+    }
+    assert!(service
+        .run()
+        .iter()
+        .all(|r| r.status == SessionStatus::Completed));
+    let snaps = sinks.map(|s| s.snapshot());
+    let counts: Vec<u64> = snaps
+        .iter()
+        .map(|s| s.span(names::SPAN_DAG_COUNT).map_or(0, |span| span.count))
+        .collect();
+    assert_eq!(counts, [1, 0], "the second session reads the first count");
+    let gauges: Vec<Option<f64>> = snaps
+        .iter()
+        .map(|s| s.gauge(names::DAG_NODES_TOTAL))
+        .collect();
+    assert!(gauges[0].is_some_and(|n| n > 0.0), "{gauges:?}");
+    assert_eq!(gauges[0], gauges[1]);
+}
