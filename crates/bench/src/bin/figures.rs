@@ -7,23 +7,23 @@
 //!
 //! Available experiments: `fig4a fig4b fig4c fig4d fig4e fig4f fig5 shape
 //! dist mult crowdmix bounds growth runtime scale service durability
-//! crowd-scale net planner` (or `all`). The `scale` experiment writes
-//! `BENCH_scale.json` at the repo root (`OASSIS_SCALE_SMOKE=1` shrinks it
-//! for CI); `service` writes `BENCH_service.json` the same way
-//! (`OASSIS_SERVICE_SMOKE=1`), `durability` writes `BENCH_durability.json`
-//! — recovery time versus write-ahead-log length
-//! (`OASSIS_DURABILITY_SMOKE=1`) — `crowd-scale` writes
-//! `BENCH_crowdscale.json`: sharded dispatch + question-wave throughput
-//! over crowds up to 100k members (`OASSIS_CROWDSCALE_SMOKE=1`) — and
-//! `net` writes `BENCH_net.json`: wire-protocol round-trip overhead of
-//! serving sessions over TCP loopback versus running them in-process
-//! (`OASSIS_NET_SMOKE=1`) — and `planner` writes `BENCH_planner.json`:
-//! the query planner's constraint pushdown on a `FILTER`-constrained
-//! variant of each canonical query, asserting identical valid MSPs with
-//! the planner on and off (`OASSIS_PLANNER_SMOKE=1`) — and `mining`
-//! writes `BENCH_mining.json`: mining µs per question per domain and its
-//! split across the session's `engine.mine.*` spans
-//! (`OASSIS_MINING_SMOKE=1`).
+//! crowd-scale net planner mining` (or `all`). Seven of them write a
+//! `BENCH_*.json` at the repo root: `scale` (index-layer speedup),
+//! `service` (multi-query crowd sharing), `durability` (recovery time
+//! versus write-ahead-log length), `crowd-scale` (sharded dispatch +
+//! question-wave throughput over crowds up to 100k members), `net`
+//! (wire-protocol overhead of serving sessions over TCP loopback versus
+//! running them in-process), `planner` (constraint pushdown on a
+//! `FILTER`-constrained variant of each canonical query, asserting
+//! identical valid MSPs with the planner on and off) and `mining` (mining
+//! µs per question per domain, split across the session's
+//! `engine.mine.*` spans). With `--smoke` each shrinks to a size CI can
+//! check its invariants at in seconds and writes
+//! `target/BENCH_*.smoke.json` instead:
+//!
+//! ```text
+//! cargo run --release -p oassis-bench --bin figures -- --smoke scale net
+//! ```
 //!
 //! Alongside the tables, machine-readable telemetry is appended as JSON
 //! lines (one event object per line) to `$OASSIS_FIGURES_JSON`, default
@@ -184,12 +184,11 @@ fn print_curves(title: &str, series: &[CurveSeries]) {
 }
 
 /// Run the index-layer scale benchmark (PR 3) and write `BENCH_scale.json`
-/// at the repo root. `OASSIS_SCALE_SMOKE=1` shrinks the question caps so CI
+/// at the repo root. `--smoke` shrinks the question caps so CI
 /// can assert the invariants (identical answers, speedup ≥ 1) in seconds,
 /// timing each side as the median of 5 alternating runs so one slow run
 /// cannot flip the bound; the full run is the one whose numbers matter.
-fn run_scale(sink: &Arc<dyn EventSink>, seed: u64) {
-    let smoke = std::env::var("OASSIS_SCALE_SMOKE").is_ok_and(|v| v == "1");
+fn run_scale(sink: &Arc<dyn EventSink>, seed: u64, smoke: bool) {
     let (members, cap_small, cap_large, runs) = if smoke {
         (6, 40, 80, 5)
     } else {
@@ -281,27 +280,16 @@ fn run_scale(sink: &Arc<dyn EventSink>, seed: u64) {
         seed,
         json_rows.join(",\n")
     );
-    // Smoke runs go to target/ so CI never clobbers the checked-in
-    // full-mode numbers at the repo root.
-    let path = if smoke {
-        "target/BENCH_scale.smoke.json"
-    } else {
-        "BENCH_scale.json"
-    };
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("cannot write {path}: {e}"),
-    }
+    write_bench("scale", smoke, &json);
 }
 
 /// Run the multi-query service benchmark (PR 5) and write
 /// `BENCH_service.json` at the repo root: N overlapping queries through one
 /// `OassisService` over one shared crowd versus the same N queries as
 /// independent serial runs. The answers must match exactly; the crowd
-/// traffic must shrink. `OASSIS_SERVICE_SMOKE=1` shrinks the crowd so CI
+/// traffic must shrink. `--smoke` shrinks the crowd so CI
 /// can assert the invariants in seconds.
-fn run_service(sink: &Arc<dyn EventSink>, seed: u64) {
-    let smoke = std::env::var("OASSIS_SERVICE_SMOKE").is_ok_and(|v| v == "1");
+fn run_service(sink: &Arc<dyn EventSink>, seed: u64, smoke: bool) {
     let (sessions, members) = if smoke { (2, 8) } else { (4, 24) };
     println!(
         "== service: multi-query crowd sharing ({}) ==",
@@ -398,15 +386,7 @@ fn run_service(sink: &Arc<dyn EventSink>, seed: u64) {
         seed,
         json_rows.join(",\n")
     );
-    let path = if smoke {
-        "target/BENCH_service.smoke.json"
-    } else {
-        "BENCH_service.json"
-    };
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("cannot write {path}: {e}"),
-    }
+    write_bench("service", smoke, &json);
 }
 
 /// Run the durability benchmark (PR 7) and write `BENCH_durability.json`
@@ -414,10 +394,9 @@ fn run_service(sink: &Arc<dyn EventSink>, seed: u64) {
 /// write-ahead log grows, with and without snapshot compaction.
 /// Compaction must keep cold-start recovery cheap even for long-lived
 /// services; uncompacted recovery grows with the log.
-/// `OASSIS_DURABILITY_SMOKE=1` shrinks the log sizes so CI can assert the
+/// `--smoke` shrinks the log sizes so CI can assert the
 /// invariants in seconds.
-fn run_durability(sink: &Arc<dyn EventSink>, seed: u64) {
-    let smoke = std::env::var("OASSIS_DURABILITY_SMOKE").is_ok_and(|v| v == "1");
+fn run_durability(sink: &Arc<dyn EventSink>, seed: u64, smoke: bool) {
     let sizes: &[usize] = if smoke {
         &[256, 1024]
     } else {
@@ -496,15 +475,7 @@ fn run_durability(sink: &Arc<dyn EventSink>, seed: u64) {
         seed,
         json_rows.join(",\n")
     );
-    let path = if smoke {
-        "target/BENCH_durability.smoke.json"
-    } else {
-        "BENCH_durability.json"
-    };
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("cannot write {path}: {e}"),
-    }
+    write_bench("durability", smoke, &json);
 }
 
 /// Run the crowd-scale benchmark (PR 8) and write `BENCH_crowdscale.json`
@@ -513,10 +484,9 @@ fn run_durability(sink: &Arc<dyn EventSink>, seed: u64) {
 /// team) and 16-question waves, verified cell-by-cell against the 1-shard,
 /// one-question-at-a-time reference, plus a shard sweep {1, 2, 4, 8} at
 /// the largest crowd. Throughput must grow near-linearly in the shard
-/// count while answers stay identical. `OASSIS_CROWDSCALE_SMOKE=1`
+/// count while answers stay identical. `--smoke`
 /// shrinks the grid so CI can assert the invariants in seconds.
-fn run_crowd_scale(sink: &Arc<dyn EventSink>, seed: u64) {
-    let smoke = std::env::var("OASSIS_CROWDSCALE_SMOKE").is_ok_and(|v| v == "1");
+fn run_crowd_scale(sink: &Arc<dyn EventSink>, seed: u64, smoke: bool) {
     println!(
         "== crowd-scale: sharded dispatch + question waves ({}) ==",
         if smoke { "smoke" } else { "full" }
@@ -670,15 +640,7 @@ fn run_crowd_scale(sink: &Arc<dyn EventSink>, seed: u64) {
         shard_gain,
         json_rows.join(",\n")
     );
-    let path = if smoke {
-        "target/BENCH_crowdscale.smoke.json"
-    } else {
-        "BENCH_crowdscale.json"
-    };
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("cannot write {path}: {e}"),
-    }
+    write_bench("crowdscale", smoke, &json);
 }
 
 /// Run the wire-protocol benchmark (PR 9) and write `BENCH_net.json` at
@@ -687,10 +649,9 @@ fn run_crowd_scale(sink: &Arc<dyn EventSink>, seed: u64) {
 /// mean round-trip of an idle-server `Hello` (pure framing + socket
 /// cost). Served answers must match in-process exactly — the protocol is
 /// an observability-preserving front-end, and this pins the price of the
-/// indirection. `OASSIS_NET_SMOKE=1` shrinks the grid so CI can assert
+/// indirection. `--smoke` shrinks the grid so CI can assert
 /// the invariants in seconds.
-fn run_net(sink: &Arc<dyn EventSink>, seed: u64) {
-    let smoke = std::env::var("OASSIS_NET_SMOKE").is_ok_and(|v| v == "1");
+fn run_net(sink: &Arc<dyn EventSink>, seed: u64, smoke: bool) {
     let grid: &[(usize, u32)] = if smoke {
         &[(1, 2), (4, 2)]
     } else {
@@ -770,15 +731,7 @@ fn run_net(sink: &Arc<dyn EventSink>, seed: u64) {
         seed,
         json_rows.join(",\n")
     );
-    let path = if smoke {
-        "target/BENCH_net.smoke.json"
-    } else {
-        "BENCH_net.json"
-    };
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("cannot write {path}: {e}"),
-    }
+    write_bench("net", smoke, &json);
 }
 
 /// Run the query-planner benchmark (PR 10) and write `BENCH_planner.json`
@@ -786,10 +739,9 @@ fn run_net(sink: &Arc<dyn EventSink>, seed: u64) {
 /// `FILTER`-constrained variant, mined with the planner on and off. The
 /// valid MSPs and question counts must be identical either way, and the
 /// pushed-down constraint must shrink both the seed space and the crowd
-/// traffic. `OASSIS_PLANNER_SMOKE=1` shrinks the crowd so CI can assert
+/// traffic. `--smoke` shrinks the crowd so CI can assert
 /// the invariants in seconds.
-fn run_planner(sink: &Arc<dyn EventSink>, seed: u64) {
-    let smoke = std::env::var("OASSIS_PLANNER_SMOKE").is_ok_and(|v| v == "1");
+fn run_planner(sink: &Arc<dyn EventSink>, seed: u64, smoke: bool) {
     let members = if smoke { 6 } else { 24 };
     println!(
         "== planner: constraint pushdown ({}) ==",
@@ -906,25 +858,16 @@ fn run_planner(sink: &Arc<dyn EventSink>, seed: u64) {
         seed,
         json_rows.join(",\n")
     );
-    let path = if smoke {
-        "target/BENCH_planner.smoke.json"
-    } else {
-        "BENCH_planner.json"
-    };
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("cannot write {path}: {e}"),
-    }
+    write_bench("planner", smoke, &json);
 }
 
 /// Run the mining-cost benchmark and write `BENCH_mining.json` at the
 /// repo root: per domain, one cold `Oassis::execute` with 24 members, its
 /// untraced µs per question (median of 5 runs) and the share of a traced
-/// run spent in each `engine.mine.*` span. `OASSIS_MINING_SMOKE=1` mines
+/// run spent in each `engine.mine.*` span. `--smoke` mines
 /// self-treatment once with a small crowd, asserting that tracing leaves
 /// the run unchanged and that the spans account for mining time.
-fn run_mining(seed: u64) {
-    let smoke = std::env::var("OASSIS_MINING_SMOKE").is_ok_and(|v| v == "1");
+fn run_mining(seed: u64, smoke: bool) {
     let (members, runs) = if smoke { (8, 1) } else { (24, 5) };
     let mode = if smoke { "smoke" } else { "full" };
     println!("== mining: µs per question and its split by session span ({mode}) ==");
@@ -1012,19 +955,28 @@ fn run_mining(seed: u64) {
         "{{\n\"experiment\": \"mining\",\n\"mode\": {mode:?},\n\"seed\": {seed},\n\"runs\": {runs},\n\"rows\": [\n{}\n]\n}}\n",
         json_rows.join(",\n")
     );
+    write_bench("mining", smoke, &json);
+}
+
+/// Write an experiment's JSON: `BENCH_<name>.json` at the repo root, or,
+/// for a smoke run, `target/BENCH_<name>.smoke.json`, so CI never clobbers
+/// the checked-in full-mode numbers.
+fn write_bench(name: &str, smoke: bool, json: &str) {
     let path = if smoke {
-        "target/BENCH_mining.smoke.json"
+        format!("target/BENCH_{name}.smoke.json")
     } else {
-        "BENCH_mining.json"
+        format!("BENCH_{name}.json")
     };
-    match std::fs::write(path, &json) {
+    match std::fs::write(&path, json) {
         Ok(()) => println!("wrote {path}"),
         Err(e) => eprintln!("cannot write {path}: {e}"),
     }
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let smoke = args.iter().any(|a| a == "--smoke");
+    args.retain(|a| a != "--smoke");
     let wanted: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
         vec![
             "fig4a",
@@ -1272,13 +1224,13 @@ fn main() {
                     )
                 );
             }
-            "scale" => run_scale(&sink, seed),
-            "service" => run_service(&sink, seed),
-            "durability" => run_durability(&sink, seed),
-            "crowd-scale" => run_crowd_scale(&sink, seed),
-            "net" => run_net(&sink, seed),
-            "planner" => run_planner(&sink, seed),
-            "mining" => run_mining(seed),
+            "scale" => run_scale(&sink, seed, smoke),
+            "service" => run_service(&sink, seed, smoke),
+            "durability" => run_durability(&sink, seed, smoke),
+            "crowd-scale" => run_crowd_scale(&sink, seed, smoke),
+            "net" => run_net(&sink, seed, smoke),
+            "planner" => run_planner(&sink, seed, smoke),
+            "mining" => run_mining(seed, smoke),
             other => eprintln!("unknown experiment {other:?} (try: all)"),
         }
     }

@@ -1,62 +1,70 @@
 //! Deterministic simulation harness for the concurrent crowd runtime
 //! (FoundationDB-style).
 //!
-//! One [`simulate`] call runs a **complete mining session** — the paper's
-//! travel-domain query over the Table 3 crowd — on the runtime's
-//! single-threaded simulation executor: a seeded scheduler owns every
-//! interleaving decision and all waiting (member latency, timeouts,
-//! retries) happens on a virtual clock, so a run replays bit-identically
-//! from one `u64` seed at zero wall-clock cost.
+//! A [`Scenario`] is one seeded run over the paper's travel domain: a
+//! crowd recipe, the session plans, the engine configuration they mine
+//! under, a question wave, an optional in-memory write-ahead log, a
+//! transport and, for schedule exploration, a decision script or an
+//! injected bug. [`run`] builds the scenario's simulated runtime — a
+//! seeded scheduler owns every interleaving decision and all waiting
+//! (member latency, timeouts, retries) happens on a virtual clock —
+//! starts or recovers its [`OassisService`], drives it to its end (served
+//! through [`SimNet`] when the transport says so) and reports one
+//! [`RunOutcome`]. A run replays bit-identically from its seed at zero
+//! wall-clock cost.
 //!
-//! On top of that, [`check_seed`] runs the differential **oracles** that
-//! pin down the paper's §5 guarantee (the answer set is independent of how
-//! crowd answers arrive):
+//! The oracles are composed on top, one [`Suite`] each:
 //!
-//! 1. **replay** — the same seed twice yields byte-identical transcripts
-//!    and decision sequences;
-//! 2. **concurrent ≡ sequential** — valid-MSP set (and, when no member is
-//!    excluded, question count) matches [`run_sequential`], a minimal
-//!    in-line loop over a bare [`MiningSession`] that shares no code with
-//!    the runtime's pool or the service;
-//! 3. **indexed ≡ unindexed** — flipping `use_indexes` changes nothing
-//!    observable;
-//! 4. **obs conservation** — every `runtime.question.*` event issued is
-//!    answered, retried, or excluded (no event leaks), and every prefetch
-//!    is a hit or waste, checked on an `InMemorySink` snapshot.
+//! * **faults** ([`check_seed`]) — one query under latency or dropping
+//!   clones: replay, concurrent ≡ [`run_sequential`] (a minimal in-line
+//!   loop over a bare [`MiningSession`] that shares no code with the
+//!   runtime's pool or the service), indexed ≡ unindexed, and obs-event
+//!   conservation;
+//! * **service** ([`check_service_seed`]) — concurrent sessions over one
+//!   crowd: replay, single-session differential, no starvation,
+//!   disjoint-roster isolation;
+//! * **waves** ([`check_wave_seed`]) — question waves change nothing that
+//!   is mined or charged;
+//! * **durability** ([`check_durability_seed`]) — kill the durable service
+//!   at any log append, recover, and finish with the uninterrupted
+//!   answers;
+//! * **net** ([`check_net_seed`]) — the same through the wire protocol,
+//!   the server killed at every request frame and under frame faults.
 //!
-//! [`sweep`] drives `check_seed` across a seed range; [`shrink`] reduces a
-//! failing schedule to a minimal set of non-FIFO scheduling decisions (the
-//! "minimal fault trace"). Reproduce any failure with the printed
-//! one-liner: `OASSIS_SIM_SEED=<seed> cargo test --test simulation` or
-//! `cargo run --release -p oassis-simtest --bin sim -- repro <seed>`.
+//! [`sweep`] runs a suite over a seed range. A seed whose run panics,
+//! cannot admit, resume or recover, or overruns [`MAX_STEPS`] is reported
+//! as that seed's [`OracleFailure`], and the sweep goes on; the bound
+//! cannot catch a hang inside one call, such as a `submit` that never
+//! returns. [`shrink`] reduces a failing faults-suite schedule to a
+//! minimal set of non-FIFO scheduling decisions (the "minimal fault
+//! trace"). Reproduce any failure with the printed one-liner:
+//! `OASSIS_SIM_SEED=<seed> cargo run --release -p oassis-simtest --bin sim -- repro`.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
-use oassis_core::engine::service::SessionReport;
 use oassis_core::{
     Answer, EngineConfig, MiningSession, Oassis, OassisService, QueryResult, QuestionPayload,
-    SessionEvent, SessionId, SessionRuntime, SessionSpec, SimChaos, SimConfig, SimTrace,
+    RecoveredSession, RuntimeOptions, SessionEvent, SessionId, SessionReport, SessionRuntime,
+    SessionSpec, SimChaos, SimConfig, SimTrace, SimTraceHandle,
 };
+use oassis_crowd::transaction::table3_dbs;
+use oassis_crowd::{AnswerStore, CrowdMember, DbMember, MemberId, ResponseModel, UnreliableMember};
 use oassis_net::{
     FaultConfig, NetClient, NetServer, Request, Response, SimNet, SimTransport, WireStatus,
     PROTOCOL_VERSION,
 };
-use oassis_store_durable::{AdmitSpec, InMemory, Persistence, SharedPersistence, WalRecord};
-use oassis_crowd::transaction::table3_dbs;
-use oassis_crowd::{CrowdMember, DbMember, MemberId, ResponseModel, UnreliableMember};
-use oassis_obs::{names, Event, EventKind, EventSink, InMemorySink, Snapshot};
+use oassis_obs::{names, null_sink, Event, EventKind, EventSink, InMemorySink, Snapshot};
 use oassis_store::ontology::figure1_ontology;
+use oassis_store_durable::{AdmitSpec, InMemory, Persistence, SharedPersistence, WalRecord};
 
-/// The paper's running travel-domain query (Figure 2 family), identical to
-/// the one `tests/runtime_concurrency.rs` uses.
+/// The paper's running travel-domain query (Figure 2 family).
 pub const QUERY: &str = "SELECT FACT-SETS WHERE \
       $x instanceOf $w. $w subClassOf* Attraction. \
       $y subClassOf* Activity \
     SATISFYING $y doAt $x WITH SUPPORT = 0.4";
-
-const SUPPORT: f64 = 0.4;
 
 /// Seeds that once exposed (or are constructed to keep exposing) specific
 /// bug classes; `tests/simulation.rs` replays them every run.
@@ -67,11 +75,9 @@ const SUPPORT: f64 = 0.4;
 /// answer is committed, never double-counted as an exclusion.
 pub const REGRESSION_SEEDS: &[u64] = &[0, 2, 0xDEAD_BEE2, 0x5EED_5EED_5EED_5EE0];
 
-/// Which fault family a simulated run injects.
+/// Which fault family a faults-suite run injects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultFamily {
-    /// Perfect channels: every answer instant and delivered.
-    None,
     /// Latency + jitter on every member (no drops), with member 0's first
     /// answer landing exactly on the deadline. Nobody is excluded, so the
     /// run must match the sequential reference in both the valid-MSP set
@@ -84,85 +90,40 @@ pub enum FaultFamily {
     DropClones,
 }
 
-/// How [`simulate`] picks the fault family.
+impl FaultFamily {
+    /// The family the faults suite derives from `seed`: even seeds get
+    /// latency, odd seeds dropping clones.
+    pub fn for_seed(seed: u64) -> FaultFamily {
+        if seed.is_multiple_of(2) {
+            FaultFamily::Latency
+        } else {
+            FaultFamily::DropClones
+        }
+    }
+}
+
+/// The crowd a scenario's runtime serves, with its timeouts and retries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultPlan {
-    /// No faults.
-    None,
-    /// Derive the family from the seed (even → latency, odd → drop
-    /// clones) — what [`sweep`] uses.
-    FromSeed,
-    /// Force the latency family.
-    Latency,
-    /// Force the drop-clones family.
-    DropClones,
+pub enum CrowdRecipe {
+    /// The faults suite's crowd: [`crowd`]`(3)` under one fault family.
+    Faults(FaultFamily),
+    /// The service suites' crowd: `crowd(2)`, instant or, with `latency`,
+    /// answering after seed-derived delay + jitter (nobody excluded).
+    Service {
+        /// Whether members answer late.
+        latency: bool,
+    },
 }
 
-impl FaultPlan {
-    /// The concrete family this plan yields for `seed`.
-    pub fn family(self, seed: u64) -> FaultFamily {
+impl CrowdRecipe {
+    /// Copies of the paper's u1/u2 member pair in the crowd (fault clones
+    /// aside); the sequential reference runs over the same clean crowd.
+    fn pairs(self) -> u32 {
         match self {
-            FaultPlan::None => FaultFamily::None,
-            FaultPlan::Latency => FaultFamily::Latency,
-            FaultPlan::DropClones => FaultFamily::DropClones,
-            FaultPlan::FromSeed => {
-                if seed.is_multiple_of(2) {
-                    FaultFamily::Latency
-                } else {
-                    FaultFamily::DropClones
-                }
-            }
+            CrowdRecipe::Faults(_) => 3,
+            CrowdRecipe::Service { .. } => 2,
         }
     }
-}
-
-/// Knobs of one simulated run.
-#[derive(Debug, Clone)]
-pub struct SimOptions {
-    /// Fault injection plan (default: derive from the seed).
-    pub faults: FaultPlan,
-    /// Engine `use_indexes` flag (default `true`; the indexed≡unindexed
-    /// oracle flips it).
-    pub use_indexes: bool,
-    /// Replay an explicit scheduling-decision script instead of drawing
-    /// decisions from the seed (the shrinker's replay mechanism).
-    pub script: Option<Vec<usize>>,
-    /// Deliberate bug injection, used to prove the harness catches and
-    /// shrinks real schedule-dependent corruption.
-    pub chaos: Option<SimChaos>,
-}
-
-impl Default for SimOptions {
-    fn default() -> Self {
-        SimOptions {
-            faults: FaultPlan::FromSeed,
-            use_indexes: true,
-            script: None,
-            chaos: None,
-        }
-    }
-}
-
-/// Everything one simulated run produced.
-#[derive(Debug, Clone)]
-pub struct SimOutcome {
-    /// The scheduler seed.
-    pub seed: u64,
-    /// The fault family that was injected.
-    pub family: FaultFamily,
-    /// Sorted rendered valid MSPs (empty if the run errored).
-    pub msps: Vec<String>,
-    /// Total crowd questions asked (0 if the run errored).
-    pub questions: usize,
-    /// The byte-stable scheduler transcript (question order, retries,
-    /// timeouts, exclusions).
-    pub transcript: String,
-    /// The raw scheduling decisions, replayable via `SimOptions::script`.
-    pub decisions: Vec<usize>,
-    /// Obs snapshot of the run's full event stream.
-    pub snapshot: Snapshot,
-    /// The engine error, if the run failed (e.g. crowd exhausted).
-    pub error: Option<String>,
 }
 
 /// Splitmix-style seed mixing for per-member channel generators.
@@ -210,22 +171,23 @@ pub fn valid_msp_set(result: &QueryResult) -> Vec<String> {
     v
 }
 
-/// The latency family's per-question timeout. Virtual time makes generous
-/// deadlines free, so it is deliberately huge relative to the injected
-/// delays: nobody can be excluded by latency alone.
+/// The per-question timeout of the latency crowds. Virtual time makes
+/// generous deadlines free, so it is deliberately huge relative to the
+/// injected delays: nobody can be excluded by latency alone.
 const LATENCY_TIMEOUT: Duration = Duration::from_secs(10);
 /// The drop-clone family's timeout: small in virtual time (the sweep pays
 /// nothing for it) but irrelevant to healthy members, who answer at t+0.
 const DROP_TIMEOUT: Duration = Duration::from_millis(5);
 
-/// Build the member set + runtime options for `(seed, family)`.
-fn faulted_runtime(seed: u64, family: FaultFamily) -> SessionRuntime {
-    match family {
-        FaultFamily::None => SessionRuntime::new(crowd(3)),
-        FaultFamily::Latency => {
+/// `recipe`'s members and runtime options for `seed`. The two latency
+/// formulas stay distinct: each suite keeps exploring its own schedules.
+fn crowd_runtime(seed: u64, recipe: CrowdRecipe) -> SessionRuntime {
+    let members = crowd(recipe.pairs());
+    match recipe {
+        CrowdRecipe::Faults(FaultFamily::Latency) => {
             let base = Duration::from_micros(200 + (seed % 8) * 150);
             let jitter = Duration::from_micros(400);
-            let members: Vec<Box<dyn CrowdMember>> = crowd(3)
+            let members: Vec<Box<dyn CrowdMember>> = members
                 .into_iter()
                 .enumerate()
                 .map(|(i, m)| {
@@ -246,8 +208,8 @@ fn faulted_runtime(seed: u64, family: FaultFamily) -> SessionRuntime {
                 .question_timeout(LATENCY_TIMEOUT)
                 .max_retries(2)
         }
-        FaultFamily::DropClones => {
-            let mut members = crowd(3);
+        CrowdRecipe::Faults(FaultFamily::DropClones) => {
+            let mut members = members;
             let o = figure1_ontology();
             let vocab = Arc::new(o.vocabulary().clone());
             let (d1, d2) = table3_dbs(&vocab);
@@ -266,6 +228,26 @@ fn faulted_runtime(seed: u64, family: FaultFamily) -> SessionRuntime {
                 .question_timeout(DROP_TIMEOUT)
                 .max_retries(1)
         }
+        CrowdRecipe::Service { latency } => {
+            let members = if latency {
+                members
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, m)| {
+                        let base = Duration::from_micros(150 + (mix(seed, i as u64) % 1000));
+                        let model =
+                            ResponseModel::latency(base).with_jitter(Duration::from_micros(300));
+                        Box::new(UnreliableMember::new(m, model, mix(seed, i as u64)))
+                            as Box<dyn CrowdMember>
+                    })
+                    .collect()
+            } else {
+                members
+            };
+            SessionRuntime::new(members)
+                .question_timeout(LATENCY_TIMEOUT)
+                .max_retries(2)
+        }
     }
 }
 
@@ -276,52 +258,447 @@ fn engine_seed(seed: u64) -> u64 {
     seed % 4
 }
 
-fn engine_config(seed: u64, use_indexes: bool, sink: Arc<dyn EventSink>) -> EngineConfig {
+// ---------------------------------------------------------------------------
+// Scenarios and the one runner.
+// ---------------------------------------------------------------------------
+
+/// The step bound of every run: scheduling cycles in-process, network
+/// ticks when served. Only a livelock reaches it.
+pub const MAX_STEPS: u64 = 200_000;
+
+/// One seeded simulated run: what [`run`] builds, starts and drives.
+/// Start from a constructor and change fields with struct-update syntax.
+#[derive(Clone)]
+pub struct Scenario {
+    /// The scheduler seed; the engine seed derives from it.
+    pub seed: u64,
+    /// The crowd the simulated runtime serves.
+    pub crowd: CrowdRecipe,
+    /// The sessions, admitted in plan order.
+    pub plans: Vec<ServicePlan>,
+    /// Every plan's `use_indexes` flag.
+    pub use_indexes: bool,
+    /// Every plan's aggregator sample.
+    pub aggregator_sample: usize,
+    /// Plan `i` is submitted with token `base + i` (`None`: no tokens).
+    pub tokens: Option<u64>,
+    /// Questions each session keeps in flight per cycle.
+    pub wave: usize,
+    /// The write-ahead log. `None` runs a volatile service. An empty log
+    /// starts a durable one; a crash image ([`InMemory::crashed_at`]) is
+    /// recovered from, its interrupted sessions resumed and the plans it
+    /// never admitted submitted. The run keeps appending to it.
+    pub log: Option<Arc<Mutex<InMemory>>>,
+    /// How the plans reach the service.
+    pub transport: Transport,
+    /// What the run records besides its outcomes.
+    pub record: Record,
+    /// Replay this scheduling-decision script instead of drawing decisions
+    /// from the seed (the shrinker's replay mechanism).
+    pub script: Option<Vec<usize>>,
+    /// Deliberate bug injection, used to prove the harness catches and
+    /// shrinks real schedule-dependent corruption.
+    pub chaos: Option<SimChaos>,
+}
+
+/// How a scenario's plans reach its service.
+#[derive(Debug, Clone, Copy)]
+pub enum Transport {
+    /// Submitted straight to the service.
+    InProcess,
+    /// Each plan driven end-to-end by its own protocol client over a
+    /// seeded [`SimNet`] injecting `faults`. With `kill_at = Some(k)` the
+    /// server process dies immediately *after* processing its `k`-th
+    /// request frame (`k = 0`: before its first) — state mutated and WAL
+    /// appended, response discarded, every connection severed — and is
+    /// restarted a few ticks later by recovering from the same WAL;
+    /// clients reconnect and resume.
+    Served {
+        /// Frame faults the network injects.
+        faults: FaultConfig,
+        /// The request frame after which the server dies.
+        kill_at: Option<u64>,
+    },
+}
+
+/// What a run records besides its outcomes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Record {
+    /// Nothing (crash restarts and served runs are judged by outcome).
+    Off,
+    /// The service's counters and gauges, in order, and their totals.
+    Events,
+    /// The scheduler trace, and the totals of service and engine events.
+    Schedule,
+}
+
+impl Scenario {
+    /// `plans` as concurrent sessions of one volatile service over the
+    /// service crowd, one question at a time, recording its events.
+    pub fn service(seed: u64, plans: &[ServicePlan], latency: bool) -> Self {
+        Scenario {
+            seed,
+            crowd: CrowdRecipe::Service { latency },
+            plans: plans.to_vec(),
+            use_indexes: true,
+            aggregator_sample: SERVICE_AGGREGATOR_SAMPLE,
+            tokens: Some(SIM_TOKEN_BASE),
+            wave: 1,
+            log: None,
+            transport: Transport::InProcess,
+            record: Record::Events,
+            script: None,
+            chaos: None,
+        }
+    }
+
+    /// The faults suite's run: [`QUERY`] alone over `family`'s crowd with a
+    /// question wave as wide as the runtime's workers, the wave
+    /// `Oassis::execute_with_runtime` gives one query.
+    pub fn faults(seed: u64, family: FaultFamily) -> Self {
+        Scenario {
+            crowd: CrowdRecipe::Faults(family),
+            aggregator_sample: EngineConfig::default().aggregator_sample,
+            tokens: None,
+            wave: RuntimeOptions::default().workers,
+            record: Record::Schedule,
+            ..Self::service(seed, &service_plans(1), false)
+        }
+    }
+
+    /// [`Scenario::service`] over a fresh in-memory WAL, compacted every
+    /// [`SIM_SNAPSHOT_EVERY`] appends.
+    pub fn durable(seed: u64, plans: &[ServicePlan], latency: bool) -> Self {
+        let log = InMemory::new().with_snapshot_every(SIM_SNAPSHOT_EVERY);
+        Scenario {
+            log: Some(Arc::new(Mutex::new(log))),
+            ..Self::service(seed, plans, latency)
+        }
+    }
+
+    /// `plans` served to protocol clients by a durable service over the
+    /// instant service crowd (see [`Transport::Served`]).
+    pub fn served(
+        seed: u64,
+        plans: &[ServicePlan],
+        faults: FaultConfig,
+        kill_at: Option<u64>,
+    ) -> Self {
+        Scenario {
+            aggregator_sample: NET_AGGREGATOR_SAMPLE,
+            tokens: Some(NET_TOKEN_BASE),
+            transport: Transport::Served { faults, kill_at },
+            record: Record::Off,
+            ..Self::durable(seed, plans, false)
+        }
+    }
+}
+
+/// What one session of a run produced.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SessionOutcome {
+    /// Sorted rendered valid MSPs.
+    pub msps: Vec<String>,
+    /// Questions the session saw, store-served ones included (`None` when
+    /// served: the terminal `Update` frame does not carry it).
+    pub questions: Option<usize>,
+    /// Questions dispatched to the crowd (a resumption counts its own).
+    pub crowd_questions: usize,
+    /// Dispatch-time answer-store hits.
+    pub store_hits: usize,
+    /// Terminal status, rendered.
+    pub status: String,
+}
+
+/// Everything one scenario run produced.
+#[derive(Default)]
+pub struct RunOutcome {
+    /// Per-plan outcomes, in plan order. `None` marks a plan whose session
+    /// closed before the crash the scenario's log image records: the
+    /// interrupted process delivered its report, so recovery (correctly)
+    /// does not re-run it.
+    pub sessions: Vec<Option<SessionOutcome>>,
+    /// The scheduler trace ([`Record::Schedule`]) or the service events
+    /// plus per-session summaries ([`Record::Events`]); byte-identical
+    /// across replays of the seed.
+    pub transcript: String,
+    /// The scheduling decisions, replayable as [`Scenario::script`].
+    pub decisions: Vec<usize>,
+    /// Totals of the recorded events, taken after the crowd shut down.
+    pub snapshot: Snapshot,
+    /// Set when the recorded events show the runtime excluded every
+    /// member: the sessions then closed with whatever they had mined.
+    /// Only a fault crowd can exclude members, and only recorded runs
+    /// ([`Record::Events`], [`Record::Schedule`]) can tell.
+    pub exhausted: Option<String>,
+    /// The live store's canonical records at the end of a durable
+    /// in-process run.
+    pub store: Vec<WalRecord>,
+    /// Served: request frames the first server incarnation processed.
+    pub events: u64,
+    /// Served: the WAL length at the kill.
+    pub kill_len: Option<usize>,
+    /// Served: unexpected `Error` frames the clients received.
+    pub protocol_errors: Vec<String>,
+    log: Option<Arc<Mutex<InMemory>>>,
+}
+
+impl RunOutcome {
+    /// Plan `i`'s outcome; every plan has one unless the run recovered a
+    /// crash image.
+    pub fn session(&self, i: usize) -> &SessionOutcome {
+        self.sessions[i]
+            .as_ref()
+            .expect("only a restart leaves a plan without an outcome")
+    }
+
+    /// The WAL a durable run appended to, with history and snapshot points.
+    pub fn wal(&self) -> MutexGuard<'_, InMemory> {
+        self.log
+            .as_ref()
+            .expect("a durable run keeps its log")
+            .lock()
+            .expect("wal")
+    }
+}
+
+/// The sink of a recording run: the totals of every event and, when
+/// `lines` is kept, each counter and gauge as an ordered line — the
+/// byte-stable part of a service transcript.
+#[derive(Debug)]
+struct RecordingSink {
+    lines: Option<Mutex<Vec<String>>>,
+    totals: InMemorySink,
+}
+
+impl EventSink for RecordingSink {
+    fn emit(&self, event: &Event<'_>) {
+        self.totals.emit(event);
+        let Some(lines) = &self.lines else { return };
+        let line = match event.kind {
+            EventKind::Counter(n) => {
+                format!("{}[{}] +{n}", event.name, event.label.unwrap_or(""))
+            }
+            EventKind::Gauge(v) => format!("{} = {v}", event.name),
+            _ => return,
+        };
+        lines.lock().expect("recording sink").push(line);
+    }
+}
+
+impl RecordingSink {
+    /// The recorded lines plus one summary line per report, in admission
+    /// order; empty unless lines are kept.
+    fn transcript(&self, reports: &[SessionReport]) -> String {
+        let Some(lines) = &self.lines else {
+            return String::new();
+        };
+        let mut transcript = lines.lock().expect("recording sink").join("\n");
+        for (i, r) in reports.iter().enumerate() {
+            transcript.push_str(&format!(
+                "\nsession {i}: {} msps, {} questions ({} crowd, {} store), {:?}",
+                r.result.answers.iter().filter(|a| a.valid).count(),
+                r.result.stats.total_questions,
+                r.crowd_questions,
+                r.store_hits,
+                r.status
+            ));
+        }
+        transcript
+    }
+}
+
+/// The engine configuration every plan of `sc` mines under, reporting
+/// engine events to `sink`.
+fn engine_config(sc: &Scenario, sink: Arc<dyn EventSink>) -> EngineConfig {
     EngineConfig::builder()
-        .seed(engine_seed(seed))
-        .use_indexes(use_indexes)
+        .seed(engine_seed(sc.seed))
+        .use_indexes(sc.use_indexes)
+        .aggregator_sample(sc.aggregator_sample)
         .sink(sink)
         .build()
 }
 
-/// Run one complete simulated session and report everything it did.
-pub fn simulate(seed: u64, opts: &SimOptions) -> SimOutcome {
-    let family = opts.faults.family(seed);
-    let engine = Oassis::new(figure1_ontology());
-    let query = engine.parse(QUERY).expect("the harness query parses");
-    let mem = InMemorySink::shared();
-    let cfg = engine_config(
-        seed,
-        opts.use_indexes,
-        Arc::clone(&mem) as Arc<dyn EventSink>,
-    );
+fn plan_spec(plan: &ServicePlan, config: &EngineConfig) -> SessionSpec {
+    SessionSpec {
+        query: plan.query.clone(),
+        threshold: None,
+        config: config.clone(),
+        roster: plan.roster.clone(),
+        priority: plan.priority,
+        budget: plan.budget,
+    }
+}
 
-    let trace = SimTrace::handle();
-    let mut sim = SimConfig::new(seed).record_into(Arc::clone(&trace));
-    if let Some(script) = &opts.script {
+fn session_outcome(r: &SessionReport) -> SessionOutcome {
+    SessionOutcome {
+        msps: valid_msp_set(&r.result),
+        questions: Some(r.result.stats.total_questions),
+        crowd_questions: r.crowd_questions,
+        store_hits: r.store_hits,
+        status: format!("{:?}", r.status),
+    }
+}
+
+/// Build `sc`'s simulated runtime (recording the schedule into `trace`)
+/// and start its service over `sink`: volatile without a log, otherwise
+/// recovered from it — an empty log starts a fresh durable service.
+fn start(
+    sc: &Scenario,
+    sink: Arc<dyn EventSink>,
+    trace: Option<&SimTraceHandle>,
+) -> Result<(OassisService, Vec<RecoveredSession>), OracleFailure> {
+    let mut sim = SimConfig::new(sc.seed);
+    if let Some(trace) = trace {
+        sim = sim.record_into(Arc::clone(trace));
+    }
+    if let Some(script) = &sc.script {
         sim = sim.scripted(script.clone());
     }
-    if let Some(chaos) = opts.chaos {
+    if let Some(chaos) = sc.chaos {
         sim = sim.chaos(chaos);
     }
-    let runtime = faulted_runtime(seed, family).simulated(sim);
-
-    let (msps, questions, error) =
-        match engine.execute_parsed_with_runtime(&query, SUPPORT, runtime, &cfg) {
-            Ok(result) => (valid_msp_set(&result), result.stats.total_questions, None),
-            Err(e) => (Vec::new(), 0, Some(e.to_string())),
-        };
-    let trace = trace.lock().expect("sim trace lock");
-    SimOutcome {
-        seed,
-        family,
-        msps,
-        questions,
-        transcript: trace.transcript(),
-        decisions: trace.decisions.clone(),
-        snapshot: mem.snapshot(),
-        error,
+    let runtime = crowd_runtime(sc.seed, sc.crowd).simulated(sim);
+    let engine = Oassis::new(figure1_ontology());
+    match &sc.log {
+        None => Ok((
+            OassisService::start_with_sink(engine, runtime, sink),
+            Vec::new(),
+        )),
+        Some(log) => {
+            let persistence = Arc::clone(log) as SharedPersistence;
+            OassisService::recover_with(engine, runtime, sink, persistence)
+                .map_err(|e| OracleFailure::new(sc.seed, "recovery", e.to_string()))
+        }
     }
+}
+
+/// Run `sc` to its end. A plan that cannot be admitted or resumed, a log
+/// that cannot be recovered or that the finished service does not
+/// release, or a run over [`MAX_STEPS`] is a failure, never a panic or a
+/// hang.
+pub fn run(sc: &Scenario) -> Result<RunOutcome, OracleFailure> {
+    run_bounded(sc, MAX_STEPS)
+}
+
+/// [`run`] with the step bound `max_steps`.
+fn run_bounded(sc: &Scenario, max_steps: u64) -> Result<RunOutcome, OracleFailure> {
+    match sc.transport {
+        Transport::InProcess => run_in_process(sc, max_steps),
+        Transport::Served { faults, kill_at } => run_served(sc, faults, kill_at, max_steps),
+    }
+}
+
+fn run_in_process(sc: &Scenario, max_steps: u64) -> Result<RunOutcome, OracleFailure> {
+    let recorder = Arc::new(RecordingSink {
+        lines: (sc.record == Record::Events).then(Mutex::default),
+        totals: InMemorySink::default(),
+    });
+    let sink: Arc<dyn EventSink> = match sc.record {
+        Record::Off => null_sink(),
+        Record::Events | Record::Schedule => Arc::clone(&recorder) as Arc<dyn EventSink>,
+    };
+    let trace = (sc.record == Record::Schedule).then(SimTrace::handle);
+    // The append history is ground truth (compaction never rewrites it):
+    // which plans a crash image had admitted. Sessions are admitted in
+    // plan order, so plan index == original session id.
+    let admitted: HashSet<u64> = match &sc.log {
+        Some(log) => log
+            .lock()
+            .expect("wal")
+            .history()
+            .iter()
+            .filter_map(|r| match r {
+                WalRecord::Admit { session, .. } => Some(*session),
+                _ => None,
+            })
+            .collect(),
+        None => HashSet::new(),
+    };
+
+    let log_refs = sc.log.as_ref().map(Arc::strong_count);
+    let (mut service, recovered) = start(sc, Arc::clone(&sink), trace.as_ref())?;
+    service.set_wave_size(sc.wave);
+    let mut plan_of: HashMap<u64, usize> = HashMap::new();
+    for session in recovered {
+        let plan = session.original.0 as usize;
+        let id = service
+            .resume(session)
+            .map_err(|e| OracleFailure::new(sc.seed, "resumption", format!("plan {plan}: {e}")))?;
+        plan_of.insert(id.0, plan);
+    }
+    // Only the faults suite's runs report engine events.
+    let config = engine_config(
+        sc,
+        match sc.record {
+            Record::Schedule => Arc::clone(&sink),
+            Record::Off | Record::Events => null_sink(),
+        },
+    );
+    for (i, plan) in sc.plans.iter().enumerate() {
+        if admitted.contains(&(i as u64)) {
+            continue;
+        }
+        let spec = plan_spec(plan, &config);
+        let id = match sc.tokens {
+            Some(base) => service.submit_with_token(spec, base + i as u64),
+            None => service.submit(spec),
+        }
+        .map_err(|e| OracleFailure::new(sc.seed, "admission", format!("plan {i}: {e}")))?;
+        plan_of.insert(id.0, i);
+    }
+
+    let mut steps = 0;
+    while service.run_cycle() {
+        steps += 1;
+        if steps >= max_steps {
+            return Err(OracleFailure::new(
+                sc.seed,
+                "livelock",
+                format!("sessions still live after {steps} scheduling cycles"),
+            ));
+        }
+    }
+    let reports = service.run();
+    let store = match sc.log {
+        Some(_) => service.store().to_records(),
+        None => Vec::new(),
+    };
+    let crowd_len = service.crowd_len() as u64;
+    drop(service);
+    if sc.log.as_ref().map(Arc::strong_count) != log_refs {
+        return Err(OracleFailure::new(
+            sc.seed,
+            "recovery",
+            "the finished service did not release its log",
+        ));
+    }
+    let snapshot = recorder.totals.snapshot();
+    let excluded = snapshot.counter_across_labels(names::RUNTIME_MEMBER_EXCLUDED);
+    let exhausted = (excluded > 0 && excluded == crowd_len)
+        .then(|| format!("crowd exhausted: all {excluded} members were excluded as unresponsive"));
+
+    let mut sessions = vec![None; sc.plans.len()];
+    for report in &reports {
+        sessions[plan_of[&report.id.0]] = Some(session_outcome(report));
+    }
+    let (transcript, decisions) = match &trace {
+        Some(trace) => {
+            let trace = trace.lock().expect("sim trace lock");
+            (trace.transcript(), trace.decisions.clone())
+        }
+        None => (recorder.transcript(&reports), Vec::new()),
+    };
+    Ok(RunOutcome {
+        sessions,
+        transcript,
+        decisions,
+        snapshot,
+        exhausted,
+        store,
+        log: sc.log.clone(),
+        ..RunOutcome::default()
+    })
 }
 
 /// Mine `query_src` at its own `WITH SUPPORT` threshold with the minimal
@@ -373,31 +750,27 @@ pub struct Reference {
     pub questions: usize,
 }
 
-/// The crowds the oracles compare against a reference: the fault sweep's
-/// `crowd(3)` under the sweep's engine config, and the service runs'
-/// `crowd(2)` under the service config.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum ReferenceCrowd {
-    Sweep,
-    Service,
-}
-
-/// The cached sequential reference of [`QUERY`] for `seed` over `crowd_kind`
-/// (computed once per engine seed; see [`engine_seed`]'s cycle).
-fn reference(seed: u64, crowd_kind: ReferenceCrowd) -> Arc<Reference> {
-    type Cache = Mutex<HashMap<(ReferenceCrowd, u64), Arc<Reference>>>;
+/// The sequential reference of [`QUERY`] over `sc`'s crowd without its
+/// fault clones, under `sc`'s engine configuration. Cached by what it
+/// depends on: the crowd's size, the aggregator sample, the index flag and
+/// the engine seed (a small cycle of the scheduler seed).
+pub fn reference(sc: &Scenario) -> Arc<Reference> {
+    type Cache = Mutex<HashMap<(u32, usize, bool, u64), Arc<Reference>>>;
     static CACHE: OnceLock<Cache> = OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    let key = (crowd_kind, engine_seed(seed));
+    let key = (
+        sc.crowd.pairs(),
+        sc.aggregator_sample,
+        sc.use_indexes,
+        engine_seed(sc.seed),
+    );
     if let Some(r) = cache.lock().expect("reference cache").get(&key) {
         return Arc::clone(r);
     }
-    let (mut members, cfg) = match crowd_kind {
-        ReferenceCrowd::Sweep => (crowd(3), engine_config(seed, true, oassis_obs::null_sink())),
-        ReferenceCrowd::Service => (crowd(2), service_config(seed)),
-    };
+    let mut members = crowd(key.0);
     let engine = Oassis::new(figure1_ontology());
-    let result = run_sequential(&engine, QUERY, &mut members, &cfg);
+    let config = engine_config(sc, null_sink());
+    let result = run_sequential(&engine, QUERY, &mut members, &config);
     let reference = Arc::new(Reference {
         msps: valid_msp_set(&result),
         questions: result.stats.total_questions,
@@ -409,21 +782,27 @@ fn reference(seed: u64, crowd_kind: ReferenceCrowd) -> Arc<Reference> {
     reference
 }
 
-/// The cached sequential reference the fault sweep compares `seed`'s
-/// simulated run against.
-pub fn sequential_reference(seed: u64) -> Arc<Reference> {
-    reference(seed, ReferenceCrowd::Sweep)
-}
-
 /// One oracle violation, with enough context to print and reproduce.
 #[derive(Debug, Clone)]
 pub struct OracleFailure {
     /// The failing seed.
     pub seed: u64,
-    /// Which oracle tripped.
+    /// Which oracle tripped (or `admission`, `resumption`, `recovery`,
+    /// `livelock`, `panic` when a run could not finish).
     pub oracle: &'static str,
     /// What diverged.
     pub detail: String,
+}
+
+impl OracleFailure {
+    /// `seed` failed `oracle`, as `detail` says.
+    pub fn new(seed: u64, oracle: &'static str, detail: impl Into<String>) -> Self {
+        OracleFailure {
+            seed,
+            oracle,
+            detail: detail.into(),
+        }
+    }
 }
 
 impl std::fmt::Display for OracleFailure {
@@ -464,11 +843,11 @@ pub fn require_nonvacuous<'a>(
     if !any_set {
         return Ok(()); // nothing to compare is the caller's bug, not vacuity
     }
-    Err(OracleFailure {
+    Err(OracleFailure::new(
         seed,
         oracle,
-        detail: "every MSP set is empty — the comparison would be vacuous".into(),
-    })
+        "every MSP set is empty — the comparison would be vacuous",
+    ))
 }
 
 fn counter(snap: &Snapshot, name: &str, label: &str) -> u64 {
@@ -519,46 +898,43 @@ pub fn check_conservation(snap: &Snapshot) -> Result<(), String> {
     Ok(())
 }
 
-/// Compare a simulated outcome against the sequential reference per the
+/// Compare a faults-suite outcome against the sequential reference per the
 /// fault family's contract.
-fn check_against_reference(outcome: &SimOutcome, reference: &Reference) -> Result<(), String> {
-    if let Some(e) = &outcome.error {
+fn check_against_reference(
+    sc: &Scenario,
+    outcome: &RunOutcome,
+    reference: &Reference,
+) -> Result<(), String> {
+    if let Some(e) = &outcome.exhausted {
         return Err(format!("run errored: {e}"));
     }
-    if outcome.msps != reference.msps {
+    let s = outcome.session(0);
+    if s.msps != reference.msps {
         return Err(format!(
             "valid-MSP set diverged: got {} MSPs, reference has {}",
-            outcome.msps.len(),
+            s.msps.len(),
             reference.msps.len()
         ));
     }
-    match outcome.family {
-        FaultFamily::None | FaultFamily::Latency => {
-            if outcome.questions != reference.questions {
-                return Err(format!(
-                    "question count diverged: {} vs reference {}",
-                    outcome.questions, reference.questions
-                ));
-            }
-            Ok(())
-        }
+    match sc.crowd {
         // Excluded clones legitimately waste questions; only the answer
         // set is schedule-independent.
-        FaultFamily::DropClones => Ok(()),
+        CrowdRecipe::Faults(FaultFamily::DropClones) => Ok(()),
+        _ if s.questions != Some(reference.questions) => Err(format!(
+            "question count diverged: {:?} vs reference {}",
+            s.questions, reference.questions
+        )),
+        _ => Ok(()),
     }
 }
 
-/// Run every oracle for one seed (three simulated runs: two identical for
-/// the replay oracle, one with `use_indexes` flipped).
+/// Run every faults-suite oracle for one seed (three runs: two identical
+/// for the replay oracle, one with `use_indexes` flipped).
 pub fn check_seed(seed: u64) -> Result<(), OracleFailure> {
-    let fail = |oracle: &'static str, detail: String| OracleFailure {
-        seed,
-        oracle,
-        detail,
-    };
-    let opts = SimOptions::default();
-    let a = simulate(seed, &opts);
-    let b = simulate(seed, &opts);
+    let fail = |oracle, detail: String| OracleFailure::new(seed, oracle, detail);
+    let sc = Scenario::faults(seed, FaultFamily::for_seed(seed));
+    let a = run(&sc)?;
+    let b = run(&sc)?;
     if a.transcript != b.transcript {
         return Err(fail(
             "replay",
@@ -571,31 +947,65 @@ pub fn check_seed(seed: u64) -> Result<(), OracleFailure> {
             "two runs of the same seed made different scheduling decisions".into(),
         ));
     }
-    let reference = sequential_reference(seed);
-    check_against_reference(&a, &reference)
+    check_against_reference(&sc, &a, &reference(&sc))
         .map_err(|d| fail("concurrent-vs-sequential", d))?;
-    let unindexed = simulate(
-        seed,
-        &SimOptions {
-            use_indexes: false,
-            ..opts
-        },
-    );
-    if unindexed.msps != a.msps || unindexed.questions != a.questions {
+    let unindexed = run(&Scenario {
+        use_indexes: false,
+        ..sc
+    })?;
+    let (u, s) = (unindexed.session(0), a.session(0));
+    if u.msps != s.msps || u.questions != s.questions {
         return Err(fail(
             "indexed-vs-unindexed",
             format!(
-                "use_indexes flip changed the outcome: {} MSPs / {} questions vs {} / {}",
-                unindexed.msps.len(),
-                unindexed.questions,
-                a.msps.len(),
-                a.questions
+                "use_indexes flip changed the outcome: {} MSPs / {:?} questions vs {} / {:?}",
+                u.msps.len(),
+                u.questions,
+                s.msps.len(),
+                s.questions
             ),
         ));
     }
     check_conservation(&a.snapshot).map_err(|d| fail("obs-conservation", d))?;
     check_conservation(&unindexed.snapshot).map_err(|d| fail("obs-conservation", d))?;
     Ok(())
+}
+
+/// The oracle suites, one per layer the harness drives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Suite {
+    /// [`check_seed`]: one query under latency or dropping clones.
+    Faults,
+    /// [`check_service_seed`]: concurrent sessions over one crowd.
+    Service,
+    /// [`check_wave_seed`]: question waves change no outcome.
+    Waves,
+    /// [`check_durability_seed`]: kill at any log append and recover.
+    Durability,
+    /// [`check_net_seed`]: the same through the wire protocol.
+    Net,
+}
+
+impl Suite {
+    /// Every suite, in the order `sim repro` runs them.
+    pub const ALL: [Suite; 5] = [
+        Suite::Faults,
+        Suite::Service,
+        Suite::Durability,
+        Suite::Waves,
+        Suite::Net,
+    ];
+
+    /// Run every oracle of this suite for one seed.
+    pub fn check(self, seed: u64) -> Result<(), OracleFailure> {
+        match self {
+            Suite::Faults => check_seed(seed),
+            Suite::Service => check_service_seed(seed),
+            Suite::Waves => check_wave_seed(seed),
+            Suite::Durability => check_durability_seed(seed),
+            Suite::Net => check_net_seed(seed),
+        }
+    }
 }
 
 /// Outcome of a [`sweep`].
@@ -607,11 +1017,27 @@ pub struct SweepReport {
     pub failures: Vec<OracleFailure>,
 }
 
-/// Run [`check_seed`] over `seeds`.
-pub fn sweep(seeds: impl IntoIterator<Item = u64>) -> SweepReport {
+/// Run `suite`'s oracles over `seeds`.
+pub fn sweep(suite: Suite, seeds: impl IntoIterator<Item = u64>) -> SweepReport {
+    sweep_checks(seeds, |seed| suite.check(seed))
+}
+
+/// Run `check` over `seeds`. A check that panics fails its seed with
+/// oracle `panic`, and the sweep goes on to the next seed.
+fn sweep_checks(
+    seeds: impl IntoIterator<Item = u64>,
+    check: impl Fn(u64) -> Result<(), OracleFailure>,
+) -> SweepReport {
     let mut report = SweepReport::default();
     for seed in seeds {
-        match check_seed(seed) {
+        let result = catch_unwind(AssertUnwindSafe(|| check(seed))).unwrap_or_else(|panic| {
+            let detail = (panic.downcast_ref::<String>().map(String::as_str))
+                .or_else(|| panic.downcast_ref::<&str>().copied())
+                .unwrap_or("a non-string panic")
+                .to_string();
+            Err(OracleFailure::new(seed, "panic", detail))
+        });
+        match result {
             Ok(()) => report.passed += 1,
             Err(failure) => report.failures.push(failure),
         }
@@ -623,7 +1049,7 @@ pub fn sweep(seeds: impl IntoIterator<Item = u64>) -> SweepReport {
 #[derive(Debug, Clone)]
 pub struct ShrinkResult {
     /// The minimal decision script that still fails (replay with
-    /// `SimOptions::script`).
+    /// [`Scenario::script`]).
     pub script: Vec<usize>,
     /// How many decisions deviate from FIFO — the size of the minimal
     /// fault trace.
@@ -632,32 +1058,28 @@ pub struct ShrinkResult {
     pub transcript: String,
 }
 
-/// Shrink a failing seed to a minimal fault trace: greedily revert
+/// Shrink a failing schedule to a minimal fault trace: greedily revert
 /// scheduling decisions to FIFO (ddmin-style, halving chunk sizes) and
-/// keep only the non-FIFO decisions the failure genuinely needs. Returns
-/// `None` if `seed` does not fail `failing` in the first place.
-pub fn shrink(
-    seed: u64,
-    opts: &SimOptions,
-    failing: impl Fn(&SimOutcome) -> bool,
-) -> Option<ShrinkResult> {
-    let initial = simulate(seed, opts);
-    if !failing(&initial) {
-        return None;
-    }
-    let mut script = initial.decisions;
+/// keep only the non-FIFO decisions the failure genuinely needs. `sc`
+/// must record its schedule ([`Record::Schedule`]). Returns `None` if
+/// `sc`'s run does not finish and fail `failing` in the first place.
+pub fn shrink(sc: &Scenario, failing: impl Fn(&RunOutcome) -> bool) -> Option<ShrinkResult> {
     let rerun = |script: &[usize]| {
-        simulate(
-            seed,
-            &SimOptions {
-                script: Some(script.to_vec()),
-                ..opts.clone()
-            },
-        )
+        run(&Scenario {
+            script: Some(script.to_vec()),
+            ..sc.clone()
+        })
     };
+    let initial = run(sc).ok().filter(|o| failing(o))?;
+    let mut script = initial.decisions;
 
-    let non_fifo_idxs =
-        |s: &[usize]| s.iter().enumerate().filter(|(_, d)| **d != 0).map(|(i, _)| i).collect::<Vec<_>>();
+    let non_fifo_idxs = |s: &[usize]| {
+        s.iter()
+            .enumerate()
+            .filter(|(_, d)| **d != 0)
+            .map(|(i, _)| i)
+            .collect::<Vec<_>>()
+    };
     let mut chunk = non_fifo_idxs(&script).len().max(1);
     while chunk >= 1 {
         let idxs = non_fifo_idxs(&script);
@@ -666,7 +1088,7 @@ pub fn shrink(
             for &i in window {
                 candidate[i] = 0;
             }
-            if failing(&rerun(&candidate)) {
+            if rerun(&candidate).is_ok_and(|o| failing(&o)) {
                 script = candidate;
             }
         }
@@ -678,7 +1100,7 @@ pub fn shrink(
     while script.last() == Some(&0) {
         script.pop();
     }
-    let outcome = rerun(&script);
+    let outcome = rerun(&script).ok()?;
     debug_assert!(failing(&outcome), "shrinking must preserve the failure");
     Some(ShrinkResult {
         non_fifo: script.iter().filter(|&&d| d != 0).count(),
@@ -687,24 +1109,22 @@ pub fn shrink(
     })
 }
 
-/// A predicate for [`shrink`]: the outcome diverges from the sequential
-/// reference (per its family's contract) or breaks event conservation.
-pub fn diverges_from_reference(outcome: &SimOutcome) -> bool {
-    let reference = sequential_reference(outcome.seed);
-    check_against_reference(outcome, &reference).is_err()
+/// A predicate for [`shrink`]: `sc`'s outcome diverges from the sequential
+/// reference (per its fault family's contract) or breaks event
+/// conservation.
+pub fn diverges_from_reference(sc: &Scenario, outcome: &RunOutcome) -> bool {
+    check_against_reference(sc, outcome, &reference(sc)).is_err()
         || check_conservation(&outcome.snapshot).is_err()
 }
 
 // ---------------------------------------------------------------------------
-// Multi-session service simulation (PR 5): whole `OassisService` runs — many
-// concurrent pull-based sessions over one simulated crowd — driven from one
-// seed, with service-level oracles (replay, starvation bound, disjoint-roster
-// isolation, single-session differential).
+// The service suite: many concurrent pull-based sessions over one simulated
+// crowd, driven from one seed.
 // ---------------------------------------------------------------------------
 
-/// The query rotation for multi-session service runs: distinct SATISFYING
-/// targets so every crowd dispatch is attributable, plus the full travel
-/// query for overlap.
+/// The query rotation for multi-session runs: distinct SATISFYING targets
+/// so every crowd dispatch is attributable, plus the full travel query for
+/// overlap.
 pub const SERVICE_QUERIES: &[&str] = &[
     QUERY,
     "SELECT FACT-SETS WHERE $y subClassOf* Activity \
@@ -713,7 +1133,7 @@ pub const SERVICE_QUERIES: &[&str] = &[
      SATISFYING $y doAt <Bronx Zoo> WITH SUPPORT = 0.3",
 ];
 
-/// One session of a simulated service run.
+/// One session of a scenario.
 #[derive(Debug, Clone)]
 pub struct ServicePlan {
     /// OASSIS-QL source.
@@ -739,109 +1159,6 @@ pub fn service_plans(n: usize) -> Vec<ServicePlan> {
         .collect()
 }
 
-/// An ordered record of every `service.*` / `answerstore.*` counter and
-/// gauge a run emitted — the byte-stable part of a service transcript —
-/// plus the aggregated snapshot the conservation laws are checked on.
-#[derive(Debug, Default)]
-struct RecordingSink {
-    events: Mutex<Vec<String>>,
-    totals: InMemorySink,
-}
-
-impl EventSink for RecordingSink {
-    fn emit(&self, event: &Event<'_>) {
-        self.totals.emit(event);
-        let line = match event.kind {
-            EventKind::Counter(n) => {
-                format!("{}[{}] +{n}", event.name, event.label.unwrap_or(""))
-            }
-            EventKind::Gauge(v) => format!("{} = {v}", event.name),
-            _ => return,
-        };
-        self.events.lock().expect("recording sink").push(line);
-    }
-}
-
-/// What one session of a simulated service run produced. `Debug`-format
-/// this (or compare fields) for byte-for-byte isolation oracles.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServiceSessionOutcome {
-    /// Sorted rendered valid MSPs.
-    pub msps: Vec<String>,
-    /// Questions the session saw (store-served ones included).
-    pub questions: usize,
-    /// Questions actually dispatched to the crowd.
-    pub crowd_questions: usize,
-    /// Dispatch-time answer-store hits.
-    pub store_hits: usize,
-    /// Terminal status, rendered.
-    pub status: String,
-}
-
-/// Everything one simulated service run produced.
-#[derive(Debug, Clone)]
-pub struct ServiceSimOutcome {
-    /// The scheduler seed.
-    pub seed: u64,
-    /// Per-session outcomes, in admission order.
-    pub sessions: Vec<ServiceSessionOutcome>,
-    /// Ordered service events + per-session summaries; byte-identical
-    /// across replays of the same seed.
-    pub transcript: String,
-    /// Obs snapshot of the run's full event stream, taken after the
-    /// service shut its crowd down.
-    pub snapshot: Snapshot,
-}
-
-/// Run a whole multi-session service on the simulation executor: every
-/// session's crowd work happens over one simulated [`SessionRuntime`]
-/// seeded by `seed`. With `latency`, members answer with seed-derived
-/// delay + jitter (nobody excluded), so the sweep explores genuinely
-/// different arrival schedules.
-pub fn simulate_service(seed: u64, plans: &[ServicePlan], latency: bool) -> ServiceSimOutcome {
-    run_service(seed, plans, latency, None, 1).0
-}
-
-/// [`simulate_service`] with question waves: the service stages up to
-/// `wave` questions per session per cycle (speculative prefetches beyond
-/// the committed one). The wave-sweep oracle compares these runs against
-/// the `wave = 1` baseline.
-pub fn simulate_service_waved(
-    seed: u64,
-    plans: &[ServicePlan],
-    latency: bool,
-    wave: usize,
-) -> ServiceSimOutcome {
-    run_service(seed, plans, latency, None, wave).0
-}
-
-/// The simulated service crowd: `crowd(2)` as-is, or wrapped in
-/// seed-derived latency + jitter members (nobody excluded).
-fn service_members(seed: u64, latency: bool) -> Vec<Box<dyn CrowdMember>> {
-    if latency {
-        crowd(2)
-            .into_iter()
-            .enumerate()
-            .map(|(i, m)| {
-                let base = Duration::from_micros(150 + (mix(seed, i as u64) % 1000));
-                let model = ResponseModel::latency(base).with_jitter(Duration::from_micros(300));
-                Box::new(UnreliableMember::new(m, model, mix(seed, i as u64)))
-                    as Box<dyn CrowdMember>
-            })
-            .collect()
-    } else {
-        crowd(2)
-    }
-}
-
-/// A fresh simulated runtime over [`service_members`].
-fn service_runtime(seed: u64, latency: bool) -> SessionRuntime {
-    SessionRuntime::new(service_members(seed, latency))
-        .question_timeout(LATENCY_TIMEOUT)
-        .max_retries(2)
-        .simulated(SimConfig::new(seed))
-}
-
 /// Aggregator sample for service runs: the crowd has 4 members, and the
 /// default sample of 5 would never fill — every pattern would classify
 /// insignificant and the MSP oracles would compare empty sets. A sample
@@ -849,100 +1166,17 @@ fn service_runtime(seed: u64, latency: bool) -> SessionRuntime {
 /// 3/2/1 valid MSPs).
 pub const SERVICE_AGGREGATOR_SAMPLE: usize = 4;
 
-/// The engine configuration service runs and their reference share.
-fn service_config(seed: u64) -> EngineConfig {
-    EngineConfig::builder()
-        .seed(engine_seed(seed))
-        .aggregator_sample(SERVICE_AGGREGATOR_SAMPLE)
-        .build()
-}
-
-/// Base for the per-plan `Submit` idempotency tokens of in-process runs
-/// (plan `i` uses `SIM_TOKEN_BASE + i`), so durable runs log tokens and
-/// the crash oracles can check that recovery maps each back.
+/// Base for the per-plan `Submit` idempotency tokens of in-process service
+/// runs (plan `i` uses `SIM_TOKEN_BASE + i`), so durable runs log tokens
+/// and the crash oracles can check that recovery maps each back.
 pub const SIM_TOKEN_BASE: u64 = 0x51A1_0000;
-
-/// The admission spec for one plan of a seeded run.
-fn plan_spec(seed: u64, plan: &ServicePlan) -> SessionSpec {
-    SessionSpec {
-        query: plan.query.clone(),
-        threshold: None,
-        config: service_config(seed),
-        roster: plan.roster.clone(),
-        priority: plan.priority,
-        budget: plan.budget,
-    }
-}
-
-fn session_outcome(r: &SessionReport) -> ServiceSessionOutcome {
-    ServiceSessionOutcome {
-        msps: valid_msp_set(&r.result),
-        questions: r.result.stats.total_questions,
-        crowd_questions: r.crowd_questions,
-        store_hits: r.store_hits,
-        status: format!("{:?}", r.status),
-    }
-}
-
-/// One service run; with `persistence` attached it also returns the live
-/// store's [`to_records`](oassis_crowd::AnswerStore::to_records) at the
-/// end of the run (empty when volatile).
-fn run_service(
-    seed: u64,
-    plans: &[ServicePlan],
-    latency: bool,
-    persistence: Option<SharedPersistence>,
-    wave: usize,
-) -> (ServiceSimOutcome, Vec<WalRecord>) {
-    let durable = persistence.is_some();
-    let runtime = service_runtime(seed, latency);
-    let recorder = Arc::new(RecordingSink::default());
-    let engine = Oassis::new(figure1_ontology());
-    let sink = Arc::clone(&recorder) as Arc<dyn EventSink>;
-    let mut service = match persistence {
-        Some(p) => OassisService::start_with_persistence(engine, runtime, sink, p),
-        None => OassisService::start_with_sink(engine, runtime, sink),
-    };
-    service.set_wave_size(wave);
-    for (i, plan) in plans.iter().enumerate() {
-        service
-            .submit_with_token(plan_spec(seed, plan), SIM_TOKEN_BASE + i as u64)
-            .expect("service plan admits");
-    }
-    let reports = service.run();
-    let store = if durable {
-        service.store().to_records()
-    } else {
-        Vec::new()
-    };
-    drop(service);
-    let sessions: Vec<ServiceSessionOutcome> = reports.iter().map(session_outcome).collect();
-    let mut transcript = recorder.events.lock().expect("recording sink").join("\n");
-    for (i, s) in sessions.iter().enumerate() {
-        transcript.push_str(&format!(
-            "\nsession {i}: {} msps, {} questions ({} crowd, {} store), {}",
-            s.msps.len(),
-            s.questions,
-            s.crowd_questions,
-            s.store_hits,
-            s.status
-        ));
-    }
-    let outcome = ServiceSimOutcome {
-        seed,
-        sessions,
-        transcript,
-        snapshot: recorder.totals.snapshot(),
-    };
-    (outcome, store)
-}
 
 /// The starvation metric: over the ordered crowd dispatches of a run, the
 /// maximum number of *other* sessions' dispatches between two consecutive
 /// dispatches of the same session (while it still has questions left).
 /// Round-robin scheduling keeps this small; a starving session would let
 /// it grow with the finishing sessions' question counts.
-pub fn max_dispatch_gap(outcome: &ServiceSimOutcome) -> usize {
+pub fn max_dispatch_gap(outcome: &RunOutcome) -> usize {
     let prefix = format!("{}[", names::SERVICE_QUESTION_DISPATCHED);
     let dispatches: Vec<&str> = outcome
         .transcript
@@ -965,8 +1199,8 @@ pub fn max_dispatch_gap(outcome: &ServiceSimOutcome) -> usize {
 /// most a handful of turns (1 per cycle, plus slack for stalled cycles).
 pub const STARVATION_BOUND: usize = 16;
 
-/// Plans for the disjoint-roster isolation oracle: two single-target
-/// queries, one over seats {0,1}, one over seats {2,3}.
+/// Plans for the disjoint-roster oracles: two single-target queries, one
+/// over seats {0,1}, one over seats {2,3}.
 pub fn disjoint_plans() -> (ServicePlan, ServicePlan) {
     (
         ServicePlan {
@@ -996,15 +1230,11 @@ pub fn disjoint_plans() -> (ServicePlan, ServicePlan) {
 /// 4. **disjoint isolation** — two sessions with disjoint rosters produce
 ///    byte-for-byte the outcomes of running each alone.
 pub fn check_service_seed(seed: u64) -> Result<(), OracleFailure> {
-    let fail = |oracle: &'static str, detail: String| OracleFailure {
-        seed,
-        oracle,
-        detail,
-    };
+    let fail = |oracle, detail: String| OracleFailure::new(seed, oracle, detail);
 
     let plans = service_plans(3);
-    let a = simulate_service(seed, &plans, true);
-    let b = simulate_service(seed, &plans, true);
+    let a = run(&Scenario::service(seed, &plans, true))?;
+    let b = run(&Scenario::service(seed, &plans, true))?;
     if a.transcript != b.transcript {
         return Err(fail(
             "service-replay",
@@ -1012,16 +1242,21 @@ pub fn check_service_seed(seed: u64) -> Result<(), OracleFailure> {
         ));
     }
 
-    let solo = simulate_service(seed, &service_plans(1), true);
-    require_nonvacuous(seed, "service-single-session", solo.sessions.iter().map(|s| &s.msps))?;
-    let reference = reference(seed, ReferenceCrowd::Service);
-    let s = &solo.sessions[0];
-    if s.msps != reference.msps || s.questions != reference.questions {
+    let solo_scenario = Scenario::service(seed, &service_plans(1), true);
+    let solo = run(&solo_scenario)?;
+    require_nonvacuous(
+        seed,
+        "service-single-session",
+        solo.sessions.iter().flatten().map(|s| &s.msps),
+    )?;
+    let reference = reference(&solo_scenario);
+    let s = solo.session(0);
+    if s.msps != reference.msps || s.questions != Some(reference.questions) {
         return Err(fail(
             "service-single-session",
             format!(
-                "service session diverged from the sequential reference: {} MSPs / {} questions \
-                 vs {} / {}",
+                "service session diverged from the sequential reference: {} MSPs / {:?} \
+                 questions vs {} / {}",
                 s.msps.len(),
                 s.questions,
                 reference.msps.len(),
@@ -1036,7 +1271,7 @@ pub fn check_service_seed(seed: u64) -> Result<(), OracleFailure> {
         ));
     }
 
-    let instant = simulate_service(seed, &plans, false);
+    let instant = run(&Scenario::service(seed, &plans, false))?;
     let gap = max_dispatch_gap(&instant);
     if gap > STARVATION_BOUND {
         return Err(fail(
@@ -1049,45 +1284,31 @@ pub fn check_service_seed(seed: u64) -> Result<(), OracleFailure> {
     // No vacuousness guard here: disjoint 2-seat rosters cannot fill the
     // service-wide aggregator sample, so these MSP sets are legitimately
     // empty — the oracle's point is outcome *identity*, not MSP content.
-    let combined = simulate_service(seed, &[plan_a.clone(), plan_b.clone()], true);
-    let alone_a = simulate_service(seed, &[plan_a], true);
-    let alone_b = simulate_service(seed, &[plan_b], true);
-    if combined.sessions[0] != alone_a.sessions[0] {
-        return Err(fail(
-            "service-isolation",
-            format!(
-                "session A diverged from its isolated run: {:?} vs {:?}",
-                combined.sessions[0], alone_a.sessions[0]
-            ),
-        ));
-    }
-    if combined.sessions[1] != alone_b.sessions[0] {
-        return Err(fail(
-            "service-isolation",
-            format!(
-                "session B diverged from its isolated run: {:?} vs {:?}",
-                combined.sessions[1], alone_b.sessions[0]
-            ),
-        ));
+    let combined = run(&Scenario::service(
+        seed,
+        &[plan_a.clone(), plan_b.clone()],
+        true,
+    ))?;
+    let alone_a = run(&Scenario::service(seed, &[plan_a], true))?;
+    let alone_b = run(&Scenario::service(seed, &[plan_b], true))?;
+    for (name, i, alone) in [("A", 0, &alone_a), ("B", 1, &alone_b)] {
+        if combined.session(i) != alone.session(0) {
+            return Err(fail(
+                "service-isolation",
+                format!(
+                    "session {name} diverged from its isolated run: {:?} vs {:?}",
+                    combined.session(i),
+                    alone.session(0)
+                ),
+            ));
+        }
     }
     Ok(())
 }
 
-/// Run [`check_service_seed`] over `seeds`.
-pub fn service_sweep(seeds: impl IntoIterator<Item = u64>) -> SweepReport {
-    let mut report = SweepReport::default();
-    for seed in seeds {
-        match check_service_seed(seed) {
-            Ok(()) => report.passed += 1,
-            Err(failure) => report.failures.push(failure),
-        }
-    }
-    report
-}
-
 // ---------------------------------------------------------------------------
-// Wave-sweep oracle (PR 8): batched question waves must be invisible to the
-// mining outcome. A wave-prefetched answer served at commit time is accounted
+// The waves suite: batched question waves must be invisible to the mining
+// outcome. A wave-prefetched answer served at commit time is accounted
 // exactly like a dispatch, so sweeping `wave_size` over the same seed must
 // reproduce the baseline's valid-MSP sets and stage-time question counts —
 // and, on disjoint rosters (no cross-session store traffic), the complete
@@ -1110,33 +1331,40 @@ pub const WAVE_SIZES: &[usize] = &[1, 4, 16];
 ///    [`check_conservation`]: each prefetched question is counted once, as
 ///    a hit or as waste.
 pub fn check_wave_seed(seed: u64) -> Result<(), OracleFailure> {
-    let fail = |oracle: &'static str, detail: String| OracleFailure {
-        seed,
-        oracle,
-        detail,
+    let fail = |oracle, detail: String| OracleFailure::new(seed, oracle, detail);
+    let waved = |plans: &[ServicePlan], wave: usize| {
+        run(&Scenario {
+            wave,
+            ..Scenario::service(seed, plans, true)
+        })
     };
 
     let plans = service_plans(3);
-    let base = simulate_service(seed, &plans, true);
-    require_nonvacuous(seed, "wave-equivalence", base.sessions.iter().map(|s| &s.msps))?;
+    let base = waved(&plans, WAVE_SIZES[0])?;
+    require_nonvacuous(
+        seed,
+        "wave-equivalence",
+        base.sessions.iter().flatten().map(|s| &s.msps),
+    )?;
     for &wave in &WAVE_SIZES[1..] {
-        let waved = simulate_service_waved(seed, &plans, true, wave);
-        let again = simulate_service_waved(seed, &plans, true, wave);
-        if waved.transcript != again.transcript {
+        let w = waved(&plans, wave)?;
+        let again = waved(&plans, wave)?;
+        if w.transcript != again.transcript {
             return Err(fail(
                 "wave-replay",
                 format!("wave {wave}: two runs of the same seed produced different transcripts"),
             ));
         }
-        check_conservation(&waved.snapshot)
+        check_conservation(&w.snapshot)
             .map_err(|d| fail("wave-conservation", format!("wave {wave}: {d}")))?;
-        for (i, (w, b)) in waved.sessions.iter().zip(&base.sessions).enumerate() {
+        for i in 0..plans.len() {
+            let (w, b) = (w.session(i), base.session(i));
             if w.msps != b.msps || w.questions != b.questions || w.status != b.status {
                 return Err(fail(
                     "wave-equivalence",
                     format!(
                         "wave {wave} session {i} diverged from wave 1: \
-                         {} MSPs / {} questions / {} vs {} / {} / {}",
+                         {} MSPs / {:?} questions / {} vs {} / {:?} / {}",
                         w.msps.len(),
                         w.questions,
                         w.status,
@@ -1151,17 +1379,17 @@ pub fn check_wave_seed(seed: u64) -> Result<(), OracleFailure> {
 
     let (plan_a, plan_b) = disjoint_plans();
     let disjoint = [plan_a, plan_b];
-    let base = simulate_service(seed, &disjoint, true);
+    let base = waved(&disjoint, WAVE_SIZES[0])?;
     for &wave in &WAVE_SIZES[1..] {
-        let waved = simulate_service_waved(seed, &disjoint, true, wave);
-        check_conservation(&waved.snapshot)
+        let w = waved(&disjoint, wave)?;
+        check_conservation(&w.snapshot)
             .map_err(|d| fail("wave-conservation", format!("wave {wave} disjoint: {d}")))?;
-        if waved.sessions != base.sessions {
+        if w.sessions != base.sessions {
             return Err(fail(
                 "wave-disjoint",
                 format!(
                     "wave {wave} disjoint outcomes diverged from wave 1: {:?} vs {:?}",
-                    waved.sessions, base.sessions
+                    w.sessions, base.sessions
                 ),
             ));
         }
@@ -1169,26 +1397,14 @@ pub fn check_wave_seed(seed: u64) -> Result<(), OracleFailure> {
     Ok(())
 }
 
-/// Run [`check_wave_seed`] over `seeds`.
-pub fn wave_sweep(seeds: impl IntoIterator<Item = u64>) -> SweepReport {
-    let mut report = SweepReport::default();
-    for seed in seeds {
-        match check_wave_seed(seed) {
-            Ok(()) => report.passed += 1,
-            Err(failure) => report.failures.push(failure),
-        }
-    }
-    report
-}
-
 // ---------------------------------------------------------------------------
-// Crash-restart oracle (PR 7): run a *durable* service over an in-memory WAL
-// under the virtual clock, kill it at any append index, recover from the
-// crash image, and prove the finished state matches the uninterrupted run.
+// The durability suite: run a *durable* service over an in-memory WAL under
+// the virtual clock, kill it at any append index, recover from the crash
+// image, and prove the finished state matches the uninterrupted run.
 // ---------------------------------------------------------------------------
 
-/// Snapshot interval for durable simulation runs — small enough that the
-/// kill-point sweep crosses several log compactions.
+/// Snapshot interval of durable runs — small enough that the kill-point
+/// sweep crosses several log compactions.
 pub const SIM_SNAPSHOT_EVERY: u64 = 8;
 
 /// A crowd-question budget no simulated plan exhausts (sessions ask a few
@@ -1197,54 +1413,18 @@ pub const SIM_SNAPSHOT_EVERY: u64 = 8;
 /// restore.
 pub const SIM_UNSPENT_BUDGET: usize = 10_000;
 
-/// A durable service run: [`simulate_service`] with an [`InMemory`]
-/// persistence attached. `log` keeps the complete append history, so the
-/// crash sweep can reconstruct the durable image at any index via
-/// [`InMemory::crashed_at`].
-pub struct DurableRun {
-    /// The uninterrupted run's outcome (identical to the plain run's —
-    /// the durable-transparency oracle).
-    pub outcome: ServiceSimOutcome,
-    /// The WAL the run appended to, with full history and snapshot points.
-    pub log: Arc<Mutex<InMemory>>,
-    /// The live answer store's canonical records when the run finished.
-    pub store: Vec<WalRecord>,
-}
-
-/// [`simulate_service`] with durability: every committed crowd answer,
-/// admission and close is appended to an [`InMemory`] WAL, compacted every
-/// `snapshot_every` records (`None` = never).
-pub fn simulate_durable_service(
-    seed: u64,
-    plans: &[ServicePlan],
-    latency: bool,
-    snapshot_every: Option<u64>,
-) -> DurableRun {
-    simulate_durable_service_waved(seed, plans, latency, snapshot_every, 1)
-}
-
-/// [`simulate_durable_service`] with question waves of `wave` (see
-/// [`simulate_service_waved`]): prefetched answers sit unpaid in the
-/// persisted store until a session commits them.
-pub fn simulate_durable_service_waved(
-    seed: u64,
-    plans: &[ServicePlan],
-    latency: bool,
-    snapshot_every: Option<u64>,
-    wave: usize,
-) -> DurableRun {
-    let mut mem = InMemory::new();
-    if let Some(every) = snapshot_every {
-        mem = mem.with_snapshot_every(every);
-    }
-    let log = Arc::new(Mutex::new(mem));
-    let persistence: SharedPersistence = Arc::clone(&log) as SharedPersistence;
-    let (outcome, store) = run_service(seed, plans, latency, Some(persistence), wave);
-    DurableRun {
-        outcome,
-        log,
-        store,
-    }
+/// The durability suite's overlapping plans: [`service_plans`]`(3)`, the
+/// odd-numbered ones carrying [`SIM_UNSPENT_BUDGET`], so their runs log
+/// `Budget` watermarks while the others still run unbudgeted.
+pub fn durability_plans() -> Vec<ServicePlan> {
+    service_plans(3)
+        .into_iter()
+        .enumerate()
+        .map(|(i, plan)| ServicePlan {
+            budget: (i % 2 == 1).then_some(SIM_UNSPENT_BUDGET),
+            ..plan
+        })
+        .collect()
 }
 
 /// The wave size of the waved durable run [`check_durable_waves`] checks.
@@ -1260,35 +1440,49 @@ pub const DURABLE_WAVE: usize = 4;
 /// * serves exactly the summed `store_hits` as `answerstore.hit[serve]`.
 ///
 /// Returns whether the run committed any prefetch as a wave hit.
-pub fn check_durable_waves(seed: u64, plans: &[ServicePlan]) -> Result<bool, String> {
-    let run =
-        simulate_durable_service_waved(seed, plans, true, Some(SIM_SNAPSHOT_EVERY), DURABLE_WAVE);
-    let volatile = simulate_service_waved(seed, plans, true, DURABLE_WAVE);
-    if run.outcome.sessions != volatile.sessions {
-        return Err(format!(
+pub fn check_durable_waves(seed: u64, plans: &[ServicePlan]) -> Result<bool, OracleFailure> {
+    let fail = |detail: String| OracleFailure::new(seed, "durable-waves", detail);
+    let durable = run(&Scenario {
+        wave: DURABLE_WAVE,
+        ..Scenario::durable(seed, plans, true)
+    })?;
+    let volatile = run(&Scenario {
+        wave: DURABLE_WAVE,
+        ..Scenario::service(seed, plans, true)
+    })?;
+    if durable.sessions != volatile.sessions {
+        return Err(fail(format!(
             "attaching the WAL changed waved outcomes: {:?} vs {:?}",
-            run.outcome.sessions, volatile.sessions
-        ));
+            durable.sessions, volatile.sessions
+        )));
     }
-    let records = run.log.lock().expect("wal").replay().expect("wal replays");
-    let mut replayed = oassis_crowd::AnswerStore::new();
+    let records = durable
+        .wal()
+        .replay()
+        .map_err(|e| fail(format!("the WAL does not replay: {e}")))?;
+    let mut replayed = AnswerStore::new();
     replayed.replay_records(&records);
     let replayed = replayed.to_records();
-    if replayed != run.store {
-        return Err(format!(
+    if replayed != durable.store {
+        return Err(fail(format!(
             "replaying the WAL rebuilt {} answers, the live store held {}",
             replayed.len(),
-            run.store.len()
-        ));
+            durable.store.len()
+        )));
     }
-    let hits: usize = run.outcome.sessions.iter().map(|s| s.store_hits).sum();
-    let served = counter(&run.outcome.snapshot, names::ANSWERSTORE_HIT, "serve");
+    let hits: usize = durable
+        .sessions
+        .iter()
+        .flatten()
+        .map(|s| s.store_hits)
+        .sum();
+    let served = counter(&durable.snapshot, names::ANSWERSTORE_HIT, "serve");
     if hits as u64 != served {
-        return Err(format!(
+        return Err(fail(format!(
             "sessions report {hits} store hits, the store served {served}"
-        ));
+        )));
     }
-    Ok(counter(&run.outcome.snapshot, names::RUNTIME_SPECULATION, "hit") > 0)
+    Ok(counter(&durable.snapshot, names::RUNTIME_SPECULATION, "hit") > 0)
 }
 
 /// Kill points for one crash sweep over a log of `len` appends: both ends,
@@ -1308,105 +1502,23 @@ fn kill_points(seed: u64, len: usize) -> Vec<usize> {
     ks
 }
 
-/// Finish an interrupted durable run: take the durable image as of append
-/// `k` ([`InMemory::crashed_at`]), recover a fresh service from it
-/// ([`OassisService::recover_with`]), resume every interrupted session,
-/// re-submit the plans whose admission the crash predates, and run to
-/// completion.
-///
-/// Returns one outcome per plan, in plan order. `None` means the session
-/// closed *before* the crash: its report was already delivered by the
-/// interrupted process, so recovery (correctly) does not re-run it — the
-/// uninterrupted run's outcome stands.
-pub fn finish_after_crash(
-    seed: u64,
-    plans: &[ServicePlan],
-    latency: bool,
-    log: &InMemory,
-    k: usize,
-) -> Vec<Option<ServiceSessionOutcome>> {
-    restart_after_crash(seed, plans, latency, log, k).0
-}
-
-/// [`finish_after_crash`], also returning the log the restarted service
-/// kept appending to: `log`'s first `k` records, then the resumptions,
-/// re-submissions and everything they logged.
-fn restart_after_crash(
-    seed: u64,
-    plans: &[ServicePlan],
-    latency: bool,
-    log: &InMemory,
-    k: usize,
-) -> (Vec<Option<ServiceSessionOutcome>>, InMemory) {
-    // The append history is ground truth (compaction never rewrites it):
-    // which sessions had been admitted, and which had closed, by index k.
-    let prefix = &log.history()[..k];
-    let admitted: HashSet<u64> = prefix
-        .iter()
-        .filter_map(|r| match r {
-            WalRecord::Admit { session, .. } => Some(*session),
-            _ => None,
-        })
-        .collect();
-
-    let image = Arc::new(Mutex::new(log.crashed_at(k)));
-    let persistence: SharedPersistence = Arc::clone(&image) as SharedPersistence;
-    let engine = Oassis::new(figure1_ontology());
-    let runtime = service_runtime(seed, latency);
-    let (mut service, recovered) =
-        OassisService::recover_with(engine, runtime, oassis_obs::null_sink(), persistence)
-            .expect("recovery from a crash image succeeds");
-
-    // Sessions are admitted in plan order, so plan index == original id.
-    let mut plan_of: HashMap<u64, usize> = HashMap::new();
-    for session in recovered {
-        let plan = session.original.0 as usize;
-        let id = service.resume(session).expect("resumption admits");
-        plan_of.insert(id.0, plan);
-    }
-    for (i, plan) in plans.iter().enumerate() {
-        if !admitted.contains(&(i as u64)) {
-            let id = service
-                .submit_with_token(plan_spec(seed, plan), SIM_TOKEN_BASE + i as u64)
-                .expect("re-submission admits");
-            plan_of.insert(id.0, i);
-        }
-    }
-
-    let reports = service.run();
-    drop(service);
-    let mut out: Vec<Option<ServiceSessionOutcome>> = vec![None; plans.len()];
-    for report in &reports {
-        out[plan_of[&report.id.0]] = Some(session_outcome(report));
-    }
-    let image = Arc::try_unwrap(image)
-        .ok()
-        .expect("the finished service released the log")
-        .into_inner()
-        .expect("wal");
-    (out, image)
-}
-
 /// Everything a restart recovers from durable `image`, one line per
 /// fact, for the compaction oracle to compare: the rebuilt store, the
 /// interrupted sessions with their spend watermarks, and — for every
 /// session id `history` admits (plus one unknown id) — the closed
 /// outcome, recoverability and `resume_by_id` verdict, and the session
-/// every logged idempotency token maps to. Errs if a recovered spend
+/// every logged idempotency token maps to. Fails if a recovered spend
 /// watermark is below the last one `history` appended for that session.
 fn recovered_view(
     seed: u64,
     image: InMemory,
     history: &[WalRecord],
-) -> Result<Vec<String>, String> {
-    let persistence: SharedPersistence = Arc::new(Mutex::new(image));
-    let (mut service, recovered) = OassisService::recover_with(
-        Oassis::new(figure1_ontology()),
-        service_runtime(seed, true),
-        oassis_obs::null_sink(),
-        persistence,
-    )
-    .expect("recovery from a crash image succeeds");
+) -> Result<Vec<String>, OracleFailure> {
+    let sc = Scenario {
+        log: Some(Arc::new(Mutex::new(image))),
+        ..Scenario::service(seed, &[], true)
+    };
+    let (mut service, recovered) = start(&sc, null_sink(), None)?;
     let mut view = vec![format!("store {:?}", service.store().to_records())];
     for r in &recovered {
         let last = history.iter().rev().find_map(|record| match record {
@@ -1416,9 +1528,13 @@ fn recovered_view(
             _ => None,
         });
         if r.spent < last.unwrap_or(0) {
-            return Err(format!(
-                "session {} recovered spend watermark {} below the last appended {last:?}",
-                r.original.0, r.spent
+            return Err(OracleFailure::new(
+                sc.seed,
+                "durable-compaction",
+                format!(
+                    "session {} recovered spend watermark {} below the last appended {last:?}",
+                    r.original.0, r.spent
+                ),
             ));
         }
         view.push(format!(
@@ -1462,7 +1578,7 @@ fn recovered_view(
 /// compactions and all, must equal recovering a plain replay of the same
 /// `k` appends with nothing compacted, and neither may restore a spend
 /// watermark below the last one appended.
-fn check_compacted_recovery(seed: u64, log: &InMemory, k: usize) -> Result<(), String> {
+fn check_compacted_recovery(seed: u64, log: &InMemory, k: usize) -> Result<(), OracleFailure> {
     let prefix = &log.history()[..k];
     let mut plain = InMemory::new();
     for record in prefix {
@@ -1470,37 +1586,51 @@ fn check_compacted_recovery(seed: u64, log: &InMemory, k: usize) -> Result<(), S
     }
     let compacted = recovered_view(seed, log.crashed_at(k), prefix)?;
     let uncompacted = recovered_view(seed, plain, prefix)?;
+    let fail = |detail: String| OracleFailure::new(seed, "durable-compaction", detail);
     match compacted.iter().zip(&uncompacted).find(|(a, b)| a != b) {
-        Some((a, b)) => Err(format!("compacted `{a}` vs uncompacted `{b}`")),
-        None if compacted.len() != uncompacted.len() => Err(format!(
+        Some((a, b)) => Err(fail(format!("compacted `{a}` vs uncompacted `{b}`"))),
+        None if compacted.len() != uncompacted.len() => Err(fail(format!(
             "{} recovered facts compacted vs {} uncompacted",
             compacted.len(),
             uncompacted.len()
-        )),
+        ))),
         None => Ok(()),
     }
 }
 
 /// Crash `log` at `k` and [`check_compacted_recovery`] there; then finish
-/// the run on the crash image ([`restart_after_crash`]) and check again
-/// at kill points after the restart, where the log holds resumption links
-/// and closed successors (so closed outcomes alias to ancestor ids).
-/// Returns the finished outcomes for the other crash oracles.
+/// the run on the crash image (a restart scenario) and check again at kill
+/// points after the restart, where the log holds resumption links and
+/// closed successors (so closed outcomes alias to ancestor ids). Returns
+/// the restart's per-plan outcomes for the other crash oracles.
 fn check_compaction_across_restart(
     seed: u64,
     plans: &[ServicePlan],
     log: &InMemory,
     k: usize,
-) -> Result<Vec<Option<ServiceSessionOutcome>>, String> {
-    check_compacted_recovery(seed, log, k).map_err(|e| format!("kill at {k}: {e}"))?;
-    let (finished, relog) = restart_after_crash(seed, plans, true, log, k);
+) -> Result<Vec<Option<SessionOutcome>>, OracleFailure> {
+    let at = |place: String| {
+        move |f: OracleFailure| OracleFailure {
+            detail: format!("{place}: {}", f.detail),
+            ..f
+        }
+    };
+    check_compacted_recovery(seed, log, k).map_err(at(format!("kill at {k}")))?;
+    let restart = run(&Scenario {
+        log: Some(Arc::new(Mutex::new(log.crashed_at(k)))),
+        record: Record::Off,
+        ..Scenario::service(seed, plans, true)
+    })
+    .map_err(at(format!("kill at {k}, restart")))?;
+    let relog = restart.wal();
     for k2 in kill_points(mix(seed, k as u64), relog.history_len()) {
         if k2 > k {
             check_compacted_recovery(seed, &relog, k2)
-                .map_err(|e| format!("kill at {k}, restart, kill at {k2}: {e}"))?;
+                .map_err(at(format!("kill at {k}, restart, kill at {k2}")))?;
         }
     }
-    Ok(finished)
+    drop(relog);
+    Ok(restart.sessions)
 }
 
 /// Committed crowd answers attributed to session `s` in the first `k`
@@ -1516,7 +1646,7 @@ fn committed_answers(log: &InMemory, s: u64, k: usize) -> usize {
 ///
 /// 1. **durable-transparency** — attaching the WAL changes nothing
 ///    observable: the durable run's per-session outcomes are identical to
-///    the plain [`simulate_service`] run's;
+///    the volatile run's;
 /// 2. **durable-replay** — the same seed twice appends a byte-identical
 ///    record history (the WAL itself is deterministic);
 /// 3. **durable-crash-msp** — for overlapping sessions, killing the
@@ -1532,31 +1662,19 @@ fn committed_answers(log: &InMemory, s: u64, k: usize) -> usize {
 ///    a plain replay of the same appends: the same store, interrupted
 ///    sessions and spend watermarks (none below the last one appended),
 ///    closed outcomes (ancestor aliases included), `resume_by_id`
-///    verdicts and token mappings. The odd-numbered overlapping plans
-///    carry a budget no plan exhausts, so their runs log `Budget`
-///    watermarks, while the others still run unbudgeted;
+///    verdicts and token mappings. The overlapping plans are
+///    [`durability_plans`], so their runs log `Budget` watermarks;
 /// 6. **durable-waves** — the overlapping plans at wave
 ///    [`DURABLE_WAVE`] pass [`check_durable_waves`]: the durable run
 ///    matches the volatile waved run, its log replays to exactly the live
 ///    store, and its store hits balance `answerstore.hit[serve]`.
 pub fn check_durability_seed(seed: u64) -> Result<(), OracleFailure> {
-    let fail = |oracle: &'static str, detail: String| OracleFailure {
-        seed,
-        oracle,
-        detail,
-    };
+    let fail = |oracle, detail: String| OracleFailure::new(seed, oracle, detail);
 
-    let plans: Vec<ServicePlan> = service_plans(3)
-        .into_iter()
-        .enumerate()
-        .map(|(i, plan)| ServicePlan {
-            budget: (i % 2 == 1).then_some(SIM_UNSPENT_BUDGET),
-            ..plan
-        })
-        .collect();
-    let plain = simulate_service(seed, &plans, true);
-    let durable = simulate_durable_service(seed, &plans, true, Some(SIM_SNAPSHOT_EVERY));
-    if durable.outcome.sessions != plain.sessions {
+    let plans = durability_plans();
+    let plain = run(&Scenario::service(seed, &plans, true))?;
+    let durable = run(&Scenario::durable(seed, &plans, true))?;
+    if durable.sessions != plain.sessions {
         return Err(fail(
             "durable-transparency",
             "attaching the WAL changed session outcomes".into(),
@@ -1565,13 +1683,12 @@ pub fn check_durability_seed(seed: u64) -> Result<(), OracleFailure> {
     require_nonvacuous(
         seed,
         "durable-transparency",
-        durable.outcome.sessions.iter().map(|s| &s.msps),
+        durable.sessions.iter().flatten().map(|s| &s.msps),
     )?;
 
-    let again = simulate_durable_service(seed, &plans, true, Some(SIM_SNAPSHOT_EVERY));
+    let again = run(&Scenario::durable(seed, &plans, true))?;
     {
-        let a = durable.log.lock().expect("wal");
-        let b = again.log.lock().expect("wal");
+        let (a, b) = (durable.wal(), again.wal());
         if a.history() != b.history() {
             return Err(fail(
                 "durable-replay",
@@ -1585,14 +1702,13 @@ pub fn check_durability_seed(seed: u64) -> Result<(), OracleFailure> {
         }
     }
 
-    check_durable_waves(seed, &plans).map_err(|e| fail("durable-waves", e))?;
+    check_durable_waves(seed, &plans)?;
 
-    let log = durable.log.lock().expect("wal");
+    let log = durable.wal();
     for k in kill_points(seed, log.history_len()) {
-        let finished = check_compaction_across_restart(seed, &plans, &log, k)
-            .map_err(|e| fail("durable-compaction", e))?;
+        let finished = check_compaction_across_restart(seed, &plans, &log, k)?;
         for (i, f) in finished.iter().enumerate() {
-            let expected = &durable.outcome.sessions[i].msps;
+            let expected = &durable.session(i).msps;
             let got = f.as_ref().map_or(expected, |o| &o.msps);
             if got != expected {
                 return Err(fail(
@@ -1614,13 +1730,12 @@ pub fn check_durability_seed(seed: u64) -> Result<(), OracleFailure> {
     // Disjoint 2-seat rosters cannot fill the aggregator sample, so their
     // MSP sets are legitimately empty — this oracle is about crowd-question
     // *count* conservation, not MSP content; no vacuousness guard.
-    let drun = simulate_durable_service(seed, &dplans, true, Some(SIM_SNAPSHOT_EVERY));
-    let dlog = drun.log.lock().expect("wal");
+    let drun = run(&Scenario::durable(seed, &dplans, true))?;
+    let dlog = drun.wal();
     for k in kill_points(mix(seed, 1), dlog.history_len()) {
-        let finished = check_compaction_across_restart(seed, &dplans, &dlog, k)
-            .map_err(|e| fail("durable-compaction", e))?;
+        let finished = check_compaction_across_restart(seed, &dplans, &dlog, k)?;
         for (i, f) in finished.iter().enumerate() {
-            let expected = &drun.outcome.sessions[i];
+            let expected = drun.session(i);
             let Some(got) = f else { continue }; // closed pre-crash: final
             if got.msps != expected.msps {
                 return Err(fail(
@@ -1646,25 +1761,13 @@ pub fn check_durability_seed(seed: u64) -> Result<(), OracleFailure> {
     Ok(())
 }
 
-/// Run [`check_durability_seed`] over `seeds`.
-pub fn durability_sweep(seeds: impl IntoIterator<Item = u64>) -> SweepReport {
-    let mut report = SweepReport::default();
-    for seed in seeds {
-        match check_durability_seed(seed) {
-            Ok(()) => report.passed += 1,
-            Err(failure) => report.failures.push(failure),
-        }
-    }
-    report
-}
-
 // ---------------------------------------------------------------------------
-// Protocol crash/partition oracle (PR 9): serve a durable service through the
-// `oassis-net` wire protocol over the deterministic `SimNet`, kill the server
-// at *every* protocol-event index (and once more under injected frame
-// faults), recover it from the live WAL image, reconnect the clients with
-// `Resume`/tokened `Submit`, and require the terminal valid-MSP sets and
-// crowd-question counts to match the uninterrupted run exactly.
+// The net suite: serve a durable service through the `oassis-net` wire
+// protocol over the deterministic `SimNet`, kill the server at *every*
+// protocol-event index (and once more under injected frame faults), recover
+// it from the live WAL image, reconnect the clients with `Resume`/tokened
+// `Submit`, and require the terminal valid-MSP sets and crowd-question
+// counts to match the uninterrupted run exactly.
 // ---------------------------------------------------------------------------
 
 /// Client steps between two `Poll`s of a running session — keeps the
@@ -1672,14 +1775,10 @@ pub fn durability_sweep(seeds: impl IntoIterator<Item = u64>) -> SweepReport {
 /// starving the progress stream.
 pub const NET_POLL_BACKOFF: u32 = 8;
 
-/// Base for the per-plan `Submit` idempotency tokens (plan `i` uses
-/// `NET_TOKEN_BASE + i`), also how the oracle attributes WAL records to
-/// plans without trusting client-side session-id bookkeeping.
+/// Base for the per-plan `Submit` idempotency tokens of served runs, also
+/// how the net oracle attributes WAL records to plans without trusting
+/// client-side session-id bookkeeping.
 pub const NET_TOKEN_BASE: u64 = 0x0A55_1500;
-
-/// Virtual-tick budget for one networked run; exceeded only by a genuine
-/// livelock, which the harness turns into a panic with context.
-const NET_MAX_TICKS: u64 = 200_000;
 
 /// Service scheduling cycles per tick, so mining outpaces polling and the
 /// event clock stays protocol-dominated.
@@ -1688,70 +1787,14 @@ const NET_PUMPS_PER_TICK: u32 = 4;
 /// Ticks between a kill and the recovered server accepting connections.
 const NET_RESTART_DELAY: u64 = 3;
 
-/// Aggregator sample for the networked oracles' plans. They run the
-/// disjoint 2-seat rosters (for isolation-exact crowd-question counts),
-/// and [`SERVICE_AGGREGATOR_SAMPLE`] (4) could never fill from 2 seats —
+/// Aggregator sample for the served runs' plans. They run the disjoint
+/// 2-seat rosters (for isolation-exact crowd-question counts), and
+/// [`SERVICE_AGGREGATOR_SAMPLE`] (4) could never fill from 2 seats —
 /// every MSP set would be vacuously empty and the MSP-identity oracles
 /// would compare nothing. Sampling both roster members reproduces the
 /// full-crowd aggregate exactly: the simulated crowd is two copies of the
 /// same member pair, so one copy's answers average to the whole crowd's.
 pub const NET_AGGREGATOR_SAMPLE: usize = 2;
-
-/// [`plan_spec`] with the roster-fillable [`NET_AGGREGATOR_SAMPLE`].
-fn net_plan_spec(seed: u64, plan: &ServicePlan) -> SessionSpec {
-    let mut spec = plan_spec(seed, plan);
-    spec.config.aggregator_sample = NET_AGGREGATOR_SAMPLE;
-    spec
-}
-
-/// The served runs' in-process twin: the same plans with the same
-/// [`net_plan_spec`] specs, submitted straight to an [`OassisService`]
-/// with no wire in between. [`check_net_seed`]'s transparency oracle
-/// compares against this (not [`simulate_service`], whose specs use the
-/// service-wide aggregator sample).
-fn run_net_inprocess(seed: u64, plans: &[ServicePlan]) -> Vec<ServiceSessionOutcome> {
-    let mut service = OassisService::start_with_sink(
-        Oassis::new(figure1_ontology()),
-        service_runtime(seed, false),
-        oassis_obs::null_sink(),
-    );
-    for plan in plans {
-        service
-            .submit(net_plan_spec(seed, plan))
-            .expect("net plan admits");
-    }
-    service.run().iter().map(session_outcome).collect()
-}
-
-/// What one networked client observed at its session's end (terminal
-/// `Update` frame): the authoritative valid-MSP set and the cost counter
-/// the crash oracle compares.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NetSessionOutcome {
-    /// Terminal status, rendered like [`ServiceSessionOutcome::status`].
-    pub status: String,
-    /// Crowd questions the terminal session paid for itself (a resumed
-    /// session counts only post-resume dispatches).
-    pub crowd_questions: u64,
-    /// Sorted rendered valid MSPs.
-    pub msps: Vec<String>,
-}
-
-/// Everything one networked run produced.
-pub struct NetRunOutcome {
-    /// Per-plan terminal outcomes, in plan order.
-    pub outcomes: Vec<NetSessionOutcome>,
-    /// Protocol events (processed request frames) the *first* server
-    /// incarnation saw — the kill-sweep domain for uninterrupted runs.
-    pub events: u64,
-    /// WAL length at the kill (`None` for uninterrupted runs).
-    pub kill_len: Option<usize>,
-    /// The WAL both server incarnations appended to.
-    pub log: Arc<Mutex<InMemory>>,
-    /// Unexpected `Error` frames any client received (empty on a healthy
-    /// run; the oracles fail on any entry).
-    pub protocol_errors: Vec<String>,
-}
 
 /// One simulated protocol client driving a plan end-to-end:
 /// `Hello → Submit(token) → Poll…` with reconnect-and-`Resume` (or
@@ -1770,7 +1813,7 @@ struct NetDriver {
     /// re-attaches via `Resume` before polling).
     attached: bool,
     backoff: u32,
-    outcome: Option<NetSessionOutcome>,
+    outcome: Option<SessionOutcome>,
     protocol_errors: Vec<String>,
 }
 
@@ -1855,16 +1898,19 @@ impl NetDriver {
                 Response::Update {
                     status,
                     crowd_questions,
+                    store_hits,
                     msps,
                     ..
                 } => {
                     if status == WireStatus::Running {
                         self.backoff = NET_POLL_BACKOFF;
                     } else {
-                        self.outcome = Some(NetSessionOutcome {
-                            status: format!("{status:?}"),
-                            crowd_questions,
+                        self.outcome = Some(SessionOutcome {
                             msps,
+                            questions: None,
+                            crowd_questions: crowd_questions as usize,
+                            store_hits: store_hits as usize,
+                            status: format!("{status:?}"),
                         });
                     }
                 }
@@ -1883,35 +1929,30 @@ impl NetDriver {
     }
 }
 
-/// Run `plans` as concurrent protocol clients of one durable served
-/// service over a seeded [`SimNet`]. With `kill_at = Some(k)` the server
-/// process dies immediately *after* processing its `k`-th request frame
-/// (`k = 0`: before its first) — state mutated and WAL appended, response
-/// discarded, every connection severed — and is restarted a few ticks
-/// later by recovering from the same WAL; clients reconnect and resume.
-pub fn run_net(
-    seed: u64,
-    plans: &[ServicePlan],
+/// Serve `sc`'s durable service over a seeded [`SimNet`], one
+/// [`NetDriver`] per plan, for at most `max_steps` ticks (see
+/// [`Transport::Served`]).
+fn run_served(
+    sc: &Scenario,
     faults: FaultConfig,
     kill_at: Option<u64>,
-) -> NetRunOutcome {
-    let net = SimNet::new(seed).with_faults(faults);
-    let log = Arc::new(Mutex::new(
-        InMemory::new().with_snapshot_every(SIM_SNAPSHOT_EVERY),
-    ));
-    let persistence: SharedPersistence = Arc::clone(&log) as SharedPersistence;
-    let mut server = Some(NetServer::new(OassisService::start_with_persistence(
-        Oassis::new(figure1_ontology()),
-        service_runtime(seed, false),
-        oassis_obs::null_sink(),
-        persistence,
-    )));
+    max_steps: u64,
+) -> Result<RunOutcome, OracleFailure> {
+    let log = sc.log.as_ref().expect("a served scenario carries its log");
+    let net = SimNet::new(sc.seed).with_faults(faults);
+    // The recovered sessions are deliberately *not* auto-resumed: in the
+    // protocol world resumption is client-driven (`Resume`, or a
+    // retransmitted tokened `Submit`).
+    let serve = || start(sc, null_sink(), None).map(|(service, _)| NetServer::new(service));
+    let mut server = Some(serve()?);
 
-    let mut drivers: Vec<NetDriver> = plans
+    let config = engine_config(sc, null_sink());
+    let mut drivers: Vec<NetDriver> = sc
+        .plans
         .iter()
         .enumerate()
         .map(|(i, plan)| {
-            let spec = net_plan_spec(seed, plan).to_admit(Some(NET_TOKEN_BASE + i as u64));
+            let spec = plan_spec(plan, &config).to_admit(sc.tokens.map(|base| base + i as u64));
             NetDriver::new(spec, net.connect().expect("server starts alive"))
         })
         .collect();
@@ -1929,7 +1970,7 @@ pub fn run_net(
         restart_at = Some(NET_RESTART_DELAY);
     }
 
-    for tick in 0..NET_MAX_TICKS {
+    for tick in 0..max_steps {
         if drivers.iter().all(|d| d.outcome.is_some()) {
             break;
         }
@@ -1939,18 +1980,7 @@ pub fn run_net(
         net.tick();
 
         if server.is_none() && restart_at.is_some_and(|at| tick >= at) {
-            let persistence: SharedPersistence = Arc::clone(&log) as SharedPersistence;
-            // The recovered sessions are deliberately *not* auto-resumed:
-            // in the protocol world resumption is client-driven (`Resume`,
-            // or a retransmitted tokened `Submit`).
-            let (service, _recovered) = OassisService::recover_with(
-                Oassis::new(figure1_ontology()),
-                service_runtime(seed, false),
-                oassis_obs::null_sink(),
-                persistence,
-            )
-            .expect("recovery from the live WAL image succeeds");
-            server = Some(NetServer::new(service));
+            server = Some(serve()?);
             net.restart_server();
             restart_at = None;
         }
@@ -1990,29 +2020,27 @@ pub fn run_net(
         }
     }
 
-    let outcomes: Vec<NetSessionOutcome> = drivers
-        .iter()
-        .enumerate()
-        .map(|(i, d)| {
-            d.outcome.clone().unwrap_or_else(|| {
-                panic!(
-                    "seed {seed}: plan {i} never reached a terminal Update within \
-                     {NET_MAX_TICKS} ticks (kill_at {kill_at:?}, faults {faults:?})"
-                )
-            })
-        })
-        .collect();
-    let protocol_errors = drivers
-        .iter()
-        .flat_map(|d| d.protocol_errors.iter().cloned())
-        .collect();
-    NetRunOutcome {
-        outcomes,
+    if let Some(i) = drivers.iter().position(|d| d.outcome.is_none()) {
+        return Err(OracleFailure::new(
+            sc.seed,
+            "livelock",
+            format!(
+                "plan {i} never reached a terminal Update within {max_steps} ticks \
+                 (kill_at {kill_at:?}, faults {faults:?})"
+            ),
+        ));
+    }
+    Ok(RunOutcome {
+        sessions: drivers.iter().map(|d| d.outcome.clone()).collect(),
         events,
         kill_len,
-        log,
-        protocol_errors,
-    }
+        protocol_errors: drivers
+            .iter()
+            .flat_map(|d| d.protocol_errors.iter().cloned())
+            .collect(),
+        log: sc.log.clone(),
+        ..RunOutcome::default()
+    })
 }
 
 /// Every session id the WAL's first `upto` records admitted under `token`
@@ -2036,23 +2064,20 @@ fn token_chain(log: &InMemory, upto: usize, token: u64) -> HashSet<u64> {
 fn verify_net_crash(
     seed: u64,
     oracle: &'static str,
-    base: &NetRunOutcome,
-    killed: &NetRunOutcome,
+    base: &RunOutcome,
+    killed: &RunOutcome,
     k: u64,
 ) -> Result<(), OracleFailure> {
-    let fail = |detail: String| OracleFailure {
-        seed,
-        oracle,
-        detail,
-    };
+    let fail = |detail: String| OracleFailure::new(seed, oracle, detail);
     if let Some(e) = killed.protocol_errors.first() {
         return Err(fail(format!("kill at event {k}: protocol error: {e}")));
     }
     let kill_len = killed
         .kill_len
         .expect("a killed run records its WAL length at the kill");
-    let log = killed.log.lock().expect("wal");
-    for (i, (expected, got)) in base.outcomes.iter().zip(&killed.outcomes).enumerate() {
+    let log = killed.wal();
+    for i in 0..base.sessions.len() {
+        let (expected, got) = (base.session(i), killed.session(i));
         if got.msps != expected.msps {
             return Err(fail(format!(
                 "kill at event {k}: plan {i} recovered {} MSPs, expected {}",
@@ -2067,15 +2092,15 @@ fn verify_net_crash(
             )));
         }
         let chain = token_chain(&log, kill_len, NET_TOKEN_BASE + i as u64);
-        let closed_pre = log.history()[..kill_len].iter().any(
-            |r| matches!(r, WalRecord::Close { session, .. } if chain.contains(session)),
-        );
+        let closed_pre = log.history()[..kill_len]
+            .iter()
+            .any(|r| matches!(r, WalRecord::Close { session, .. } if chain.contains(session)));
         let committed = log.history()[..kill_len]
             .iter()
             .filter(
                 |r| matches!(r, WalRecord::Answer { session: Some(s), .. } if chain.contains(s)),
             )
-            .count() as u64;
+            .count();
         let paid = if closed_pre {
             // Closed before the kill: the terminal Update replays the
             // durable Close record's full count; the committed answers
@@ -2102,8 +2127,9 @@ fn verify_net_crash(
 /// plan pair (so crowd-question counts are isolation-exact):
 ///
 /// 1. **net-transparency** — the uninterrupted served run produces exactly
-///    its in-process twin's outcomes (MSPs, crowd-question counts,
-///    statuses — see [`run_net_inprocess`]), with no stray `Error` frames,
+///    the outcomes (MSPs, crowd-question counts, statuses) of its
+///    in-process twin, the same plans and configuration submitted straight
+///    to a volatile service without tokens, with no stray `Error` frames,
 ///    and the MSP sets are non-vacuous (the net plans' aggregator sample
 ///    is roster-fillable precisely so this bites);
 /// 2. **net-replay** — the same seed twice yields identical outcomes,
@@ -2116,29 +2142,31 @@ fn verify_net_crash(
 ///    uninterrupted outcomes — and so does a mid-run kill on top of the
 ///    faults.
 pub fn check_net_seed(seed: u64) -> Result<(), OracleFailure> {
-    let fail = |oracle: &'static str, detail: String| OracleFailure {
-        seed,
-        oracle,
-        detail,
-    };
+    let fail = |oracle, detail: String| OracleFailure::new(seed, oracle, detail);
     let (plan_a, plan_b) = disjoint_plans();
     let plans = vec![plan_a, plan_b];
+    let served = |faults: FaultConfig, kill_at: Option<u64>| {
+        run(&Scenario::served(seed, &plans, faults, kill_at))
+    };
 
-    let base = run_net(seed, &plans, FaultConfig::default(), None);
+    let base = served(FaultConfig::default(), None)?;
     if let Some(e) = base.protocol_errors.first() {
         return Err(fail("net-transparency", format!("protocol error: {e}")));
     }
     require_nonvacuous(
         seed,
         "net-transparency",
-        base.outcomes.iter().map(|o| &o.msps),
+        base.sessions.iter().flatten().map(|o| &o.msps),
     )?;
-    let inproc = run_net_inprocess(seed, &plans);
-    for (i, (n, p)) in base.outcomes.iter().zip(&inproc).enumerate() {
-        if n.msps != p.msps
-            || n.crowd_questions != p.crowd_questions as u64
-            || n.status != p.status
-        {
+    let inproc = run(&Scenario {
+        tokens: None,
+        log: None,
+        transport: Transport::InProcess,
+        ..Scenario::served(seed, &plans, FaultConfig::default(), None)
+    })?;
+    for i in 0..plans.len() {
+        let (n, p) = (base.session(i), inproc.session(i));
+        if n.msps != p.msps || n.crowd_questions != p.crowd_questions || n.status != p.status {
             return Err(fail(
                 "net-transparency",
                 format!(
@@ -2155,8 +2183,8 @@ pub fn check_net_seed(seed: u64) -> Result<(), OracleFailure> {
         }
     }
 
-    let again = run_net(seed, &plans, FaultConfig::default(), None);
-    if again.outcomes != base.outcomes || again.events != base.events {
+    let again = served(FaultConfig::default(), None)?;
+    if again.sessions != base.sessions || again.events != base.events {
         return Err(fail(
             "net-replay",
             format!(
@@ -2166,8 +2194,7 @@ pub fn check_net_seed(seed: u64) -> Result<(), OracleFailure> {
         ));
     }
     {
-        let a = base.log.lock().expect("wal");
-        let b = again.log.lock().expect("wal");
+        let (a, b) = (base.wal(), again.wal());
         if a.history() != b.history() {
             return Err(fail(
                 "net-replay",
@@ -2181,17 +2208,23 @@ pub fn check_net_seed(seed: u64) -> Result<(), OracleFailure> {
         }
     }
 
-    assert!(base.events > 0, "a served run must process protocol events");
+    if base.events == 0 {
+        return Err(fail(
+            "net-crash",
+            "the served run processed no protocol events, so no kill point exists".into(),
+        ));
+    }
     for k in 0..=base.events {
-        let killed = run_net(seed, &plans, FaultConfig::default(), Some(k));
+        let killed = served(FaultConfig::default(), Some(k))?;
         verify_net_crash(seed, "net-crash", &base, &killed, k)?;
     }
 
-    let faulted = run_net(seed, &plans, FaultConfig::light(), None);
+    let faulted = served(FaultConfig::light(), None)?;
     if let Some(e) = faulted.protocol_errors.first() {
         return Err(fail("net-faults", format!("protocol error: {e}")));
     }
-    for (i, (n, b)) in faulted.outcomes.iter().zip(&base.outcomes).enumerate() {
+    for i in 0..plans.len() {
+        let (n, b) = (faulted.session(i), base.session(i));
         if n != b {
             return Err(fail(
                 "net-faults",
@@ -2200,22 +2233,10 @@ pub fn check_net_seed(seed: u64) -> Result<(), OracleFailure> {
         }
     }
     let mid = (faulted.events / 2).max(1);
-    let faulted_killed = run_net(seed, &plans, FaultConfig::light(), Some(mid));
+    let faulted_killed = served(FaultConfig::light(), Some(mid))?;
     verify_net_crash(seed, "net-faults", &base, &faulted_killed, mid)?;
 
     Ok(())
-}
-
-/// Run [`check_net_seed`] over `seeds`.
-pub fn net_sweep(seeds: impl IntoIterator<Item = u64>) -> SweepReport {
-    let mut report = SweepReport::default();
-    for seed in seeds {
-        match check_net_seed(seed) {
-            Ok(()) => report.passed += 1,
-            Err(failure) => report.failures.push(failure),
-        }
-    }
-    report
 }
 
 #[cfg(test)]
@@ -2228,15 +2249,15 @@ mod tests {
     /// schedule to a handful of scheduling decisions.
     #[test]
     fn injected_prefetch_swap_is_caught_and_shrunk() {
-        let opts = SimOptions {
-            faults: FaultPlan::Latency,
+        let scenario = |seed| Scenario {
             chaos: Some(SimChaos::SwapPrefetchAnswers),
-            ..SimOptions::default()
+            ..Scenario::faults(seed, FaultFamily::Latency)
         };
-        let failing_seed = (0..64)
-            .find(|&seed| diverges_from_reference(&simulate(seed, &opts)))
+        let failing = (0..64)
+            .map(scenario)
+            .find(|sc| run(sc).is_ok_and(|o| diverges_from_reference(sc, &o)))
             .expect("the injected bug must be caught within 64 seeds");
-        let shrunk = shrink(failing_seed, &opts, diverges_from_reference)
+        let shrunk = shrink(&failing, |o| diverges_from_reference(&failing, o))
             .expect("the failing seed shrinks");
         assert!(
             shrunk.non_fifo >= 1,
@@ -2248,13 +2269,11 @@ mod tests {
             shrunk.non_fifo
         );
         // The minimal schedule must still replay deterministically.
-        let replay = simulate(
-            failing_seed,
-            &SimOptions {
-                script: Some(shrunk.script.clone()),
-                ..opts.clone()
-            },
-        );
+        let replay = run(&Scenario {
+            script: Some(shrunk.script.clone()),
+            ..failing
+        })
+        .expect("the minimal schedule replays");
         assert_eq!(replay.transcript, shrunk.transcript);
     }
 
@@ -2264,26 +2283,69 @@ mod tests {
     #[test]
     fn waved_runs_actually_stage_and_hit() {
         let plans = service_plans(3);
-        let staged = (0..16).any(|seed| {
-            let waved = simulate_service_waved(seed, &plans, true, 16);
-            waved.transcript.contains(names::WAVE_STAGED)
-        });
+        let transcript = |seed| {
+            run(&Scenario {
+                wave: 16,
+                ..Scenario::service(seed, &plans, true)
+            })
+            .expect("the waved run finishes")
+            .transcript
+        };
+        let staged = (0..16).any(|seed| transcript(seed).contains(names::WAVE_STAGED));
         assert!(staged, "no seed in 0..16 ever staged a wave");
-        let hit = (0..16).any(|seed| {
-            let waved = simulate_service_waved(seed, &plans, true, 16);
-            waved.transcript.contains(names::WAVE_HIT)
-        });
+        let hit = (0..16).any(|seed| transcript(seed).contains(names::WAVE_HIT));
         assert!(hit, "no seed in 0..16 ever served a staged answer");
     }
 
     #[test]
     fn chaos_off_passes_the_same_seeds() {
-        let report = sweep(0..4);
+        let report = sweep(Suite::Faults, 0..4);
         assert!(
             report.failures.is_empty(),
             "clean sweep failed: {}",
             report.failures[0]
         );
         assert_eq!(report.passed, 4);
+    }
+
+    /// A seed whose plan cannot be admitted, runs over their step bound
+    /// (in-process and served), and a check that panics each fail their
+    /// own seed, with its repro line, while the sweep goes on.
+    #[test]
+    fn failing_runs_are_reported_and_the_sweep_goes_on() {
+        let (plan_a, plan_b) = disjoint_plans();
+        let report = sweep_checks(0..6, |seed| {
+            let mut sc = Scenario::service(seed, &service_plans(1), false);
+            match seed {
+                1 => sc.plans[0].query = "SELECT nonsense".into(),
+                3 => {
+                    sc = Scenario::served(
+                        seed,
+                        &[plan_a.clone(), plan_b.clone()],
+                        FaultConfig::default(),
+                        None,
+                    )
+                }
+                4 => panic!("seed 4 panics"),
+                _ => {}
+            }
+            let max_steps = if matches!(seed, 2 | 3) { 3 } else { MAX_STEPS };
+            run_bounded(&sc, max_steps).map(drop)
+        });
+        assert_eq!(report.passed, 2, "seeds 0 and 5 pass");
+        let failed: Vec<(u64, &str)> = report.failures.iter().map(|f| (f.seed, f.oracle)).collect();
+        assert_eq!(
+            failed,
+            [
+                (1, "admission"),
+                (2, "livelock"),
+                (3, "livelock"),
+                (4, "panic")
+            ]
+        );
+        assert_eq!(report.failures[3].detail, "seed 4 panics");
+        for failure in &report.failures {
+            assert!(failure.to_string().ends_with(&repro_command(failure.seed)));
+        }
     }
 }

@@ -14,42 +14,16 @@ use oassis::core::{
     EngineConfig, Oassis, OassisError, OassisService, SessionId, SessionRuntime, SessionSpec,
     SessionStatus, SimConfig,
 };
-use oassis::crowd::transaction::table3_dbs;
-use oassis::crowd::{AnswerStore, CrowdMember, DbMember, MemberId};
+use oassis::crowd::AnswerStore;
 use oassis::obs::null_sink;
 use oassis::sparql::MatchMode;
 use oassis::store::ontology::figure1_ontology;
 use oassis::store_durable::{InMemory, Persistence, SharedPersistence, WalRecord, WAL_FILE};
 use oassis::vocab::{ElementId, Fact, RelationId};
 use oassis_simtest::{
-    check_durable_waves, finish_after_crash, service_plans, simulate_durable_service, ServicePlan,
-    SIM_SNAPSHOT_EVERY, SIM_UNSPENT_BUDGET,
+    check_durable_waves, crowd, durability_plans, run, service_plans, Record, Scenario,
+    ServicePlan, QUERY, SIM_UNSPENT_BUDGET,
 };
-
-const QUERY: &str = "SELECT FACT-SETS WHERE \
-      $x instanceOf $w. $w subClassOf* Attraction. \
-      $y subClassOf* Activity \
-    SATISFYING $y doAt $x WITH SUPPORT = 0.4";
-
-fn figure1_crowd(n_pairs: u32) -> Vec<Box<dyn CrowdMember>> {
-    let o = figure1_ontology();
-    let vocab = Arc::new(o.vocabulary().clone());
-    let (d1, d2) = table3_dbs(&vocab);
-    let mut members: Vec<Box<dyn CrowdMember>> = Vec::new();
-    for i in 0..n_pairs {
-        members.push(Box::new(DbMember::new(
-            MemberId(2 * i),
-            d1.clone(),
-            Arc::clone(&vocab),
-        )));
-        members.push(Box::new(DbMember::new(
-            MemberId(2 * i + 1),
-            d2.clone(),
-            Arc::clone(&vocab),
-        )));
-    }
-    members
-}
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -70,7 +44,7 @@ fn file_backed_service_survives_restart() {
     let dir = temp_dir("restart");
 
     let engine = Oassis::new(figure1_ontology());
-    let runtime = SessionRuntime::new(figure1_crowd(2));
+    let runtime = SessionRuntime::new(crowd(2));
     let (mut service, recovered) =
         OassisService::recover(engine, runtime, &dir).expect("fresh dir opens empty");
     assert!(recovered.is_empty(), "an empty log recovers nothing");
@@ -85,7 +59,7 @@ fn file_backed_service_survives_restart() {
 
     // "Restart": a brand-new process image over the same directory.
     let engine = Oassis::new(figure1_ontology());
-    let runtime = SessionRuntime::new(figure1_crowd(2));
+    let runtime = SessionRuntime::new(crowd(2));
     let (mut service, recovered) =
         OassisService::recover(engine, runtime, &dir).expect("log replays");
     assert!(recovered.is_empty(), "the only session closed cleanly");
@@ -129,14 +103,19 @@ fn file_backed_service_survives_restart() {
 fn every_kill_point_recovers_the_same_answers() {
     let seed = 7;
     let plans = service_plans(1);
-    let run = simulate_durable_service(seed, &plans, false, Some(SIM_SNAPSHOT_EVERY));
-    let log = run.log.lock().unwrap();
+    let run_to_end = |scenario: Scenario| run(&scenario).unwrap_or_else(|f| panic!("{f}"));
+    let uninterrupted = run_to_end(Scenario::durable(seed, &plans, false));
+    let log = uninterrupted.wal();
     assert!(log.snapshot_count() > 0, "the sweep must cross a compaction");
-    let expected = &run.outcome.sessions[0].msps;
+    let expected = &uninterrupted.session(0).msps;
     assert!(!expected.is_empty(), "vacuous comparison");
     for k in 0..=log.history_len() {
-        let finished = finish_after_crash(seed, &plans, false, &log, k);
-        let got = finished[0].as_ref().map_or(expected, |o| &o.msps);
+        let finished = run_to_end(Scenario {
+            log: Some(Arc::new(Mutex::new(log.crashed_at(k)))),
+            record: Record::Off,
+            ..Scenario::service(seed, &plans, false)
+        });
+        let got = finished.sessions[0].as_ref().map_or(expected, |o| &o.msps);
         assert_eq!(
             got, expected,
             "kill at {k}/{} diverged",
@@ -154,7 +133,7 @@ fn budget_is_never_overspent_across_a_crash() {
     let mem = Arc::new(Mutex::new(InMemory::new()));
     let persistence: SharedPersistence = Arc::clone(&mem) as SharedPersistence;
     let engine = Oassis::new(figure1_ontology());
-    let runtime = SessionRuntime::new(figure1_crowd(2));
+    let runtime = SessionRuntime::new(crowd(2));
     let mut service = OassisService::start_with_persistence(
         engine,
         runtime,
@@ -180,7 +159,7 @@ fn budget_is_never_overspent_across_a_crash() {
     drop(log);
 
     let engine = Oassis::new(figure1_ontology());
-    let runtime = SessionRuntime::new(figure1_crowd(2));
+    let runtime = SessionRuntime::new(crowd(2));
     let (mut service, mut recovered) =
         OassisService::recover_with(engine, runtime, oassis::obs::null_sink(), crash)
             .expect("crash image replays");
@@ -206,7 +185,7 @@ fn budget_is_never_overspent_across_a_crash() {
 fn torn_tail_recovers_and_interior_corruption_is_fatal() {
     let dir = temp_dir("torn");
     let engine = Oassis::new(figure1_ontology());
-    let runtime = SessionRuntime::new(figure1_crowd(2));
+    let runtime = SessionRuntime::new(crowd(2));
     let (mut service, _) = OassisService::recover(engine, runtime, &dir).unwrap();
     service
         .submit(SessionSpec::builder(QUERY).build())
@@ -221,7 +200,7 @@ fn torn_tail_recovers_and_interior_corruption_is_fatal() {
     std::fs::write(&wal, &bytes).unwrap();
 
     let engine = Oassis::new(figure1_ontology());
-    let runtime = SessionRuntime::new(figure1_crowd(2));
+    let runtime = SessionRuntime::new(crowd(2));
     let (mut service, recovered) =
         OassisService::recover(engine, runtime, &dir).expect("torn tail is recoverable");
     assert!(recovered.is_empty());
@@ -245,7 +224,7 @@ fn torn_tail_recovers_and_interior_corruption_is_fatal() {
     std::fs::write(&wal, damaged.join("\n") + "\n").unwrap();
 
     let engine = Oassis::new(figure1_ontology());
-    let runtime = SessionRuntime::new(figure1_crowd(2));
+    let runtime = SessionRuntime::new(crowd(2));
     match OassisService::recover(engine, runtime, &dir) {
         Err(OassisError::Durability(e)) => {
             let msg = e.to_string();
@@ -265,7 +244,7 @@ fn admitted_config_round_trips_through_the_log() {
     let mem = Arc::new(Mutex::new(InMemory::new()));
     let persistence: SharedPersistence = Arc::clone(&mem) as SharedPersistence;
     let engine = Oassis::new(figure1_ontology());
-    let runtime = SessionRuntime::new(figure1_crowd(2));
+    let runtime = SessionRuntime::new(crowd(2));
     let mut service = OassisService::start_with_persistence(
         engine,
         runtime,
@@ -287,7 +266,7 @@ fn admitted_config_round_trips_through_the_log() {
     drop(service);
 
     let engine = Oassis::new(figure1_ontology());
-    let runtime = SessionRuntime::new(figure1_crowd(2));
+    let runtime = SessionRuntime::new(crowd(2));
     let (_service, recovered) =
         OassisService::recover_with(engine, runtime, oassis::obs::null_sink(), crash).unwrap();
     assert_eq!(recovered.len(), 1);
@@ -313,7 +292,7 @@ fn closed_session_token_survives_compaction() {
         let mem = Arc::new(Mutex::new(mem));
         let mut service = OassisService::start_with_persistence(
             Oassis::new(figure1_ontology()),
-            SessionRuntime::new(figure1_crowd(2)),
+            SessionRuntime::new(crowd(2)),
             oassis::obs::null_sink(),
             Arc::clone(&mem) as SharedPersistence,
         );
@@ -328,7 +307,7 @@ fn closed_session_token_survives_compaction() {
         let image: SharedPersistence = Arc::new(Mutex::new(log.crashed_at(log.history_len())));
         let (service, recovered) = OassisService::recover_with(
             Oassis::new(figure1_ontology()),
-            SessionRuntime::new(figure1_crowd(2)),
+            SessionRuntime::new(crowd(2)),
             oassis::obs::null_sink(),
             image,
         )
@@ -356,8 +335,8 @@ fn compaction_work_is_bounded_by_live_state() {
             ..plan
         })
         .collect();
-    let run = simulate_durable_service(11, &plans, true, Some(SIM_SNAPSHOT_EVERY));
-    let mut log = run.log.lock().unwrap();
+    let outcome = run(&Scenario::durable(11, &plans, true)).unwrap_or_else(|f| panic!("{f}"));
+    let mut log = outcome.wal();
     assert!(log.snapshot_count() > 2, "the run must compact repeatedly");
     let history = log.history().to_vec();
     for &(point, handed) in log.snapshot_points() {
@@ -412,7 +391,7 @@ fn closed_outcome_is_aliased_under_resumed_ancestors() {
         let restart = |log: InMemory| {
             OassisService::recover_with(
                 Oassis::new(figure1_ontology()),
-                SessionRuntime::new(figure1_crowd(2)),
+                SessionRuntime::new(crowd(2)),
                 oassis::obs::null_sink(),
                 Arc::new(Mutex::new(log)),
             )
@@ -423,7 +402,7 @@ fn closed_outcome_is_aliased_under_resumed_ancestors() {
         let mem = Arc::new(Mutex::new(new_log()));
         let mut service = OassisService::start_with_persistence(
             Oassis::new(figure1_ontology()),
-            SessionRuntime::new(figure1_crowd(2)),
+            SessionRuntime::new(crowd(2)),
             oassis::obs::null_sink(),
             Arc::clone(&mem) as SharedPersistence,
         );
@@ -438,7 +417,7 @@ fn closed_outcome_is_aliased_under_resumed_ancestors() {
         // Second run: resume the interrupted session to its close.
         let (mut service, mut recovered) = OassisService::recover_with(
             Oassis::new(figure1_ontology()),
-            SessionRuntime::new(figure1_crowd(2)),
+            SessionRuntime::new(crowd(2)),
             oassis::obs::null_sink(),
             Arc::clone(&image) as SharedPersistence,
         )
@@ -474,18 +453,10 @@ fn closed_outcome_is_aliased_under_resumed_ancestors() {
 /// log spend watermarks.
 #[test]
 fn waved_durable_runs_log_exactly_the_paid_answers() {
-    let plans: Vec<ServicePlan> = service_plans(3)
-        .into_iter()
-        .enumerate()
-        .map(|(i, plan)| ServicePlan {
-            budget: (i % 2 == 1).then_some(SIM_UNSPENT_BUDGET),
-            ..plan
-        })
-        .collect();
+    let plans = durability_plans();
     let mut committed = false;
     for seed in 0..4 {
-        committed |=
-            check_durable_waves(seed, &plans).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        committed |= check_durable_waves(seed, &plans).unwrap_or_else(|f| panic!("{f}"));
     }
     assert!(committed, "no seed in 0..4 committed a prefetch");
 }
@@ -512,7 +483,7 @@ fn durable_admission_refuses_config_the_log_cannot_carry() {
         let mem = Arc::new(Mutex::new(InMemory::new()));
         let mut durable = OassisService::start_with_persistence(
             Oassis::new(figure1_ontology()),
-            SessionRuntime::new(figure1_crowd(1)),
+            SessionRuntime::new(crowd(1)),
             null_sink(),
             Arc::clone(&mem) as SharedPersistence,
         );
@@ -528,7 +499,7 @@ fn durable_admission_refuses_config_the_log_cannot_carry() {
         );
         let mut volatile = OassisService::start(
             Oassis::new(figure1_ontology()),
-            SessionRuntime::new(figure1_crowd(1)),
+            SessionRuntime::new(crowd(1)),
         );
         volatile.submit(spec).expect("a volatile service admits it");
     }
@@ -543,7 +514,7 @@ fn recovered_store_feeds_a_threshold_replay() {
     let mem = Arc::new(Mutex::new(InMemory::new()));
     let mut service = OassisService::start_with_persistence(
         Oassis::new(figure1_ontology()),
-        SessionRuntime::new(figure1_crowd(2)),
+        SessionRuntime::new(crowd(2)),
         null_sink(),
         Arc::clone(&mem) as SharedPersistence,
     );
@@ -554,7 +525,7 @@ fn recovered_store_feeds_a_threshold_replay() {
     drop(service);
     let (recovered, _) = OassisService::recover_with(
         Oassis::new(figure1_ontology()),
-        SessionRuntime::new(figure1_crowd(2)),
+        SessionRuntime::new(crowd(2)),
         null_sink(),
         mem,
     )
@@ -588,7 +559,7 @@ fn session_only_answers_are_logged_in_recorded_order() {
         let mem = Arc::new(Mutex::new(InMemory::new()));
         let mut service = OassisService::start_with_persistence(
             Oassis::new(figure1_ontology()),
-            SessionRuntime::new(figure1_crowd(2)).simulated(SimConfig::new(5)),
+            SessionRuntime::new(crowd(2)).simulated(SimConfig::new(5)),
             null_sink(),
             Arc::clone(&mem) as SharedPersistence,
         );

@@ -4,37 +4,10 @@
 use std::sync::Arc;
 
 use oassis::core::{AssignSpace, EngineConfig, Oassis};
-use oassis::crowd::transaction::table3_dbs;
-use oassis::crowd::{
-    CrowdMember, DbMember, MajorityVoteAggregator, MemberId, SequentialAggregator,
-};
+use oassis::crowd::{CrowdMember, MajorityVoteAggregator, SequentialAggregator};
 use oassis::sparql::MatchMode;
 use oassis::store::ontology::figure1_ontology;
-
-const QUERY: &str = "SELECT FACT-SETS WHERE \
-      $x instanceOf $w. $w subClassOf* Attraction. \
-      $y subClassOf* Activity \
-    SATISFYING $y doAt $x WITH SUPPORT = 0.4";
-
-fn crowd(n_pairs: u32) -> Vec<Box<dyn CrowdMember>> {
-    let o = figure1_ontology();
-    let vocab = Arc::new(o.vocabulary().clone());
-    let (d1, d2) = table3_dbs(&vocab);
-    let mut members: Vec<Box<dyn CrowdMember>> = Vec::new();
-    for i in 0..n_pairs {
-        members.push(Box::new(DbMember::new(
-            MemberId(2 * i),
-            d1.clone(),
-            Arc::clone(&vocab),
-        )));
-        members.push(Box::new(DbMember::new(
-            MemberId(2 * i + 1),
-            d2.clone(),
-            Arc::clone(&vocab),
-        )));
-    }
-    members
-}
+use oassis_simtest::{crowd, QUERY};
 
 fn space_for(engine: &Oassis, cfg: &EngineConfig) -> AssignSpace {
     let query = engine.parse(QUERY).unwrap();

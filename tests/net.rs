@@ -11,42 +11,16 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use oassis::core::{EngineConfig, Oassis, OassisService, QueryResult, SessionRuntime, SessionSpec};
-use oassis::crowd::transaction::table3_dbs;
-use oassis::crowd::{CrowdMember, DbMember, MemberId};
+use oassis::core::{EngineConfig, Oassis, OassisService, SessionRuntime, SessionSpec};
 use oassis::net::{
     encode_request, NetClient, NetError, NetServer, Request, Response, TcpNetServer, TcpTransport,
     WireStatus, PROTOCOL_VERSION,
 };
 use oassis::store::ontology::figure1_ontology;
-
-const QUERY: &str = "SELECT FACT-SETS WHERE \
-      $x instanceOf $w. $w subClassOf* Attraction. \
-      $y subClassOf* Activity \
-    SATISFYING $y doAt $x WITH SUPPORT = 0.4";
-
-fn figure1_crowd(n_pairs: u32) -> Vec<Box<dyn CrowdMember>> {
-    let o = figure1_ontology();
-    let vocab = Arc::new(o.vocabulary().clone());
-    let (d1, d2) = table3_dbs(&vocab);
-    let mut members: Vec<Box<dyn CrowdMember>> = Vec::new();
-    for i in 0..n_pairs {
-        members.push(Box::new(DbMember::new(
-            MemberId(2 * i),
-            d1.clone(),
-            Arc::clone(&vocab),
-        )));
-        members.push(Box::new(DbMember::new(
-            MemberId(2 * i + 1),
-            d2.clone(),
-            Arc::clone(&vocab),
-        )));
-    }
-    members
-}
+use oassis_simtest::{crowd, valid_msp_set, QUERY};
 
 /// A small aggregator sample keeps the figure-1 valid-MSP set non-empty
 /// (the whole-crowd default averages the two answer databases below the
@@ -55,21 +29,10 @@ fn test_config() -> EngineConfig {
     EngineConfig::builder().aggregator_sample(4).build()
 }
 
-fn valid_msp_set(result: &QueryResult) -> Vec<String> {
-    let mut v: Vec<String> = result
-        .answers
-        .iter()
-        .filter(|a| a.valid)
-        .map(|a| a.rendered.clone())
-        .collect();
-    v.sort();
-    v
-}
-
 /// A loopback server over a fresh figure-1 service with a 4-member crowd.
 fn loopback_server() -> TcpNetServer {
     let engine = Oassis::new(figure1_ontology());
-    let runtime = SessionRuntime::new(figure1_crowd(2));
+    let runtime = SessionRuntime::new(crowd(2));
     let service = OassisService::start(engine, runtime);
     TcpNetServer::bind("127.0.0.1:0", NetServer::new(service)).expect("bind")
 }
@@ -108,7 +71,7 @@ fn with_loopback_server(drive: impl FnOnce(&mut NetClient<TcpTransport>) + Send 
 /// The valid-MSP set of the in-process run of [`QUERY`].
 fn serial_msps() -> Vec<String> {
     let engine = Oassis::new(figure1_ontology());
-    let mut members = figure1_crowd(2);
+    let mut members = crowd(2);
     let serial = engine.execute(QUERY, &mut members, &test_config()).unwrap();
     let msps = valid_msp_set(&serial);
     assert!(!msps.is_empty(), "vacuous baseline");

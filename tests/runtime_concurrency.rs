@@ -19,11 +19,7 @@ use oassis::crowd::transaction::table3_dbs;
 use oassis::crowd::{CrowdMember, DbMember, MemberId, ResponseModel, UnreliableMember};
 use oassis::obs::{names, EventSink, InMemorySink};
 use oassis::store::ontology::figure1_ontology;
-
-const QUERY: &str = "SELECT FACT-SETS WHERE \
-      $x instanceOf $w. $w subClassOf* Attraction. \
-      $y subClassOf* Activity \
-    SATISFYING $y doAt $x WITH SUPPORT = 0.4";
+use oassis_simtest::{crowd, valid_msp_set, QUERY};
 
 /// Worker count for the one genuinely threaded run; override with
 /// `OASSIS_STRESS_WORKERS` (see `scripts/stress.sh`).
@@ -32,40 +28,6 @@ fn worker_count() -> usize {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(8)
-}
-
-/// `n_pairs` copies of the paper's u1/u2 member pair. `DbMember` answers
-/// are a pure function of the asked fact-set (no noise, no quota), which is
-/// exactly the precondition of the runtime's determinism guarantee.
-fn crowd(n_pairs: u32) -> Vec<Box<dyn CrowdMember>> {
-    let o = figure1_ontology();
-    let vocab = Arc::new(o.vocabulary().clone());
-    let (d1, d2) = table3_dbs(&vocab);
-    let mut members: Vec<Box<dyn CrowdMember>> = Vec::new();
-    for i in 0..n_pairs {
-        members.push(Box::new(DbMember::new(
-            MemberId(2 * i),
-            d1.clone(),
-            Arc::clone(&vocab),
-        )));
-        members.push(Box::new(DbMember::new(
-            MemberId(2 * i + 1),
-            d2.clone(),
-            Arc::clone(&vocab),
-        )));
-    }
-    members
-}
-
-fn valid_msp_set(result: &oassis::core::QueryResult) -> Vec<String> {
-    let mut v: Vec<String> = result
-        .answers
-        .iter()
-        .filter(|a| a.valid)
-        .map(|a| a.rendered.clone())
-        .collect();
-    v.sort();
-    v
 }
 
 /// The headline guarantee on the real threaded executor: concurrent run

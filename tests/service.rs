@@ -7,7 +7,7 @@
 use std::sync::{Arc, Mutex};
 
 use oassis::core::{
-    EngineConfig, Oassis, OassisService, QueryResult, SessionRuntime, SessionSpec, SessionStatus,
+    EngineConfig, Oassis, OassisService, SessionRuntime, SessionSpec, SessionStatus,
 };
 use oassis::crowd::transaction::table3_dbs;
 use oassis::crowd::{CrowdMember, DbMember, MemberId};
@@ -18,43 +18,7 @@ use oassis::obs::{names, EventSink, InMemorySink};
 use oassis::store::ontology::figure1_ontology;
 use oassis::store_durable::{InMemory, SharedPersistence, WalRecord};
 use oassis::vocab::{ElementId, FactSet};
-use oassis_simtest::run_sequential;
-
-const QUERY: &str = "SELECT FACT-SETS WHERE \
-      $x instanceOf $w. $w subClassOf* Attraction. \
-      $y subClassOf* Activity \
-    SATISFYING $y doAt $x WITH SUPPORT = 0.4";
-
-fn figure1_crowd(n_pairs: u32) -> Vec<Box<dyn CrowdMember>> {
-    let o = figure1_ontology();
-    let vocab = Arc::new(o.vocabulary().clone());
-    let (d1, d2) = table3_dbs(&vocab);
-    let mut members: Vec<Box<dyn CrowdMember>> = Vec::new();
-    for i in 0..n_pairs {
-        members.push(Box::new(DbMember::new(
-            MemberId(2 * i),
-            d1.clone(),
-            Arc::clone(&vocab),
-        )));
-        members.push(Box::new(DbMember::new(
-            MemberId(2 * i + 1),
-            d2.clone(),
-            Arc::clone(&vocab),
-        )));
-    }
-    members
-}
-
-fn valid_msp_set(result: &QueryResult) -> Vec<String> {
-    let mut v: Vec<String> = result
-        .answers
-        .iter()
-        .filter(|a| a.valid)
-        .map(|a| a.rendered.clone())
-        .collect();
-    v.sort();
-    v
-}
+use oassis_simtest::{crowd, run_sequential, valid_msp_set, QUERY};
 
 fn domain_crowd(domain: &Domain, members: usize, seed: u64) -> Vec<Box<dyn CrowdMember>> {
     let crowd = generate_crowd(
@@ -130,7 +94,7 @@ fn single_session_matches_multiuser_run_per_domain() {
 fn overlapping_sessions_share_the_crowd() {
     let cfg = EngineConfig::default();
     let engine = Oassis::new(figure1_ontology());
-    let mut members = figure1_crowd(2);
+    let mut members = crowd(2);
     let serial = engine.execute(QUERY, &mut members, &cfg).unwrap();
     let serial_msps = valid_msp_set(&serial);
     let serial_questions = serial.stats.total_questions;
@@ -138,7 +102,7 @@ fn overlapping_sessions_share_the_crowd() {
     let mem = InMemorySink::shared();
     let sink: Arc<dyn EventSink> = Arc::clone(&mem) as Arc<dyn EventSink>;
     let engine = Oassis::new(figure1_ontology());
-    let runtime = SessionRuntime::new(figure1_crowd(2));
+    let runtime = SessionRuntime::new(crowd(2));
     let mut service = OassisService::start_with_sink(engine, runtime, sink);
     for _ in 0..2 {
         let spec = SessionSpec::builder(QUERY).config(cfg.clone()).build();
@@ -182,7 +146,7 @@ fn overlapping_sessions_share_the_crowd() {
 fn completed_answers_seed_later_sessions() {
     let cfg = EngineConfig::default();
     let engine = Oassis::new(figure1_ontology());
-    let runtime = SessionRuntime::new(figure1_crowd(2));
+    let runtime = SessionRuntime::new(crowd(2));
     let mut service = OassisService::start(engine, runtime);
 
     let spec = SessionSpec::builder(QUERY).config(cfg.clone()).build();
@@ -217,7 +181,7 @@ fn completed_answers_seed_later_sessions() {
 #[test]
 fn budget_exhaustion_is_reported() {
     let engine = Oassis::new(figure1_ontology());
-    let runtime = SessionRuntime::new(figure1_crowd(2));
+    let runtime = SessionRuntime::new(crowd(2));
     let mut service = OassisService::start(engine, runtime);
     let spec = SessionSpec::builder(QUERY).budget(3).build();
     service.submit(spec).unwrap();
@@ -233,7 +197,7 @@ fn budget_exhaustion_is_reported() {
 fn waves_never_overrun_the_budget() {
     let budget = 3usize;
     let engine = Oassis::new(figure1_ontology());
-    let runtime = SessionRuntime::new(figure1_crowd(2));
+    let runtime = SessionRuntime::new(crowd(2));
     let mut service = OassisService::start(engine, runtime);
     // Every wave asks for more questions than the whole grant allows.
     service.set_wave_size(2 * budget);
@@ -259,7 +223,7 @@ fn resume_of_spent_budget_session_dispatches_nothing() {
     let mem = Arc::new(Mutex::new(InMemory::new()));
     let persistence: SharedPersistence = Arc::clone(&mem) as SharedPersistence;
     let engine = Oassis::new(figure1_ontology());
-    let runtime = SessionRuntime::new(figure1_crowd(2));
+    let runtime = SessionRuntime::new(crowd(2));
     let mut service = OassisService::start_with_persistence(
         engine,
         runtime,
@@ -286,7 +250,7 @@ fn resume_of_spent_budget_session_dispatches_nothing() {
     };
 
     let engine = Oassis::new(figure1_ontology());
-    let runtime = SessionRuntime::new(figure1_crowd(2));
+    let runtime = SessionRuntime::new(crowd(2));
     let (mut service, mut recovered) =
         OassisService::recover_with(engine, runtime, oassis::obs::null_sink(), crash)
             .expect("crash image replays");
@@ -315,11 +279,11 @@ fn resume_of_spent_budget_session_dispatches_nothing() {
 fn cancellation_leaves_other_sessions_intact() {
     let cfg = EngineConfig::default();
     let engine = Oassis::new(figure1_ontology());
-    let mut members = figure1_crowd(2);
+    let mut members = crowd(2);
     let serial = engine.execute(QUERY, &mut members, &cfg).unwrap();
 
     let engine = Oassis::new(figure1_ontology());
-    let runtime = SessionRuntime::new(figure1_crowd(2));
+    let runtime = SessionRuntime::new(crowd(2));
     let mut service = OassisService::start(engine, runtime);
     let keep = SessionSpec::builder(QUERY).config(cfg.clone()).build();
     let keep_id = service.submit(keep).unwrap();
@@ -526,7 +490,7 @@ fn space_key_and_lifetime() {
     let mem = InMemorySink::shared();
     let mut service = OassisService::start_with_sink(
         Oassis::new(figure1_ontology()),
-        SessionRuntime::new(figure1_crowd(2)),
+        SessionRuntime::new(crowd(2)),
         Arc::clone(&mem) as Arc<dyn EventSink>,
     );
     let counts = || {
@@ -601,7 +565,7 @@ fn space_key_and_lifetime() {
 fn dag_count_runs_once_per_shared_space() {
     let mut service = OassisService::start(
         Oassis::new(figure1_ontology()),
-        SessionRuntime::new(figure1_crowd(2)),
+        SessionRuntime::new(crowd(2)),
     );
     let sinks = [InMemorySink::shared(), InMemorySink::shared()];
     for (i, sink) in sinks.iter().enumerate() {

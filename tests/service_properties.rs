@@ -8,9 +8,13 @@
 use proptest::prelude::*;
 
 use oassis_simtest::{
-    check_service_seed, disjoint_plans, max_dispatch_gap, service_plans, simulate_service,
-    STARVATION_BOUND,
+    check_service_seed, disjoint_plans, max_dispatch_gap, run, service_plans, RunOutcome, Scenario,
+    ServicePlan, STARVATION_BOUND,
 };
+
+fn simulate(seed: u64, plans: &[ServicePlan], latency: bool) -> RunOutcome {
+    run(&Scenario::service(seed, plans, latency)).unwrap_or_else(|f| panic!("{f}"))
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
@@ -25,10 +29,10 @@ proptest! {
         seed in 0u64..10_000,
         n_sessions in 2usize..5,
     ) {
-        let outcome = simulate_service(seed, &service_plans(n_sessions), false);
-        for (i, s) in outcome.sessions.iter().enumerate() {
+        let outcome = simulate(seed, &service_plans(n_sessions), false);
+        for i in 0..n_sessions {
             prop_assert_eq!(
-                s.status.as_str(), "Completed",
+                outcome.session(i).status.as_str(), "Completed",
                 "seed {}: session {} did not complete", seed, i
             );
         }
@@ -47,11 +51,11 @@ proptest! {
     #[test]
     fn disjoint_rosters_equal_isolated_runs(seed in 0u64..10_000) {
         let (plan_a, plan_b) = disjoint_plans();
-        let combined = simulate_service(seed, &[plan_a.clone(), plan_b.clone()], true);
-        let alone_a = simulate_service(seed, &[plan_a], true);
-        let alone_b = simulate_service(seed, &[plan_b], true);
-        prop_assert_eq!(&combined.sessions[0], &alone_a.sessions[0], "seed {}", seed);
-        prop_assert_eq!(&combined.sessions[1], &alone_b.sessions[0], "seed {}", seed);
+        let combined = simulate(seed, &[plan_a.clone(), plan_b.clone()], true);
+        let alone_a = simulate(seed, &[plan_a], true);
+        let alone_b = simulate(seed, &[plan_b], true);
+        prop_assert_eq!(combined.session(0), alone_a.session(0), "seed {}", seed);
+        prop_assert_eq!(combined.session(1), alone_b.session(0), "seed {}", seed);
     }
 
     /// The full service oracle suite (replay, single-session differential,
