@@ -51,9 +51,9 @@ crowdscale-bench:
 net-bench:
 	cargo run --release -p oassis-bench --bin figures -- net
 
-# Query-planner benchmark: canonical vs FILTER-constrained queries, planner
-# on vs off (identical answers asserted), pushdown's effect on seed
-# assignments and crowd questions; writes BENCH_planner.json.
+# Query-planner benchmark: canonical vs FILTER-constrained queries (the
+# reference evaluator must return the planner's WHERE bindings), pushdown's
+# effect on seed assignments and crowd questions; writes BENCH_planner.json.
 planner-bench:
 	cargo run --release -p oassis-bench --bin figures -- planner
 

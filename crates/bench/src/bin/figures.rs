@@ -14,8 +14,9 @@
 //! question-wave throughput over crowds up to 100k members), `net`
 //! (wire-protocol overhead of serving sessions over TCP loopback versus
 //! running them in-process), `planner` (constraint pushdown on a
-//! `FILTER`-constrained variant of each canonical query, asserting
-//! identical valid MSPs with the planner on and off) and `mining` (mining
+//! `FILTER`-constrained variant of each canonical query, asserting that
+//! the reference evaluator returns the planner's WHERE bindings) and
+//! `mining` (mining
 //! µs per question per domain, split across the session's
 //! `engine.mine.*` spans). With `--smoke` each shrinks to a size CI can
 //! check its invariants at in seconds and writes
@@ -43,6 +44,7 @@ use oassis_bench::experiments::{
     DurabilityRow, MiningRow, NetRow, PaceResult, PlannerRow, ScaleRow, ServiceRow,
 };
 use oassis_bench::table::render;
+use oassis_simtest::outln;
 use oassis_obs::{null_sink, EventSink, JsonLinesSink, SinkExt};
 use oassis_datagen::{
     culinary_domain, self_treatment_domain, travel_domain, travel_domain_10x, CrowdGenConfig,
@@ -98,7 +100,7 @@ fn telemetry_sink() -> Arc<dyn EventSink> {
 }
 
 fn fig4_stats(tag: &str, domain: &Domain, seed: u64, sink: &Arc<dyn EventSink>) {
-    println!("== Figure 4{tag}: crowd statistics — {} ==", domain.name);
+    outln!("== Figure 4{tag}: crowd statistics — {} ==", domain.name);
     let rows = crowd_statistics_observed(domain, &THRESHOLDS, &paper_crowd(domain, seed), sink);
     for r in &rows {
         let label = format!("fig4{tag}:{}:{:.1}", domain.name, r.threshold);
@@ -119,7 +121,7 @@ fn fig4_stats(tag: &str, domain: &Domain, seed: u64, sink: &Arc<dyn EventSink>) 
             ]
         })
         .collect();
-    println!(
+    outln!(
         "{}",
         render(
             &["threshold", "#MSPs", "#valid", "#questions", "baseline%"],
@@ -129,7 +131,7 @@ fn fig4_stats(tag: &str, domain: &Domain, seed: u64, sink: &Arc<dyn EventSink>) 
 }
 
 fn print_pace(tag: &str, pace: &PaceResult) {
-    println!(
+    outln!(
         "== Figure 4{tag}: pace of data collection — {} (threshold {:.1}, DAG {} nodes, {} questions total) ==",
         pace.domain, pace.threshold, pace.dag_nodes, pace.total_questions
     );
@@ -147,7 +149,7 @@ fn print_pace(tag: &str, pace: &PaceResult) {
             ]
         })
         .collect();
-    println!(
+    outln!(
         "{}",
         render(
             &[
@@ -162,7 +164,7 @@ fn print_pace(tag: &str, pace: &PaceResult) {
 }
 
 fn print_curves(title: &str, series: &[CurveSeries]) {
-    println!("== {title} ==");
+    outln!("== {title} ==");
     let mut headers: Vec<String> = vec!["% valid MSPs".to_owned()];
     headers.extend(series.iter().map(|s| s.label.clone()));
     let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
@@ -180,7 +182,7 @@ fn print_curves(title: &str, series: &[CurveSeries]) {
         total_row.push(format!("{:.0}", s.total_questions));
     }
     rows.push(total_row);
-    println!("{}", render(&header_refs, &rows));
+    outln!("{}", render(&header_refs, &rows));
 }
 
 /// Run the index-layer scale benchmark (PR 3) and write `BENCH_scale.json`
@@ -194,7 +196,7 @@ fn run_scale(sink: &Arc<dyn EventSink>, seed: u64, smoke: bool) {
     } else {
         (24, 400, 400, 1)
     };
-    println!(
+    outln!(
         "== scale: index-layer speedup ({}) ==",
         if smoke { "smoke" } else { "full" }
     );
@@ -206,7 +208,7 @@ fn run_scale(sink: &Arc<dyn EventSink>, seed: u64, smoke: bool) {
             let r = scale_speedup(d, members, cap, seed, runs);
             assert!(
                 r.answers_match,
-                "{}: indexed run changed the valid-MSP set or question count",
+                "{}: the indexed walk changed the valid-MSP set or question count",
                 r.domain
             );
             assert!(
@@ -234,7 +236,7 @@ fn run_scale(sink: &Arc<dyn EventSink>, seed: u64, smoke: bool) {
             ]
         })
         .collect();
-    println!(
+    outln!(
         "{}",
         render(
             &[
@@ -291,7 +293,7 @@ fn run_scale(sink: &Arc<dyn EventSink>, seed: u64, smoke: bool) {
 /// can assert the invariants in seconds.
 fn run_service(sink: &Arc<dyn EventSink>, seed: u64, smoke: bool) {
     let (sessions, members) = if smoke { (2, 8) } else { (4, 24) };
-    println!(
+    outln!(
         "== service: multi-query crowd sharing ({}) ==",
         if smoke { "smoke" } else { "full" }
     );
@@ -340,7 +342,7 @@ fn run_service(sink: &Arc<dyn EventSink>, seed: u64, smoke: bool) {
             ]
         })
         .collect();
-    println!(
+    outln!(
         "{}",
         render(
             &[
@@ -402,7 +404,7 @@ fn run_durability(sink: &Arc<dyn EventSink>, seed: u64, smoke: bool) {
     } else {
         &[1000, 4000, 16000, 64000]
     };
-    println!(
+    outln!(
         "== durability: recovery time vs WAL length ({}) ==",
         if smoke { "smoke" } else { "full" }
     );
@@ -443,7 +445,7 @@ fn run_durability(sink: &Arc<dyn EventSink>, seed: u64, smoke: bool) {
             ]
         })
         .collect();
-    println!(
+    outln!(
         "{}",
         render(
             &["records", "snapshot every", "append", "recover", "answers"],
@@ -487,7 +489,7 @@ fn run_durability(sink: &Arc<dyn EventSink>, seed: u64, smoke: bool) {
 /// count while answers stay identical. `--smoke`
 /// shrinks the grid so CI can assert the invariants in seconds.
 fn run_crowd_scale(sink: &Arc<dyn EventSink>, seed: u64, smoke: bool) {
-    println!(
+    outln!(
         "== crowd-scale: sharded dispatch + question waves ({}) ==",
         if smoke { "smoke" } else { "full" }
     );
@@ -571,7 +573,7 @@ fn run_crowd_scale(sink: &Arc<dyn EventSink>, seed: u64, smoke: bool) {
     let mut shard_gain = 1.0;
     if let (Some(one), Some(most)) = (sweep_qps(1), sweep_qps(*sweep_shards.last().unwrap())) {
         shard_gain = most / one.max(f64::EPSILON);
-        println!(
+        outln!(
             "shard sweep at {sweep_members} members / {sweep_sessions} sessions: \
              {one:.0} -> {most:.0} q/s ({shard_gain:.2}x from 1 -> {} shards)",
             sweep_shards.last().unwrap()
@@ -600,7 +602,7 @@ fn run_crowd_scale(sink: &Arc<dyn EventSink>, seed: u64, smoke: bool) {
             ]
         })
         .collect();
-    println!(
+    outln!(
         "{}",
         render(
             &[
@@ -658,7 +660,7 @@ fn run_net(sink: &Arc<dyn EventSink>, seed: u64, smoke: bool) {
         &[(1, 2), (4, 2), (16, 2), (16, 8)]
     };
     let rtt_probes = if smoke { 64 } else { 512 };
-    println!(
+    outln!(
         "== net: served (TCP loopback) vs in-process sessions ({}) ==",
         if smoke { "smoke" } else { "full" }
     );
@@ -697,7 +699,7 @@ fn run_net(sink: &Arc<dyn EventSink>, seed: u64, smoke: bool) {
             ]
         })
         .collect();
-    println!(
+    outln!(
         "{}",
         render(
             &["sessions", "members", "requests", "in-process", "served", "overhead", "hello rtt"],
@@ -736,14 +738,14 @@ fn run_net(sink: &Arc<dyn EventSink>, seed: u64, smoke: bool) {
 
 /// Run the query-planner benchmark (PR 10) and write `BENCH_planner.json`
 /// at the repo root: each domain's canonical query plus a
-/// `FILTER`-constrained variant, mined with the planner on and off. The
-/// valid MSPs and question counts must be identical either way, and the
+/// `FILTER`-constrained variant. The reference evaluator must return the
+/// planner's WHERE bindings, in order, for both clauses, and the
 /// pushed-down constraint must shrink both the seed space and the crowd
 /// traffic. `--smoke` shrinks the crowd so CI can assert
 /// the invariants in seconds.
 fn run_planner(sink: &Arc<dyn EventSink>, seed: u64, smoke: bool) {
     let members = if smoke { 6 } else { 24 };
-    println!(
+    outln!(
         "== planner: constraint pushdown ({}) ==",
         if smoke { "smoke" } else { "full" }
     );
@@ -764,7 +766,7 @@ fn run_planner(sink: &Arc<dyn EventSink>, seed: u64, smoke: bool) {
             let r = planner_effect(d, filter, members, 1_000_000, seed);
             assert!(
                 r.answers_match,
-                "{}: planner on/off disagreed on valid MSPs or question count",
+                "{}: the planned and reference WHERE bindings differ",
                 r.domain
             );
             assert!(
@@ -806,7 +808,7 @@ fn run_planner(sink: &Arc<dyn EventSink>, seed: u64, smoke: bool) {
             ]
         })
         .collect();
-    println!(
+    outln!(
         "{}",
         render(
             &[
@@ -870,7 +872,7 @@ fn run_planner(sink: &Arc<dyn EventSink>, seed: u64, smoke: bool) {
 fn run_mining(seed: u64, smoke: bool) {
     let (members, runs) = if smoke { (8, 1) } else { (24, 5) };
     let mode = if smoke { "smoke" } else { "full" };
-    println!("== mining: µs per question and its split by session span ({mode}) ==");
+    outln!("== mining: µs per question and its split by session span ({mode}) ==");
     // A traced run counts the whole DAG first (`engine.dag.count`), which
     // takes minutes on the two multiplicity domains: the smoke run keeps
     // to self-treatment.
@@ -924,7 +926,7 @@ fn run_mining(seed: u64, smoke: bool) {
             row
         })
         .collect();
-    println!("{}", render(&headers, &table));
+    outln!("{}", render(&headers, &table));
     let json_rows: Vec<String> = rows
         .iter()
         .map(|r| {
@@ -968,7 +970,7 @@ fn write_bench(name: &str, smoke: bool, json: &str) {
         format!("BENCH_{name}.json")
     };
     match std::fs::write(&path, json) {
-        Ok(()) => println!("wrote {path}"),
+        Ok(()) => outln!("wrote {path}"),
         Err(e) => eprintln!("cannot write {path}: {e}"),
     }
 }
@@ -1038,7 +1040,7 @@ fn main() {
                 }
             }
             "shape" => {
-                println!("== §6.4: varying the DAG shape (5% MSPs) ==");
+                outln!("== §6.4: varying the DAG shape (5% MSPs) ==");
                 let rows: Vec<Vec<String>> = shape_variation(0.05, seed)
                     .iter()
                     .map(|r| {
@@ -1051,7 +1053,7 @@ fn main() {
                         ]
                     })
                     .collect();
-                println!(
+                outln!(
                     "{}",
                     render(
                         &[
@@ -1066,7 +1068,7 @@ fn main() {
                 );
             }
             "dist" => {
-                println!("== §6.4: varying the MSP distribution (5% MSPs, width 500 depth 7) ==");
+                outln!("== §6.4: varying the MSP distribution (5% MSPs, width 500 depth 7) ==");
                 let rows: Vec<Vec<String>> = distribution_variation(0.05, seed)
                     .iter()
                     .map(|r| {
@@ -1078,7 +1080,7 @@ fn main() {
                         ]
                     })
                     .collect();
-                println!(
+                outln!(
                     "{}",
                     render(
                         &["distribution", "planted MSPs", "#questions", "to 100% MSPs"],
@@ -1087,7 +1089,7 @@ fn main() {
                 );
             }
             "mult" => {
-                println!("== §6.4: multiplicities and lazy generation ==");
+                outln!("== §6.4: multiplicities and lazy generation ==");
                 let rows: Vec<Vec<String>> = multiplicity_variation(seed)
                     .iter()
                     .map(|r| {
@@ -1101,7 +1103,7 @@ fn main() {
                         ]
                     })
                     .collect();
-                println!(
+                outln!(
                     "{}",
                     render(
                         &[
@@ -1117,10 +1119,10 @@ fn main() {
                 );
             }
             "crowdmix" => {
-                println!("== §6.3: answer-type mix (travel domain) ==");
+                outln!("== §6.3: answer-type mix (travel domain) ==");
                 let d = travel_domain();
                 let m = crowd_mix(&d, &paper_crowd(&d, seed));
-                println!(
+                outln!(
                     "{}",
                     render(
                         &[
@@ -1141,9 +1143,9 @@ fn main() {
                 );
             }
             "bounds" => {
-                println!("== Propositions 4.7/4.8: crowd-complexity bounds (2% MSPs) ==");
+                outln!("== Propositions 4.7/4.8: crowd-complexity bounds (2% MSPs) ==");
                 let b = complexity_bounds(0.02, seed);
-                println!(
+                outln!(
                     "{}",
                     render(
                         &[
@@ -1160,7 +1162,7 @@ fn main() {
                 );
             }
             "growth" => {
-                println!("== §6.3: crowd growth and the first MSP ==");
+                outln!("== §6.3: crowd growth and the first MSP ==");
                 let rows: Vec<Vec<String>> =
                     crowd_growth(&self_treatment_domain(), &[6, 12, 24, 48, 96], seed)
                         .iter()
@@ -1173,7 +1175,7 @@ fn main() {
                             ]
                         })
                         .collect();
-                println!(
+                outln!(
                     "{}",
                     render(
                         &[
@@ -1187,7 +1189,7 @@ fn main() {
                 );
             }
             "runtime" => {
-                println!("== concurrent crowd-session runtime: wall-clock speedup ==");
+                outln!("== concurrent crowd-session runtime: wall-clock speedup ==");
                 let d = self_treatment_domain();
                 let per_answer = Duration::from_millis(25);
                 let rows: Vec<Vec<String>> = [1usize, 2, 4, 8]
@@ -1208,7 +1210,7 @@ fn main() {
                         ]
                     })
                     .collect();
-                println!(
+                outln!(
                     "{}",
                     render(
                         &[

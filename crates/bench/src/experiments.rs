@@ -15,6 +15,7 @@ use oassis_datagen::{
     MspDistribution, PlantedOracle, SynthConfig, SynthInstance,
 };
 use oassis_ql::parse_query;
+use oassis_simtest::{run_reference, run_sequential};
 use oassis_sparql::{plan, MatchMode};
 
 use crate::antichains::count_antichains_up_to;
@@ -887,14 +888,16 @@ pub struct ScaleRow {
 }
 
 /// End-to-end wall-clock effect of PR 3's index layer: mine the same
-/// generated crowd with `use_indexes = false` (reference linear-scan
-/// border, direct space derivations, transaction-scan support) and with
-/// the indexed paths — `runs` times each, alternating, each side timed as
-/// the median of its runs — and report wall-clock, questions/sec and the
-/// speedup. The observable output (valid MSPs, question counts) is
-/// asserted identical across every run; all runs are capped at
-/// `max_questions` so the benchmark measures per-question cost on large
-/// DAGs rather than mining the 10× domain to exhaustion.
+/// generated crowd on the un-indexed reference walk
+/// ([`run_reference`]: linear-scan border, direct space derivations,
+/// transaction-scan support) and on the indexed walk ([`run_sequential`])
+/// — `runs` times each, alternating, each side timed as the median of its
+/// runs — and report wall-clock, questions/sec and the speedup. One loop
+/// drives both sides, so the ratio isolates the index layer. The
+/// observable output (valid MSPs, question counts) is asserted identical
+/// across every run; all runs are capped at `max_questions` so the
+/// benchmark measures per-question cost on large DAGs rather than mining
+/// the 10× domain to exhaustion.
 pub fn scale_speedup(
     domain: &Domain,
     members: usize,
@@ -903,7 +906,6 @@ pub fn scale_speedup(
     runs: usize,
 ) -> ScaleRow {
     let engine = Oassis::new(domain.ontology.clone());
-    let query = engine.parse(&domain.query).expect("query parses");
     let crowd_cfg = CrowdGenConfig {
         members,
         transactions_per_member: 20,
@@ -914,24 +916,22 @@ pub fn scale_speedup(
         discretize: false,
         seed,
     };
-    let run = |use_indexes: bool| {
-        let cfg = EngineConfig::builder()
-            .seed(seed)
-            .max_questions(max_questions)
-            .use_indexes(use_indexes)
-            .build();
+    let cfg = EngineConfig::builder()
+        .seed(seed)
+        .max_questions(max_questions)
+        .build();
+    let run = |indexed: bool| {
         // Same generator seed ⇒ identical crowds; the baseline crowd also
         // counts support by transaction scan instead of tid-lists.
         let mut crowd: Vec<Box<dyn CrowdMember>> = generate_crowd(domain, &crowd_cfg)
             .members
             .into_iter()
-            .map(|m| if use_indexes { m } else { m.with_scan_counting() })
+            .map(|m| if indexed { m } else { m.with_scan_counting() })
             .map(|m| Box::new(m) as Box<dyn CrowdMember>)
             .collect();
+        let mine = if indexed { run_sequential } else { run_reference };
         let start = Instant::now();
-        let result = engine
-            .execute_parsed(&query, 0.2, &mut crowd, &cfg)
-            .expect("execution succeeds");
+        let result = mine(&engine, &domain.query, &mut crowd, &cfg);
         (result, start.elapsed())
     };
     let valid = |r: &oassis_core::QueryResult| {
@@ -950,8 +950,8 @@ pub fn scale_speedup(
     let mut answers_match = valid(&idx) == expected;
     let (mut unindexed, mut indexed) = (vec![first_unindexed], vec![first_indexed]);
     for _ in 1..runs {
-        for (use_indexes, times) in [(false, &mut unindexed), (true, &mut indexed)] {
-            let (result, elapsed) = run(use_indexes);
+        for (walk, times) in [(false, &mut unindexed), (true, &mut indexed)] {
+            let (result, elapsed) = run(walk);
             answers_match &= valid(&result) == expected;
             times.push(elapsed);
         }
@@ -1154,7 +1154,6 @@ pub fn recovery_scaling(records: usize, snapshot_every: Option<u64>, seed: u64) 
             pruning_ratio: 0.0,
             max_questions: 1_000_000,
             top_k: None,
-            use_indexes: true,
             token: None,
         },
     };
@@ -1629,8 +1628,10 @@ pub struct PlannerRow {
     pub eval_reference: Duration,
     /// `eval_reference / eval_planned`.
     pub eval_speedup: f64,
-    /// Valid MSPs and question counts identical planner on/off, for both
-    /// the canonical and the constrained query.
+    /// The optimized plan and the reference evaluator return equal
+    /// bindings, in order, for both the canonical and the constrained
+    /// WHERE clause. The assignment space is a function of those
+    /// bindings, so the planner cannot change what is mined.
     pub answers_match: bool,
 }
 
@@ -1644,10 +1645,10 @@ fn with_filter(query: &str, filter: &str) -> String {
 }
 
 /// Run the query-planner benchmark on one domain: mine the canonical query
-/// and a `FILTER`-constrained variant, each twice — planner on
-/// (compile → pushdown/unfold/prune/reorder → interpret) and planner off
-/// (naive reference evaluator). The observable output must be identical
-/// either way; the constrained variant must seed fewer assignments and ask
+/// and a `FILTER`-constrained variant (the WHERE clause compiled, pushed
+/// down, unfolded, pruned, reordered and interpreted), and check that the
+/// naive reference evaluator returns the planner's bindings for both
+/// clauses. The constrained variant must seed fewer assignments and ask
 /// fewer crowd questions because the restriction is pushed into the scans.
 pub fn planner_effect(
     domain: &Domain,
@@ -1673,12 +1674,11 @@ pub fn planner_effect(
         discretize: false,
         seed,
     };
-    let run = |query: &oassis_ql::Query, use_planner: bool| {
-        let cfg = EngineConfig::builder()
-            .seed(seed)
-            .max_questions(max_questions)
-            .use_query_planner(use_planner)
-            .build();
+    let cfg = EngineConfig::builder()
+        .seed(seed)
+        .max_questions(max_questions)
+        .build();
+    let questions = |query: &oassis_ql::Query| {
         let mut crowd: Vec<Box<dyn CrowdMember>> = generate_crowd(domain, &crowd_cfg)
             .members
             .into_iter()
@@ -1687,26 +1687,14 @@ pub fn planner_effect(
         engine
             .execute_parsed(query, 0.2, &mut crowd, &cfg)
             .expect("execution succeeds")
+            .stats
+            .total_questions
     };
-    let valid = |r: &oassis_core::QueryResult| {
-        let mut v: Vec<&str> = r
-            .answers
-            .iter()
-            .filter(|a| a.valid)
-            .map(|a| a.rendered.as_str())
-            .collect();
-        v.sort_unstable();
-        v.join("\n")
+    let evaluators_agree = |query: &oassis_ql::Query| {
+        let (o, clause, vars) = (&domain.ontology, &query.where_clause, &query.vars);
+        oassis_sparql::evaluate_where(o, clause, vars, MatchMode::Semantic)
+            == oassis_sparql::evaluate_reference(o, clause, vars, MatchMode::Semantic)
     };
-    let agree = |query: &oassis_ql::Query| {
-        let on = run(query, true);
-        let off = run(query, false);
-        let ok = valid(&on) == valid(&off)
-            && on.stats.total_questions == off.stats.total_questions;
-        (on, ok)
-    };
-    let (base_result, base_ok) = agree(&base);
-    let (filtered_result, filtered_ok) = agree(&filtered);
 
     let seeds = |query: &oassis_ql::Query| {
         AssignSpace::build(
@@ -1724,19 +1712,17 @@ pub fn planner_effect(
     let (_, report) = plan::optimize_report(&domain.ontology, compiled, MatchMode::Semantic);
 
     // Pure WHERE-evaluation cost, optimized plan vs reference recursion,
-    // on the constrained clause (the engine runs above are dominated by
-    // crowd mining, not evaluation).
+    // on the constrained clause (the engine runs are dominated by crowd
+    // mining, not evaluation).
     let timed = |f: &dyn Fn() -> usize| {
         let reps = 20;
         let start = Instant::now();
-        let mut total = 0;
         for _ in 0..reps {
-            total += f();
+            std::hint::black_box(f());
         }
-        let elapsed = start.elapsed() / reps;
-        (elapsed, total / reps as usize)
+        start.elapsed() / reps
     };
-    let (eval_planned, n_planned) = timed(&|| {
+    let eval_planned = timed(&|| {
         oassis_sparql::evaluate_where(
             &domain.ontology,
             &filtered.where_clause,
@@ -1745,7 +1731,7 @@ pub fn planner_effect(
         )
         .len()
     });
-    let (eval_reference, n_reference) = timed(&|| {
+    let eval_reference = timed(&|| {
         oassis_sparql::evaluate_reference(
             &domain.ontology,
             &filtered.where_clause,
@@ -1761,15 +1747,15 @@ pub fn planner_effect(
         filter: filter.to_owned(),
         base_seeds: seeds(&base),
         filtered_seeds: seeds(&filtered),
-        base_questions: base_result.stats.total_questions,
-        filtered_questions: filtered_result.stats.total_questions,
+        base_questions: questions(&base),
+        filtered_questions: questions(&filtered),
         pushdowns: report.pushdowns,
         unfolds: report.unfolds,
         pruned: report.pruned,
         eval_planned,
         eval_reference,
         eval_speedup: eval_reference.as_secs_f64() / eval_planned.as_secs_f64().max(f64::EPSILON),
-        answers_match: base_ok && filtered_ok && n_planned == n_reference,
+        answers_match: evaluators_agree(&base) && evaluators_agree(&filtered),
     }
 }
 

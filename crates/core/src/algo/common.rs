@@ -37,10 +37,6 @@ pub struct MinerConfig {
     pub curve_universe: Option<Vec<Assignment>>,
     /// Ground-truth MSPs for target-discovery curves (synthetic runs).
     pub targets: Option<Vec<Assignment>>,
-    /// Use the index-backed inference layer (memoized space derivations,
-    /// indexed border). Observable behavior is identical either way; `false`
-    /// is the un-indexed benchmark baseline.
-    pub use_indexes: bool,
     /// Instrumentation sink; defaults to the no-op [`null_sink`]. Questions
     /// are additionally labeled with the algorithm's name on
     /// `algo.questions`, making the miners directly comparable.
@@ -59,7 +55,6 @@ impl MinerConfig {
             track_curve: false,
             curve_universe: None,
             targets: None,
-            use_indexes: true,
             sink: null_sink(),
         }
     }
@@ -112,7 +107,7 @@ pub(crate) struct Asker<'a> {
     pub space: &'a AssignSpace,
     pub member: &'a mut dyn CrowdMember,
     pub state: ClassificationState,
-    /// The run's node arena; memoizes derivations only when indexes are on.
+    /// The run's node arena.
     nodes: SpaceCache,
     pub recorder: Recorder,
     pub threshold: f64,
@@ -142,19 +137,11 @@ impl<'a> Asker<'a> {
         if let Some(t) = &cfg.targets {
             recorder = recorder.with_targets(t.clone());
         }
-        let (state, nodes) = if cfg.use_indexes {
-            (
-                ClassificationState::new(),
-                SpaceCache::with_sink(Arc::clone(&cfg.sink)),
-            )
-        } else {
-            (ClassificationState::unindexed(), SpaceCache::reference())
-        };
         Asker {
             space,
             member,
-            state,
-            nodes,
+            state: ClassificationState::new(),
+            nodes: SpaceCache::with_sink(Arc::clone(&cfg.sink)),
             recorder,
             threshold: cfg.threshold,
             spec_ratio: cfg.specialization_ratio,

@@ -2,8 +2,8 @@
 //!
 //! [`EngineConfig`] keeps public fields (struct-literal construction and
 //! `..Default::default()` updates stay valid), but the preferred way to
-//! assemble one is [`EngineConfig::builder()`] — twelve knobs are past the
-//! point where positional literals read well.
+//! assemble one is [`EngineConfig::builder()`] — thirteen fields are past
+//! the point where positional literals read well.
 
 use std::sync::Arc;
 
@@ -40,22 +40,6 @@ pub struct EngineConfig {
     /// Stop as soon as this many *valid* MSPs are confirmed (the paper's
     /// §8 top-k extension). `None` = mine to completion.
     pub top_k: Option<usize>,
-    /// Use the index-backed inference layer ([`SpaceCache`](crate::SpaceCache)
-    /// memoization, the border's witness prefilter and status memo,
-    /// tid-list member support). `false` runs the reference paths, which
-    /// recompute every derivation and every status and share only the
-    /// node interning — observable behavior is identical either way; only
-    /// wall-clock differs. The `scale` benchmark flips this to measure the
-    /// speedup.
-    pub use_indexes: bool,
-    /// Evaluate the WHERE clause through the query planner: compile to a
-    /// logical plan, rewrite it (constraint pushdown into scans,
-    /// taxonomy-aware path unfolding, empty-branch pruning, join
-    /// reordering) and interpret the optimized plan. `false` runs the
-    /// naive reference evaluator instead — answers are identical either
-    /// way (the `planner` benchmark asserts it); only evaluation cost
-    /// differs.
-    pub use_query_planner: bool,
     /// Instrumentation sink receiving the engine's event stream (see
     /// `docs/observability.md`). Defaults to the no-op [`null_sink`], whose
     /// `enabled() == false` lets hot paths skip event construction.
@@ -82,8 +66,6 @@ impl Default for EngineConfig {
             targets: None,
             more_domain: Vec::new(),
             top_k: None,
-            use_indexes: true,
-            use_query_planner: true,
             sink: null_sink(),
             aggregator: None,
         }
@@ -186,19 +168,6 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Toggle the index-backed inference layer (default `true`).
-    pub fn use_indexes(mut self, on: bool) -> Self {
-        self.config.use_indexes = on;
-        self
-    }
-
-    /// Toggle the WHERE-clause query planner (default `true`; `false`
-    /// evaluates via the naive reference evaluator).
-    pub fn use_query_planner(mut self, on: bool) -> Self {
-        self.config.use_query_planner = on;
-        self
-    }
-
     /// Instrumentation sink receiving the engine's event stream.
     pub fn sink(mut self, sink: Arc<dyn EventSink>) -> Self {
         self.config.sink = sink;
@@ -236,22 +205,7 @@ mod tests {
         assert_eq!(built.targets, def.targets);
         assert_eq!(built.more_domain, def.more_domain);
         assert_eq!(built.top_k, def.top_k);
-        assert!(built.use_indexes, "indexes are on by default");
-        assert!(built.use_query_planner, "planner is on by default");
-        assert_eq!(built.use_query_planner, def.use_query_planner);
         assert!(built.aggregator.is_none(), "the paper's rule by default");
-    }
-
-    #[test]
-    fn use_indexes_toggle_sticks() {
-        let config = EngineConfig::builder().use_indexes(false).build();
-        assert!(!config.use_indexes);
-    }
-
-    #[test]
-    fn use_query_planner_toggle_sticks() {
-        let config = EngineConfig::builder().use_query_planner(false).build();
-        assert!(!config.use_query_planner);
     }
 
     #[test]

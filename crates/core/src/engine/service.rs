@@ -184,7 +184,6 @@ impl SessionSpec {
             pruning_ratio: self.config.pruning_ratio,
             max_questions: self.config.max_questions,
             top_k: self.config.top_k,
-            use_indexes: self.config.use_indexes,
             token,
         }
     }
@@ -213,8 +212,7 @@ impl SessionSpec {
             .aggregator_sample(admit.aggregator_sample)
             .specialization_ratio(admit.specialization_ratio)
             .pruning_ratio(admit.pruning_ratio)
-            .max_questions(admit.max_questions)
-            .use_indexes(admit.use_indexes);
+            .max_questions(admit.max_questions);
         if let Some(k) = admit.top_k {
             config = config.top_k(k);
         }
@@ -398,10 +396,10 @@ fn count_for_session(sink: &Arc<dyn EventSink>, name: &str, session: SessionId, 
     }
 }
 
-/// What [`AssignSpace::build_with_planner`] reads of an admission, and
+/// What [`AssignSpace::build_with_sink`] reads of an admission, and
 /// nothing else: admissions with equal keys mine one space. The support
-/// threshold, roster, priority, budget, `use_indexes`, aggregator and seed
-/// only classify the space's nodes, so they are not part of the key.
+/// threshold, roster, priority, budget, aggregator and seed only classify
+/// the space's nodes, so they are not part of the key.
 #[derive(PartialEq, Eq, Hash)]
 struct SpaceKey {
     /// The parsed query printed with its support, SELECT form and `ALL`
@@ -410,7 +408,6 @@ struct SpaceKey {
     shape: String,
     mode: MatchMode,
     more_domain: Vec<Fact>,
-    use_query_planner: bool,
 }
 
 impl SpaceKey {
@@ -423,7 +420,6 @@ impl SpaceKey {
             shape: shape.to_ql_string(ontology),
             mode: config.mode,
             more_domain: config.more_domain.clone(),
-            use_query_planner: config.use_query_planner,
         }
     }
 }

@@ -248,12 +248,7 @@ struct SeatState {
 }
 
 impl SeatState {
-    fn new(id: MemberId, use_indexes: bool) -> Self {
-        let state = if use_indexes {
-            ClassificationState::new
-        } else {
-            ClassificationState::unindexed
-        };
+    fn new(id: MemberId, state: fn() -> ClassificationState) -> Self {
         SeatState {
             id,
             cursor: None,
@@ -270,7 +265,8 @@ impl SeatState {
 pub struct MiningSession {
     space: Arc<AssignSpace>,
     /// The run's node arena: every walk below runs on its ids. It
-    /// memoizes derivations only when [`EngineConfig::use_indexes`] is on.
+    /// memoizes derivations except in a [`reference`](Self::reference)
+    /// session.
     nodes: SpaceCache,
     threshold: f64,
     aggregator: Arc<dyn Aggregator>,
@@ -343,11 +339,52 @@ impl MiningSession {
         seats: Vec<MemberId>,
         algo: String,
     ) -> Self {
-        let nodes = if config.use_indexes {
-            SpaceCache::with_sink(Arc::clone(&config.sink))
-        } else {
-            SpaceCache::reference()
-        };
+        let nodes = SpaceCache::with_sink(Arc::clone(&config.sink));
+        Self::build(
+            space,
+            threshold,
+            config,
+            seats,
+            algo,
+            nodes,
+            ClassificationState::new,
+        )
+    }
+
+    /// A session on the un-indexed reference walk: its arena
+    /// ([`SpaceCache::reference`]) memoizes no derivation, and its overall
+    /// and per-seat knowledge ([`ClassificationState::unindexed`]) answer
+    /// every status by linear scan. It asks exactly the questions of
+    /// [`new`](Self::new), only slower; the oracles and the index-layer
+    /// baseline compare the two walks. No config selects it.
+    pub fn reference(
+        space: Arc<AssignSpace>,
+        threshold: f64,
+        config: Arc<EngineConfig>,
+        seats: Vec<MemberId>,
+    ) -> Self {
+        let algo = "multiuser".to_string();
+        let nodes = SpaceCache::reference();
+        Self::build(
+            space,
+            threshold,
+            config,
+            seats,
+            algo,
+            nodes,
+            ClassificationState::unindexed,
+        )
+    }
+
+    fn build(
+        space: Arc<AssignSpace>,
+        threshold: f64,
+        config: Arc<EngineConfig>,
+        seats: Vec<MemberId>,
+        algo: String,
+        nodes: SpaceCache,
+        state: fn() -> ClassificationState,
+    ) -> Self {
         let aggregator = config.aggregator.clone().unwrap_or_else(|| {
             Arc::new(FixedSampleAggregator {
                 sample_size: config.aggregator_sample,
@@ -375,11 +412,6 @@ impl MiningSession {
             }
         }
         let crowd = CrowdCache::new().with_sink(Arc::clone(&sink));
-        let overall = if config.use_indexes {
-            ClassificationState::new()
-        } else {
-            ClassificationState::unindexed()
-        };
         let mut recorder = Recorder::new()
             .with_sink(Arc::clone(&sink))
             .with_algo(algo);
@@ -393,7 +425,6 @@ impl MiningSession {
             recorder = recorder.with_targets(t.clone());
         }
         let rng = SmallRng::seed_from_u64(config.seed);
-        let use_indexes = config.use_indexes;
         MiningSession {
             space,
             nodes,
@@ -403,9 +434,9 @@ impl MiningSession {
             sink,
             seats: seats
                 .into_iter()
-                .map(|id| SeatState::new(id, use_indexes))
+                .map(|id| SeatState::new(id, state))
                 .collect(),
-            overall,
+            overall: state(),
             crowd,
             session_answers: Vec::new(),
             recorder,
@@ -1201,14 +1232,7 @@ impl MiningSession {
             .collect();
         let stats = std::mem::take(&mut self.recorder.stats);
         let cache = std::mem::take(&mut self.crowd);
-        let state = std::mem::replace(
-            &mut self.overall,
-            if self.config.use_indexes {
-                ClassificationState::new()
-            } else {
-                ClassificationState::unindexed()
-            },
-        );
+        let state = std::mem::take(&mut self.overall);
         self.exit_span();
         QueryResult {
             answers,

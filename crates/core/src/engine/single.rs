@@ -83,13 +83,12 @@ impl Oassis {
     /// Build the assignment space for a parsed query.
     pub fn space(&self, query: &Query, config: &EngineConfig) -> Result<AssignSpace, OassisError> {
         let _span = Span::enter(&*config.sink, names::SPAN_SPACE_BUILD);
-        Ok(AssignSpace::build_with_planner(
+        Ok(AssignSpace::build_with_sink(
             Arc::clone(&self.ontology),
             query,
             config.mode,
             config.more_domain.clone(),
             &config.sink,
-            config.use_query_planner,
         )?)
     }
 

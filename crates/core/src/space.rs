@@ -28,7 +28,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use oassis_obs::{names, null_sink, EventSink, SinkExt, Span};
 use oassis_ql::{Multiplicity, QlRel, QlTerm, Query, SatPattern};
-use oassis_sparql::{evaluate_reference, evaluate_where_with_sink, MatchMode, Var};
+use oassis_sparql::{evaluate_where_with_sink, MatchMode, Var};
 use oassis_store::{Ontology, Term};
 use oassis_vocab::{Fact, FactSet};
 
@@ -139,8 +139,10 @@ impl AssignSpace {
         Self::build_with_sink(ontology, query, mode, more_domain, &null_sink())
     }
 
-    /// [`build`](Self::build) with instrumentation: the WHERE-clause SPARQL
-    /// evaluation reports its pattern scans, path-expansion depths and
+    /// [`build`](Self::build) with instrumentation. The WHERE clause is
+    /// compiled to a logical plan, rewritten (constraint pushdown, taxonomy
+    /// unfolding, empty-branch pruning, join reordering) and interpreted;
+    /// the evaluation reports its pattern scans, path-expansion depths and
     /// plan-rewrite counts to `sink` (see `sparql.pattern.scan` /
     /// `sparql.path.depth` / `sparql.plan.*`).
     pub fn build_with_sink(
@@ -149,25 +151,6 @@ impl AssignSpace {
         mode: MatchMode,
         more_domain: Vec<Fact>,
         sink: &Arc<dyn EventSink>,
-    ) -> Result<AssignSpace, SpaceError> {
-        Self::build_with_planner(ontology, query, mode, more_domain, sink, true)
-    }
-
-    /// [`build_with_sink`](Self::build_with_sink) with an explicit choice of
-    /// WHERE evaluator. With `use_planner` the clause is compiled to a
-    /// logical plan, rewritten (constraint pushdown, taxonomy unfolding,
-    /// empty-branch pruning, join reordering) and interpreted; without it
-    /// the naive reference evaluator runs the AST directly — the two agree
-    /// binding-for-binding, so this only trades evaluation cost, never
-    /// answers. The flag is threaded from
-    /// [`EngineConfig::use_query_planner`](crate::EngineConfig).
-    pub fn build_with_planner(
-        ontology: Arc<Ontology>,
-        query: &Query,
-        mode: MatchMode,
-        more_domain: Vec<Fact>,
-        sink: &Arc<dyn EventSink>,
-        use_planner: bool,
     ) -> Result<AssignSpace, SpaceError> {
         let sat_vars = query.satisfying_vars();
         let var_index: HashMap<Var, usize> =
@@ -220,11 +203,8 @@ impl AssignSpace {
         // Evaluate WHERE and project bindings onto the bound sat vars.
         let mut base_tuples: Vec<Vec<AValue>> = Vec::new();
         if !bound_positions.is_empty() {
-            let bindings = if use_planner {
-                evaluate_where_with_sink(&ontology, &query.where_clause, &query.vars, mode, sink)
-            } else {
-                evaluate_reference(&ontology, &query.where_clause, &query.vars, mode)
-            };
+            let bindings =
+                evaluate_where_with_sink(&ontology, &query.where_clause, &query.vars, mode, sink);
             let mut seen = HashSet::new();
             'bind: for b in &bindings {
                 let mut tuple = Vec::with_capacity(bound_positions.len());
@@ -914,8 +894,9 @@ struct Node {
 /// is derived once per query shape, not once per session. Derivations
 /// are deterministic (sorted before return), so memoization is
 /// observationally invisible. The [`reference`](Self::reference) arena
-/// (`use_indexes = false`) recomputes every derivation on every call,
-/// reads no memo and shares only the interning. With an enabled sink, a
+/// (the walk of [`MiningSession::reference`](crate::MiningSession::reference))
+/// recomputes every derivation on every call, reads no memo and shares
+/// only the interning. With an enabled sink, a
 /// memoizing arena reports each lookup of its own memo on
 /// `space.cache.hit` / `space.cache.miss`, labeled by operation.
 #[derive(Debug)]
@@ -1444,35 +1425,6 @@ mod tests {
             "free vars refuse enumeration"
         );
         assert!(!s.roots().is_empty());
-    }
-
-    #[test]
-    fn planner_and_reference_build_identical_spaces() {
-        let o = Arc::new(figure1_ontology());
-        let q = parse_query(FIG3_QUERY, &o).unwrap();
-        for mode in [MatchMode::Syntactic, MatchMode::Semantic] {
-            let planned = AssignSpace::build_with_planner(
-                Arc::clone(&o),
-                &q,
-                mode,
-                Vec::new(),
-                &null_sink(),
-                true,
-            )
-            .unwrap();
-            let reference = AssignSpace::build_with_planner(
-                Arc::clone(&o),
-                &q,
-                mode,
-                Vec::new(),
-                &null_sink(),
-                false,
-            )
-            .unwrap();
-            assert_eq!(planned.base_count(), reference.base_count(), "{mode:?}");
-            assert_eq!(planned.base_tuples, reference.base_tuples, "{mode:?}");
-            assert_eq!(planned.roots(), reference.roots(), "{mode:?}");
-        }
     }
 
     #[test]

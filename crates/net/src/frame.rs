@@ -25,7 +25,6 @@
 
 use oassis_store_durable::{
     decode_list, encode_list, escape_field, fnv1a64, unescape_field, AdmitSpec,
-    ADMIT_SPEC_FIELDS,
 };
 
 /// Protocol version spoken by this build. `Hello`/`Welcome` negotiate it;
@@ -212,8 +211,13 @@ fn seal(payload: String) -> String {
     format!("{payload}{SEP}{:016x}", fnv1a64(payload.as_bytes()))
 }
 
+/// The fewest fields a frame has: the version tag, a sequence number and
+/// a kind (a response's frame index stands where a request's kind does).
+const MIN_FIELDS: usize = 3;
+
 /// Split a line into checksum-verified fields (the version tag is
-/// `fields[0]`).
+/// `fields[0]`). A line of fewer than [`MIN_FIELDS`] fields is refused
+/// here, so both decoders may read `fields[1]` and `fields[2]`.
 fn open(line: &str) -> Result<Vec<&str>, FrameError> {
     let (payload, checksum) = line
         .rsplit_once(SEP)
@@ -231,6 +235,12 @@ fn open(line: &str) -> Result<Vec<&str>, FrameError> {
         return Err(FrameError(format!(
             "unsupported frame version {:?}",
             fields.first().copied().unwrap_or("")
+        )));
+    }
+    if fields.len() < MIN_FIELDS {
+        return Err(FrameError(format!(
+            "expected at least {MIN_FIELDS} fields, got {}",
+            fields.len()
         )));
     }
     Ok(fields)
@@ -271,12 +281,9 @@ pub fn decode_request(line: &str) -> Result<(u64, Request), FrameError> {
                 version: parse(fields[3], "version")?,
             }
         }
-        Some("s") => {
-            need(&fields, 3 + ADMIT_SPEC_FIELDS)?;
-            Request::Submit {
-                spec: AdmitSpec::decode_fields(&fields[3..]).map_err(FrameError)?,
-            }
-        }
+        Some("s") => Request::Submit {
+            spec: AdmitSpec::decode_fields(&fields[3..]).map_err(FrameError)?,
+        },
         Some("p") => {
             need(&fields, 4)?;
             Request::Poll {
@@ -419,7 +426,6 @@ mod tests {
             pruning_ratio: 0.0,
             max_questions: 5000,
             top_k: None,
-            use_indexes: true,
             token: Some(0xBEEF),
         }
     }

@@ -117,8 +117,8 @@ pub mod names {
     pub const SPAN_WORKER: &str = "runtime.worker";
     /// Counter: a memoized `SpaceCache` lookup was served from the arena.
     /// Label: `successors`, `predecessors`, `valid`, or `instantiate`.
-    /// Counted only for an enabled sink, and never on the reference
-    /// (`use_indexes = false`) path, which memoizes nothing.
+    /// Counted only for an enabled sink, and never on the reference arena
+    /// (`MiningSession::reference`), which memoizes nothing.
     pub const SPACE_CACHE_HIT: &str = "space.cache.hit";
     /// Counter: a `SpaceCache` lookup had to derive its result afresh.
     /// Same labels as [`SPACE_CACHE_HIT`].

@@ -25,8 +25,8 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use oassis_simtest::{
-    check_seed, diverges_from_reference, repro_command, run, shrink, sweep, FaultFamily, Scenario,
-    Suite, SweepReport,
+    check_seed, diverges_from_reference, outln, repro_command, run, shrink, sweep, FaultFamily,
+    Scenario, Suite, SweepReport,
 };
 
 /// Each sweep command, the suite it runs and its default seed count.
@@ -51,14 +51,14 @@ fn exit_code(report: &SweepReport) -> ExitCode {
 }
 
 fn run_sweep(cmd: &str, suite: Suite, n: u64) -> ExitCode {
-    println!("sim {cmd}: {n} seeds of the {suite:?} suite");
+    outln!("sim {cmd}: {n} seeds of the {suite:?} suite");
     let start = Instant::now();
     let report = sweep(suite, 0..n);
     let secs = start.elapsed().as_secs_f64();
     for failure in &report.failures {
-        println!("FAIL {failure}");
+        outln!("FAIL {failure}");
     }
-    println!(
+    outln!(
         "sim {cmd}: {}/{} seeds passed in {:.2}s ({:.1} seeds/s)",
         report.passed,
         n,
@@ -69,12 +69,12 @@ fn run_sweep(cmd: &str, suite: Suite, n: u64) -> ExitCode {
 }
 
 fn run_repro(seed: u64) -> ExitCode {
-    println!("sim repro: seed {seed}");
+    outln!("sim repro: seed {seed}");
     let scenario = Scenario::faults(seed, FaultFamily::for_seed(seed));
     match run(&scenario) {
         Ok(outcome) => {
             let s = outcome.session(0);
-            println!(
+            outln!(
                 "  {:?}: {} valid MSPs, {} questions, {} scheduling decisions ({} non-FIFO)",
                 scenario.crowd,
                 s.msps.len(),
@@ -83,35 +83,35 @@ fn run_repro(seed: u64) -> ExitCode {
                 outcome.decisions.iter().filter(|&&d| d != 0).count(),
             );
             let tail: Vec<&str> = outcome.transcript.lines().rev().take(10).collect();
-            println!("  transcript tail:");
+            outln!("  transcript tail:");
             for line in tail.iter().rev() {
-                println!("    {line}");
+                outln!("    {line}");
             }
         }
-        Err(failure) => println!("  the faults-suite run did not finish: {failure}"),
+        Err(failure) => outln!("  the faults-suite run did not finish: {failure}"),
     }
     let mut failed = false;
     for suite in Suite::ALL {
         let report = sweep(suite, [seed]);
         for failure in &report.failures {
             failed = true;
-            println!("FAIL [{suite:?} suite] {failure}");
+            outln!("FAIL [{suite:?} suite] {failure}");
         }
         if suite != Suite::Faults || report.failures.is_empty() {
             continue;
         }
         match shrink(&scenario, |o| diverges_from_reference(&scenario, o)) {
             Some(shrunk) => {
-                println!(
+                outln!(
                     "  shrunk to {} non-FIFO decisions; minimal script: {:?}",
                     shrunk.non_fifo, shrunk.script
                 );
-                println!("  minimal failing transcript:");
+                outln!("  minimal failing transcript:");
                 for line in shrunk.transcript.lines() {
-                    println!("    {line}");
+                    outln!("    {line}");
                 }
             }
-            None => println!(
+            None => outln!(
                 "  the faults-suite failure is not a divergence from the sequential \
                  reference, so there is no schedule to shrink; see the oracle above"
             ),
@@ -120,7 +120,7 @@ fn run_repro(seed: u64) -> ExitCode {
     if failed {
         ExitCode::FAILURE
     } else {
-        println!("  all suites passed: {:?}", Suite::ALL);
+        outln!("  all suites passed: {:?}", Suite::ALL);
         ExitCode::SUCCESS
     }
 }
@@ -135,26 +135,26 @@ fn run_bench(n: u64) -> ExitCode {
     let report = sweep(Suite::Faults, 0..n);
     let secs = start.elapsed().as_secs_f64();
     let seeds_per_sec = n as f64 / secs.max(1e-9);
-    println!(
+    outln!(
         "sim bench: {n} seeds ({} passed) in {secs:.3}s = {seeds_per_sec:.1} seeds/s \
-         (travel domain, 3 oracle runs per seed)",
+         (travel domain, 2 oracle runs per seed)",
         report.passed
     );
     let json = format!(
         "{{\n\"experiment\": \"simtest\",\n\"domain\": \"travel\",\n\"seeds\": {n},\n\
          \"passed\": {},\n\"secs\": {secs:.6},\n\"seeds_per_sec\": {seeds_per_sec:.3},\n\
-         \"runs_per_seed\": 3\n}}\n",
+         \"runs_per_seed\": 2\n}}\n",
         report.passed
     );
     match std::fs::write("BENCH_simtest.json", json) {
-        Ok(()) => println!("wrote BENCH_simtest.json"),
+        Ok(()) => outln!("wrote BENCH_simtest.json"),
         Err(e) => {
             eprintln!("could not write BENCH_simtest.json: {e}");
             return ExitCode::FAILURE;
         }
     }
     for failure in &report.failures {
-        println!("FAIL {failure}");
+        outln!("FAIL {failure}");
     }
     exit_code(&report)
 }

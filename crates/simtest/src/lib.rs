@@ -16,10 +16,10 @@
 //! The oracles are composed on top, one [`Suite`] each:
 //!
 //! * **faults** ([`check_seed`]) — one query under latency or dropping
-//!   clones: replay, concurrent ≡ [`run_sequential`] (a minimal in-line
-//!   loop over a bare [`MiningSession`] that shares no code with the
-//!   runtime's pool or the service), indexed ≡ unindexed, and obs-event
-//!   conservation;
+//!   clones: replay, concurrent ≡ [`run_reference`] (a minimal in-line
+//!   loop over a bare [`MiningSession::reference`], the un-indexed walk,
+//!   that shares no code with the runtime's pool or the service), and
+//!   obs-event conservation;
 //! * **service** ([`check_service_seed`]) — concurrent sessions over one
 //!   crowd: replay, single-session differential, no starvation,
 //!   disjoint-roster isolation;
@@ -46,9 +46,9 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 use oassis_core::{
-    Answer, EngineConfig, MiningSession, Oassis, OassisService, QueryResult, QuestionPayload,
-    RecoveredSession, RuntimeOptions, SessionEvent, SessionId, SessionReport, SessionRuntime,
-    SessionSpec, SimChaos, SimConfig, SimTrace, SimTraceHandle,
+    Answer, AssignSpace, EngineConfig, MiningSession, Oassis, OassisService, QueryResult,
+    QuestionPayload, RecoveredSession, RuntimeOptions, SessionEvent, SessionId, SessionReport,
+    SessionRuntime, SessionSpec, SimChaos, SimConfig, SimTrace, SimTraceHandle,
 };
 use oassis_crowd::transaction::table3_dbs;
 use oassis_crowd::{AnswerStore, CrowdMember, DbMember, MemberId, ResponseModel, UnreliableMember};
@@ -59,6 +59,28 @@ use oassis_net::{
 use oassis_obs::{names, null_sink, Event, EventKind, EventSink, InMemorySink, Snapshot};
 use oassis_store::ontology::figure1_ontology;
 use oassis_store_durable::{AdmitSpec, InMemory, Persistence, SharedPersistence, WalRecord};
+
+/// `println!` for the `sim` and `figures` binaries: every line they print
+/// goes through [`print_line`].
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::print_line(format_args!($($arg)*))
+    };
+}
+
+/// Write one line to stdout. A reader that closed the pipe early
+/// (`sim repro 7 | head -1`) ends the process quietly, with the status of a
+/// process killed by `SIGPIPE`, instead of panicking as `println!` does.
+pub fn print_line(line: std::fmt::Arguments) {
+    use std::io::Write;
+    let mut out = std::io::stdout().lock();
+    match out.write_fmt(line).and_then(|()| out.write_all(b"\n")) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(141),
+        Err(e) => panic!("failed printing to stdout: {e}"),
+    }
+}
 
 /// The paper's running travel-domain query (Figure 2 family).
 pub const QUERY: &str = "SELECT FACT-SETS WHERE \
@@ -276,8 +298,6 @@ pub struct Scenario {
     pub crowd: CrowdRecipe,
     /// The sessions, admitted in plan order.
     pub plans: Vec<ServicePlan>,
-    /// Every plan's `use_indexes` flag.
-    pub use_indexes: bool,
     /// Every plan's aggregator sample.
     pub aggregator_sample: usize,
     /// Plan `i` is submitted with token `base + i` (`None`: no tokens).
@@ -340,7 +360,6 @@ impl Scenario {
             seed,
             crowd: CrowdRecipe::Service { latency },
             plans: plans.to_vec(),
-            use_indexes: true,
             aggregator_sample: SERVICE_AGGREGATOR_SAMPLE,
             tokens: Some(SIM_TOKEN_BASE),
             wave: 1,
@@ -513,7 +532,6 @@ impl RecordingSink {
 fn engine_config(sc: &Scenario, sink: Arc<dyn EventSink>) -> EngineConfig {
     EngineConfig::builder()
         .seed(engine_seed(sc.seed))
-        .use_indexes(sc.use_indexes)
         .aggregator_sample(sc.aggregator_sample)
         .sink(sink)
         .build()
@@ -713,11 +731,39 @@ pub fn run_sequential(
     members: &mut Vec<Box<dyn CrowdMember>>,
     config: &EngineConfig,
 ) -> QueryResult {
+    run_loop(engine, query_src, members, config, MiningSession::new)
+}
+
+/// [`run_sequential`] on [`MiningSession::reference`]: the same loop over
+/// the un-indexed walk, which memoizes no space derivation and scans its
+/// classification knowledge linearly. It asks the questions the indexed
+/// walk asks, only slower, so it is the baseline every index-layer check
+/// compares against.
+pub fn run_reference(
+    engine: &Oassis,
+    query_src: &str,
+    members: &mut Vec<Box<dyn CrowdMember>>,
+    config: &EngineConfig,
+) -> QueryResult {
+    run_loop(engine, query_src, members, config, MiningSession::reference)
+}
+
+/// How [`run_loop`] builds its session: [`MiningSession::new`] or
+/// [`MiningSession::reference`].
+type SessionCtor = fn(Arc<AssignSpace>, f64, Arc<EngineConfig>, Vec<MemberId>) -> MiningSession;
+
+fn run_loop(
+    engine: &Oassis,
+    query_src: &str,
+    members: &mut Vec<Box<dyn CrowdMember>>,
+    config: &EngineConfig,
+    session: SessionCtor,
+) -> QueryResult {
     let query = engine.parse(query_src).expect("the reference query parses");
     let space = Arc::new(engine.space(&query, config).expect("space construction"));
     let seats = members.iter().map(|m| m.id()).collect();
     let threshold = query.satisfying.support;
-    let mut session = MiningSession::new(space, threshold, Arc::new(config.clone()), seats);
+    let mut session = session(space, threshold, Arc::new(config.clone()), seats);
     loop {
         match session.poll(members) {
             SessionEvent::Ask(q) => {
@@ -741,7 +787,7 @@ pub fn run_sequential(
     }
 }
 
-/// A sequential reference outcome: [`run_sequential`] over a clean crowd.
+/// A sequential reference outcome: [`run_reference`] over a clean crowd.
 #[derive(Debug, Clone)]
 pub struct Reference {
     /// Sorted rendered valid MSPs.
@@ -751,26 +797,22 @@ pub struct Reference {
 }
 
 /// The sequential reference of [`QUERY`] over `sc`'s crowd without its
-/// fault clones, under `sc`'s engine configuration. Cached by what it
-/// depends on: the crowd's size, the aggregator sample, the index flag and
-/// the engine seed (a small cycle of the scheduler seed).
+/// fault clones, mined by [`run_reference`] under `sc`'s engine
+/// configuration. Cached by what it depends on: the crowd's size, the
+/// aggregator sample and the engine seed (a small cycle of the scheduler
+/// seed).
 pub fn reference(sc: &Scenario) -> Arc<Reference> {
-    type Cache = Mutex<HashMap<(u32, usize, bool, u64), Arc<Reference>>>;
+    type Cache = Mutex<HashMap<(u32, usize, u64), Arc<Reference>>>;
     static CACHE: OnceLock<Cache> = OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    let key = (
-        sc.crowd.pairs(),
-        sc.aggregator_sample,
-        sc.use_indexes,
-        engine_seed(sc.seed),
-    );
+    let key = (sc.crowd.pairs(), sc.aggregator_sample, engine_seed(sc.seed));
     if let Some(r) = cache.lock().expect("reference cache").get(&key) {
         return Arc::clone(r);
     }
     let mut members = crowd(key.0);
     let engine = Oassis::new(figure1_ontology());
     let config = engine_config(sc, null_sink());
-    let result = run_sequential(&engine, QUERY, &mut members, &config);
+    let result = run_reference(&engine, QUERY, &mut members, &config);
     let reference = Arc::new(Reference {
         msps: valid_msp_set(&result),
         questions: result.stats.total_questions,
@@ -928,8 +970,9 @@ fn check_against_reference(
     }
 }
 
-/// Run every faults-suite oracle for one seed (three runs: two identical
-/// for the replay oracle, one with `use_indexes` flipped).
+/// Run every faults-suite oracle for one seed: two identical runs for the
+/// replay oracle, the first also checked against the un-indexed
+/// [`reference`] walk.
 pub fn check_seed(seed: u64) -> Result<(), OracleFailure> {
     let fail = |oracle, detail: String| OracleFailure::new(seed, oracle, detail);
     let sc = Scenario::faults(seed, FaultFamily::for_seed(seed));
@@ -949,25 +992,7 @@ pub fn check_seed(seed: u64) -> Result<(), OracleFailure> {
     }
     check_against_reference(&sc, &a, &reference(&sc))
         .map_err(|d| fail("concurrent-vs-sequential", d))?;
-    let unindexed = run(&Scenario {
-        use_indexes: false,
-        ..sc
-    })?;
-    let (u, s) = (unindexed.session(0), a.session(0));
-    if u.msps != s.msps || u.questions != s.questions {
-        return Err(fail(
-            "indexed-vs-unindexed",
-            format!(
-                "use_indexes flip changed the outcome: {} MSPs / {:?} questions vs {} / {:?}",
-                u.msps.len(),
-                u.questions,
-                s.msps.len(),
-                s.questions
-            ),
-        ));
-    }
     check_conservation(&a.snapshot).map_err(|d| fail("obs-conservation", d))?;
-    check_conservation(&unindexed.snapshot).map_err(|d| fail("obs-conservation", d))?;
     Ok(())
 }
 

@@ -334,6 +334,9 @@ mod tests {
             "$z instanceOf Restaurant. OPTIONAL { $z nearBy <Bronx Zoo> }",
             "$x inside NYC. FILTER($x NOT IN (<Central Park>))",
             "$x inside NYC ORDER BY $x DESC LIMIT 2",
+            // The WHERE clause of the paper's Figure 3 query.
+            "$w subClassOf* Attraction. $x instanceOf $w. $x inside NYC. \
+             $x hasLabel \"child-friendly\". $y subClassOf* Activity",
         ];
         for mode in [MatchMode::Syntactic, MatchMode::Semantic] {
             for src in sources {

@@ -60,6 +60,9 @@ pub fn unescape_field(s: &str) -> Result<String, String> {
             "7C" => out.push('|'),
             "0A" => out.push('\n'),
             "0D" => out.push('\r'),
+            // Only `encode_list` writes it: a lone `-` item, which would
+            // otherwise read as the empty list.
+            "2D" => out.push('-'),
             other => return Err(format!("bad escape %{other}")),
         }
     }
@@ -94,8 +97,6 @@ pub struct AdmitSpec {
     pub max_questions: usize,
     /// Early-exit after this many valid MSPs.
     pub top_k: Option<usize>,
-    /// Whether the index-backed inference layer is on.
-    pub use_indexes: bool,
     /// Client-chosen idempotency token (the `oassis-net` front-end dedupes
     /// retransmitted `Submit`s by it, across crashes). `None` for
     /// admissions made in-process.
@@ -242,10 +243,13 @@ where
 /// Encode a list of free-text items into one field: each item is
 /// [`escape_field`]-escaped (which removes every literal `%`), then `;`
 /// — the item separator — is escaped as `%3B`. `-` encodes the empty
-/// list, mirroring the other optional fields.
+/// list, mirroring the other optional fields, so a list of the one item
+/// `-` is written `%2D`.
 pub fn encode_list(items: &[String]) -> String {
-    if items.is_empty() {
-        return "-".to_owned();
+    match items {
+        [] => return "-".to_owned(),
+        [only] if only == "-" => return "%2D".to_owned(),
+        _ => {}
     }
     items
         .iter()
@@ -289,7 +293,7 @@ fn decode_roster(s: &str) -> Result<Option<Vec<usize>>, String> {
 }
 
 /// Number of `|`-separated fields [`AdmitSpec::encode_fields`] emits.
-pub const ADMIT_SPEC_FIELDS: usize = 13;
+pub const ADMIT_SPEC_FIELDS: usize = 12;
 
 impl AdmitSpec {
     /// Encode as [`ADMIT_SPEC_FIELDS`] `|`-separated fields — the layout
@@ -297,7 +301,7 @@ impl AdmitSpec {
     /// `Submit` frame so the wire and the log agree on the spec codec.
     pub fn encode_fields(&self) -> String {
         format!(
-            "{}{SEP}{}{SEP}{}{SEP}{}{SEP}{}{SEP}{}{SEP}{}{SEP}{}{SEP}{}{SEP}{}{SEP}{}{SEP}{}{SEP}{}",
+            "{}{SEP}{}{SEP}{}{SEP}{}{SEP}{}{SEP}{}{SEP}{}{SEP}{}{SEP}{}{SEP}{}{SEP}{}{SEP}{}",
             self.priority,
             opt(&self.budget),
             opt(&self.threshold),
@@ -307,22 +311,27 @@ impl AdmitSpec {
             self.pruning_ratio,
             self.max_questions,
             opt(&self.top_k),
-            u8::from(self.use_indexes),
             opt(&self.token),
             encode_roster(&self.roster),
             escape_field(&self.query)
         )
     }
 
-    /// Invert [`encode_fields`](Self::encode_fields); `fields` must hold
-    /// exactly [`ADMIT_SPEC_FIELDS`] entries.
+    /// Invert [`encode_fields`](Self::encode_fields). `fields` holds
+    /// [`ADMIT_SPEC_FIELDS`] entries, or one more in the legacy layout,
+    /// whose tenth field was a `0`/`1` index-layer flag: that flag must
+    /// parse as a number and is dropped. Every log and `Submit` frame
+    /// written before the flag went out still decodes; neither format
+    /// records its spec layout, so the field count tells them apart.
     pub fn decode_fields(fields: &[&str]) -> Result<AdmitSpec, String> {
-        if fields.len() != ADMIT_SPEC_FIELDS {
-            return Err(format!(
-                "expected {ADMIT_SPEC_FIELDS} spec fields, got {}",
-                fields.len()
-            ));
-        }
+        let fields: Vec<&str> = match fields.len() {
+            ADMIT_SPEC_FIELDS => fields.to_vec(),
+            LEGACY_ADMIT_SPEC_FIELDS => {
+                parse::<u8>(fields[9], "legacy index flag")?;
+                [&fields[..9], &fields[10..]].concat()
+            }
+            n => return Err(format!("expected {ADMIT_SPEC_FIELDS} spec fields, got {n}")),
+        };
         Ok(AdmitSpec {
             priority: parse(fields[0], "priority")?,
             budget: parse_opt(fields[1], "budget")?,
@@ -333,13 +342,16 @@ impl AdmitSpec {
             pruning_ratio: parse(fields[6], "pruning ratio")?,
             max_questions: parse(fields[7], "max questions")?,
             top_k: parse_opt(fields[8], "top-k")?,
-            use_indexes: parse::<u8>(fields[9], "use-indexes flag")? != 0,
-            token: parse_opt(fields[10], "token")?,
-            roster: decode_roster(fields[11])?,
-            query: unescape_field(fields[12])?,
+            token: parse_opt(fields[9], "token")?,
+            roster: decode_roster(fields[10])?,
+            query: unescape_field(fields[11])?,
         })
     }
 }
+
+/// The spec layout logs and `Submit` frames carried before the index-layer
+/// flag was dropped: [`ADMIT_SPEC_FIELDS`] plus that flag.
+const LEGACY_ADMIT_SPEC_FIELDS: usize = ADMIT_SPEC_FIELDS + 1;
 
 impl WalRecord {
     /// The record's kind tag — also the `wal.append` counter label.
@@ -424,11 +436,11 @@ impl WalRecord {
                 }
             }
             Some("s") => {
-                need(4 + ADMIT_SPEC_FIELDS)?;
+                let spec = AdmitSpec::decode_fields(fields.get(4..).unwrap_or_default())?;
                 WalRecord::Admit {
                     session: parse(fields[2], "session id")?,
                     resumes: parse_opt(fields[3], "resumed id")?,
-                    spec: AdmitSpec::decode_fields(&fields[4..])?,
+                    spec,
                 }
             }
             Some("b") => {
@@ -503,7 +515,6 @@ mod tests {
                     pruning_ratio: 0.0,
                     max_questions: 1_000_000,
                     top_k: None,
-                    use_indexes: true,
                     token: Some(0xFEED_F00D),
                 },
             },
@@ -552,7 +563,6 @@ mod tests {
                     pruning_ratio: 0.0,
                     max_questions: 10,
                     top_k: Some(2),
-                    use_indexes: false,
                     token: None,
                 },
             };
@@ -585,6 +595,8 @@ mod tests {
             vec!["plain".to_owned()],
             vec!["a;b".to_owned(), "c|d".to_owned(), "e%3Bf".to_owned()],
             vec!["line\nbreak".to_owned(), "%".to_owned()],
+            vec!["-".to_owned()],
+            vec!["-".to_owned(), "-".to_owned()],
         ] {
             let encoded = encode_list(&items);
             assert!(!encoded.contains('|') && !encoded.contains('\n'), "{encoded:?}");

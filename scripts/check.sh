@@ -15,7 +15,7 @@ cargo clippy --workspace --tests -- -D warnings
 echo "==> scripts/stress.sh"
 ./scripts/stress.sh
 
-echo "==> scale benchmark (smoke): indexed vs un-indexed must agree, speedup >= 1"
+echo "==> scale benchmark (smoke): the indexed walk must match run_reference's un-indexed walk, speedup >= 1"
 cargo run --release -q -p oassis-bench --bin figures -- --smoke scale
 
 echo "==> simulation smoke: 64-seed fault sweep, all oracles (see docs/testing.md)"
@@ -51,14 +51,14 @@ echo "==> net simulation: 64-seed protocol sweep (transparency, replay, kill at 
 cargo build --release -q -p oassis-simtest --bin sim
 timeout 300 cargo run --release -q -p oassis-simtest --bin sim -- net-sweep 64
 
-echo "==> planner smoke: FILTER pushdown must shrink seeds + questions, answers identical planner on/off"
+echo "==> planner smoke: FILTER pushdown must shrink seeds + questions, reference evaluator returns the planner's bindings"
 cargo run --release -q -p oassis-bench --bin figures -- --smoke planner
 
 echo "==> mining smoke: tracing leaves the run unchanged, the engine.mine.* spans cover mining"
 cargo run --release -q -p oassis-bench --bin figures -- --smoke mining
 
-echo "==> query-language properties: display/parse roundtrip + 3-way evaluator oracle"
-cargo test -q --release --test ql_roundtrip --test planner_oracle
+echo "==> properties: display/parse roundtrip, 3-way evaluator oracle, wire/WAL decoder totality"
+cargo test -q --release --test ql_roundtrip --test planner_oracle --test decoder_properties
 
 # perfbench is its own package, outside the workspace: build it here so an
 # API change that breaks it fails the gate, then smoke its two end-to-end

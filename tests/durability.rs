@@ -4,8 +4,9 @@
 //! corrupt-log handling through `OassisService::recover`, compaction
 //! that drops no record, costs no more than the live sessions, and keeps
 //! closed sessions' idempotency tokens, question waves over a persisted
-//! store, admission refusing config the log cannot carry, and a recovered
-//! store feeding a §6.3 threshold replay.
+//! store, admission refusing config the log cannot carry, a recovered
+//! store feeding a §6.3 threshold replay, and a log in the legacy
+//! 13-field spec layout recovering.
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
@@ -18,7 +19,9 @@ use oassis::crowd::AnswerStore;
 use oassis::obs::null_sink;
 use oassis::sparql::MatchMode;
 use oassis::store::ontology::figure1_ontology;
-use oassis::store_durable::{InMemory, Persistence, SharedPersistence, WalRecord, WAL_FILE};
+use oassis::store_durable::{
+    fnv1a64, InMemory, Persistence, SharedPersistence, WalRecord, WAL_FILE,
+};
 use oassis::vocab::{ElementId, Fact, RelationId};
 use oassis_simtest::{
     check_durable_waves, crowd, durability_plans, run, service_plans, Record, Scenario,
@@ -122,6 +125,79 @@ fn every_kill_point_recovers_the_same_answers() {
             log.history_len()
         );
     }
+}
+
+/// An encoded `Admit` record re-written in the layout logs carried before
+/// the index-layer flag left the spec: the flag (`1`, the only value any
+/// caller ever logged) back after `top_k`, and the line re-sealed.
+fn legacy_admit_line(line: &str) -> String {
+    let (payload, _) = line.rsplit_once('|').expect("a sealed line");
+    let mut fields: Vec<&str> = payload.split('|').collect();
+    // seq | s | session | resumes | spec; the flag was spec field 9.
+    fields.insert(4 + 9, "1");
+    let payload = fields.join("|");
+    format!("{payload}|{:016x}", fnv1a64(payload.as_bytes()))
+}
+
+/// A log written before the index-layer flag left the spec still
+/// recovers: a crash image whose `Admit` records all went through the
+/// legacy 13-field layout is recovered, its interrupted sessions resumed,
+/// and every session finishes with the outcome of the uninterrupted run.
+#[test]
+fn legacy_admit_layout_recovers_and_resumes() {
+    let seed = 5;
+    let plans = durability_plans();
+    let run_to_end = |scenario: Scenario| run(&scenario).unwrap_or_else(|f| panic!("{f}"));
+    let uninterrupted = run_to_end(Scenario::durable(seed, &plans, false));
+    let image = {
+        let log = uninterrupted.wal();
+        log.crashed_at(log.history_len() / 2)
+    };
+
+    let mut legacy = InMemory::new();
+    let (mut admits, mut closes) = (0, 0);
+    for (i, record) in image.history().iter().enumerate() {
+        let mut line = record.encode(i as u64 + 1);
+        match record {
+            WalRecord::Admit { .. } => {
+                line = legacy_admit_line(&line);
+                assert_eq!(line.split('|').count(), 4 + 13 + 1, "{line}");
+                admits += 1;
+            }
+            WalRecord::Close { .. } => closes += 1,
+            _ => {}
+        }
+        let (_, back) = WalRecord::decode(&line).expect("a legacy line decodes");
+        assert_eq!(&back, record);
+        legacy.append(&back).unwrap();
+    }
+    assert_eq!(
+        admits,
+        plans.len(),
+        "every plan was admitted before the crash"
+    );
+    assert!(closes < admits, "some session was interrupted");
+
+    let finished = run_to_end(Scenario {
+        log: Some(Arc::new(Mutex::new(legacy))),
+        record: Record::Off,
+        ..Scenario::service(seed, &plans, false)
+    });
+    for (i, outcome) in finished.sessions.iter().enumerate() {
+        let expected = uninterrupted.session(i);
+        assert!(!expected.msps.is_empty(), "vacuous comparison");
+        if let Some(outcome) = outcome {
+            assert_eq!(
+                (&outcome.msps, &outcome.status),
+                (&expected.msps, &expected.status),
+                "plan {i}"
+            );
+        }
+    }
+    assert!(
+        finished.sessions.iter().flatten().count() > 0,
+        "some session was resumed"
+    );
 }
 
 /// Budget accounting survives a crash conservatively: the resumption's

@@ -1,7 +1,8 @@
 //! Mining outcomes pinned to literal values.
 //!
 //! Every other oracle compares the engine with itself: the service with
-//! `run_sequential`, indexed with unindexed, waved with unwaved. A walk
+//! `run_sequential`, the indexed walk with `run_reference`, waved with
+//! unwaved. A walk
 //! that visited successors in another order would pass all of them. These
 //! tests compare against numbers recorded once and written down here:
 //! question counts, generated DAG nodes, a digest of the sorted valid MSPs
@@ -21,6 +22,7 @@ use oassis::datagen::{
     culinary_domain, generate_crowd, self_treatment_domain, travel_domain, CrowdGenConfig, Domain,
 };
 use oassis::obs::{names, EventSink, InMemorySink};
+use oassis_simtest::run_reference;
 
 /// FNV-1a over the sorted, newline-joined rendered valid MSPs: stable
 /// across platforms and toolchains, unlike `DefaultHasher`.
@@ -58,7 +60,7 @@ fn crowd(domain: &Domain, members: usize, seed: u64) -> Vec<Box<dyn CrowdMember>
     .collect()
 }
 
-/// `(domain, threshold, use_indexes, questions, nodes_generated, digest)`.
+/// `(domain, threshold, indexed, questions, nodes_generated, digest)`.
 type ColdRow = (&'static str, f64, bool, usize, usize, u64);
 
 #[rustfmt::skip]
@@ -78,29 +80,30 @@ const COLD: &[ColdRow] = &[
 ];
 
 /// A cold `Oassis::execute` of each experiment domain (travel `$y+`,
-/// culinary `$d+`, self-treatment) at two thresholds, with the index layer
-/// on and off.
+/// culinary `$d+`, self-treatment) at two thresholds, and the same query
+/// text at each threshold mined by `run_reference` on the un-indexed walk.
 #[test]
 fn cold_executions_match_recorded_outcomes() {
     let mut actual: Vec<ColdRow> = Vec::new();
+    let cfg = EngineConfig::builder().seed(11).aggregator_sample(2).build();
     for domain in [travel_domain(), culinary_domain(), self_treatment_domain()] {
         let engine = Oassis::new(domain.ontology.clone());
         let query = engine.parse(&domain.query).expect("domain query parses");
         for threshold in [0.4, 0.5] {
-            for use_indexes in [true, false] {
-                let cfg = EngineConfig::builder()
-                    .seed(11)
-                    .aggregator_sample(2)
-                    .use_indexes(use_indexes)
-                    .build();
+            for indexed in [true, false] {
                 let mut members = crowd(&domain, 6, 5);
-                let result = engine
-                    .execute_parsed(&query, threshold, &mut members, &cfg)
-                    .expect("execution succeeds");
+                let result = if indexed {
+                    engine
+                        .execute_parsed(&query, threshold, &mut members, &cfg)
+                        .expect("execution succeeds")
+                } else {
+                    let text = at_support(&domain.query, threshold);
+                    run_reference(&engine, &text, &mut members, &cfg)
+                };
                 actual.push((
                     domain.name,
                     threshold,
-                    use_indexes,
+                    indexed,
                     result.stats.total_questions,
                     result.stats.nodes_generated,
                     msp_digest(&result),
@@ -109,6 +112,13 @@ fn cold_executions_match_recorded_outcomes() {
         }
     }
     assert_eq!(actual, COLD, "actual rows:\n{}", rows(&actual));
+}
+
+/// `query` with its `WITH SUPPORT` clause set to `threshold` (the domain
+/// queries all carry 0.2).
+fn at_support(query: &str, threshold: f64) -> String {
+    assert!(query.contains("WITH SUPPORT = 0.2"));
+    query.replace("WITH SUPPORT = 0.2", &format!("WITH SUPPORT = {threshold}"))
 }
 
 fn rows<T: std::fmt::Debug>(rows: &[T]) -> String {
@@ -174,9 +184,9 @@ const SHARED_SPACE: &[SharedSession] = &[
     (254, 248, 189, 65, 8983922974712724284),
 ];
 
-/// One travel query admitted at once at three thresholds (two spelled in
-/// `WITH SUPPORT`, one as a spec override) plus an un-indexed session, over
-/// overlapping rosters on the simulated runtime. The sessions are of one
+/// One travel query admitted at once at four thresholds (two spelled in
+/// `WITH SUPPORT`, two as spec overrides), over overlapping rosters on the
+/// simulated runtime. The sessions are of one
 /// query shape, so they mine one assignment space; its shared successor
 /// memo must leave every outcome as recorded.
 #[test]
@@ -186,22 +196,17 @@ fn shared_space_service_matches_recorded_outcome() {
         Oassis::new(domain.ontology.clone()),
         SessionRuntime::new(crowd(&domain, 8, 21)).simulated(SimConfig::new(23)),
     );
-    let text = |threshold: f64| {
-        domain
-            .query
-            .replace("WITH SUPPORT = 0.2", &format!("WITH SUPPORT = {threshold}"))
-    };
+    let text = |threshold: f64| at_support(&domain.query, threshold);
     let specs = [
-        (text(0.25), None, true, (0..6).collect::<Vec<_>>()),
-        (text(0.35), None, true, (2..8).collect()),
-        (text(0.2), Some(0.3), true, (0..8).collect()),
-        (text(0.2), Some(0.4), false, (1..7).collect()),
+        (text(0.25), None, (0..6).collect::<Vec<_>>()),
+        (text(0.35), None, (2..8).collect()),
+        (text(0.2), Some(0.3), (0..8).collect()),
+        (text(0.2), Some(0.4), (1..7).collect()),
     ];
-    for (i, (query, threshold, use_indexes, roster)) in specs.into_iter().enumerate() {
+    for (i, (query, threshold, roster)) in specs.into_iter().enumerate() {
         let cfg = EngineConfig::builder()
             .seed(30 + i as u64)
             .aggregator_sample(3)
-            .use_indexes(use_indexes)
             .build();
         let mut spec = SessionSpec::builder(query).config(cfg).roster(roster);
         if let Some(t) = threshold {

@@ -3,20 +3,21 @@
 //! of the in-process serial run, `Submit` tokens must deduplicate,
 //! protocol-version mismatches must be refused, and the server's
 //! connection lifecycle (concurrent clients, a client that vanishes, a
-//! server dropped under a live client) must hold.
+//! server dropped under a live client, a frame too short to decode) must
+//! hold.
 //!
 //! The adversarial cases — crashes, partitions, drops, duplicates — live
 //! in the deterministic protocol crash oracle (`oassis-simtest`, `sim
 //! net-sweep`); these tests only pin the happy path onto real sockets.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use oassis::core::{EngineConfig, Oassis, OassisService, SessionRuntime, SessionSpec};
 use oassis::net::{
-    encode_request, NetClient, NetError, NetServer, Request, Response, TcpNetServer, TcpTransport,
+    decode_response, encode_request, NetClient, NetError, NetServer, Request, Response, TcpNetServer, TcpTransport,
     WireStatus, PROTOCOL_VERSION,
 };
 use oassis::store::ontology::figure1_ontology;
@@ -261,6 +262,29 @@ fn a_vanished_client_does_not_block_the_next() {
         drop(gone);
         let mut client = NetClient::new(TcpTransport::connect(addr).expect("connect"));
         let session = greet_and_submit(&mut client, 8);
+        assert_eq!(poll_to_end(&mut client, session), serial);
+    })]);
+}
+
+/// The payload `v1` sealed with its valid FNV-1a checksum: a frame with
+/// no sequence number and no kind. It is refused with an error, and the
+/// same server then serves a whole session.
+#[test]
+fn a_short_frame_is_refused_and_the_server_keeps_serving() {
+    let serial = serial_msps();
+    serve_clients(vec![Box::new(move |addr: String| {
+        let mut stream = TcpStream::connect(addr.clone()).expect("connect");
+        stream.write_all(b"v1|08cf0b07b5709128\n").expect("write");
+        let mut reply = String::new();
+        BufReader::new(&stream)
+            .read_line(&mut reply)
+            .expect("read the refusal");
+        match decode_response(reply.trim_end()) {
+            Ok((0, 0, Response::Error { detail })) => assert!(detail.contains("fields")),
+            other => panic!("expected a field-count Error, got {other:?}"),
+        }
+        let mut client = NetClient::new(TcpTransport::connect(addr).expect("connect"));
+        let session = greet_and_submit(&mut client, 9);
         assert_eq!(poll_to_end(&mut client, session), serial);
     })]);
 }

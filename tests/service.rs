@@ -411,9 +411,9 @@ fn at_support(query: &str, threshold: f64) -> String {
 
 /// Sessions of one query shape mine one assignment space and share its
 /// successor memo, and none of it shows: per domain, the query admitted
-/// at three thresholds at once (two spelled in `WITH SUPPORT`, one as a
-/// spec override) plus an un-indexed session each report exactly what the
-/// sequential reference loop reports for the same query text.
+/// at four thresholds at once (three spelled in `WITH SUPPORT`, one as a
+/// spec override) each report exactly what the sequential reference loop
+/// reports for the same query text.
 #[test]
 fn sessions_sharing_a_space_match_the_sequential_reference() {
     for (domain, members, seed) in [
@@ -421,13 +421,13 @@ fn sessions_sharing_a_space_match_the_sequential_reference() {
         (culinary_domain(), 8, 5),
         (self_treatment_domain(), 10, 7),
     ] {
-        // (query text, spec threshold, use_indexes); the reference mines
-        // the text at the threshold the session mines.
+        // (query text, spec threshold); the reference mines the text at
+        // the threshold the session mines.
         let sessions = [
-            (at_support(&domain.query, 0.3), None, true),
-            (at_support(&domain.query, 0.4), None, true),
-            (domain.query.clone(), Some(0.5), true),
-            (at_support(&domain.query, 0.35), None, false),
+            (at_support(&domain.query, 0.3), None),
+            (at_support(&domain.query, 0.4), None),
+            (domain.query.clone(), Some(0.5)),
+            (at_support(&domain.query, 0.35), None),
         ];
         let mem = InMemorySink::shared();
         let mut service = OassisService::start_with_sink(
@@ -435,14 +435,9 @@ fn sessions_sharing_a_space_match_the_sequential_reference() {
             SessionRuntime::new(domain_crowd(&domain, members, seed)),
             Arc::clone(&mem) as Arc<dyn EventSink>,
         );
-        let config = |use_indexes: bool| {
-            EngineConfig::builder()
-                .seed(seed)
-                .use_indexes(use_indexes)
-                .build()
-        };
-        for (query, threshold, use_indexes) in &sessions {
-            let mut spec = SessionSpec::builder(query.as_str()).config(config(*use_indexes));
+        let config = EngineConfig::builder().seed(seed).build();
+        for (query, threshold) in &sessions {
+            let mut spec = SessionSpec::builder(query.as_str()).config(config.clone());
             if let Some(t) = threshold {
                 spec = spec.threshold(*t);
             }
@@ -456,11 +451,11 @@ fn sessions_sharing_a_space_match_the_sequential_reference() {
         assert_eq!(counts(), (1, 3), "{}: one shape", domain.name);
         let reports = service.run();
 
-        for ((query, threshold, use_indexes), report) in sessions.iter().zip(&reports) {
+        for ((query, threshold), report) in sessions.iter().zip(&reports) {
             let query = threshold.map_or_else(|| query.clone(), |t| at_support(query, t));
             let engine = Oassis::new(domain.ontology.clone());
             let mut crowd = domain_crowd(&domain, members, seed);
-            let serial = run_sequential(&engine, &query, &mut crowd, &config(*use_indexes));
+            let serial = run_sequential(&engine, &query, &mut crowd, &config);
             let what = format!("{} {query:?}", domain.name);
             assert_eq!(report.status, SessionStatus::Completed, "{what}");
             assert_eq!(
@@ -481,8 +476,8 @@ fn sessions_sharing_a_space_match_the_sequential_reference() {
 }
 
 /// The shared space is keyed by what its build reads: specs that differ
-/// only in threshold, seed or `use_indexes` share one, while a FILTER, the
-/// query planner or a `MORE` domain each build their own. A space lives
+/// only in threshold or seed share one, while a FILTER or a `MORE` domain
+/// each build their own. A space lives
 /// while a session holds it, finished sessions included, and the service
 /// keeps none once their reports are taken.
 #[test]
@@ -516,19 +511,16 @@ fn space_key_and_lifetime() {
         SessionSpec::builder(QUERY).threshold(0.3).build(),
         SessionSpec::builder(QUERY.replace("0.4", "0.6")).build(),
         SessionSpec::builder(QUERY)
-            .config(EngineConfig::builder().seed(9).use_indexes(false).build())
+            .config(EngineConfig::builder().seed(9).build())
             .build(),
     ];
     for spec in sharing {
         service.submit(spec).unwrap();
     }
-    assert_eq!(counts(), (1, 3), "threshold, seed and use_indexes share");
+    assert_eq!(counts(), (1, 3), "threshold and seed share");
 
     let own = [
         SessionSpec::builder(filtered.as_str()).build(),
-        SessionSpec::builder(QUERY)
-            .config(EngineConfig::builder().use_query_planner(false).build())
-            .build(),
         SessionSpec::builder(QUERY)
             .config(EngineConfig::builder().more_domain(more).build())
             .build(),
@@ -536,26 +528,22 @@ fn space_key_and_lifetime() {
     for spec in own {
         service.submit(spec).unwrap();
     }
-    assert_eq!(
-        counts(),
-        (4, 3),
-        "a FILTER, the planner and MORE each build"
-    );
+    assert_eq!(counts(), (3, 3), "a FILTER and MORE each build");
 
     // Finished sessions whose reports are not taken keep their space.
     while service.run_cycle() {}
     service.take_report(first).unwrap();
     service.submit(SessionSpec::builder(QUERY).build()).unwrap();
-    assert_eq!(counts(), (4, 4), "three finished sessions still hold it");
+    assert_eq!(counts(), (3, 4), "three finished sessions still hold it");
 
     // Once every report is taken the service holds no space: each shape
     // is built afresh.
-    assert_eq!(service.run().len(), 7);
+    assert_eq!(service.run().len(), 6);
     service.submit(SessionSpec::builder(QUERY).build()).unwrap();
     service
         .submit(SessionSpec::builder(filtered.as_str()).build())
         .unwrap();
-    assert_eq!(counts(), (6, 4));
+    assert_eq!(counts(), (5, 4));
 }
 
 /// The `engine.dag.nodes_total` count is taken once per shared space:
