@@ -44,12 +44,12 @@ use oassis_bench::experiments::{
     DurabilityRow, MiningRow, NetRow, PaceResult, PlannerRow, ScaleRow, ServiceRow,
 };
 use oassis_bench::table::render;
-use oassis_simtest::outln;
-use oassis_obs::{null_sink, EventSink, JsonLinesSink, SinkExt};
 use oassis_datagen::{
     culinary_domain, self_treatment_domain, travel_domain, travel_domain_10x, CrowdGenConfig,
     Domain,
 };
+use oassis_obs::{null_sink, EventSink, JsonLinesSink, SinkExt};
+use oassis_simtest::outln;
 
 const THRESHOLDS: [f64; 4] = [0.2, 0.3, 0.4, 0.5];
 
@@ -80,7 +80,8 @@ fn paper_crowd(domain: &Domain, seed: u64) -> CrowdGenConfig {
 /// tables). Returns the no-op sink when disabled or the file can't be
 /// created.
 fn telemetry_sink() -> Arc<dyn EventSink> {
-    let path = std::env::var("OASSIS_FIGURES_JSON").unwrap_or_else(|_| "target/figures.jsonl".into());
+    let path =
+        std::env::var("OASSIS_FIGURES_JSON").unwrap_or_else(|_| "target/figures.jsonl".into());
     if path == "-" {
         return null_sink();
     }
@@ -425,7 +426,11 @@ fn run_durability(sink: &Arc<dyn EventSink>, seed: u64, smoke: bool) {
                 "figures.durability.recover_secs",
                 &format!(
                     "{records}{}",
-                    if snapshot_every.is_some() { "+snap" } else { "" }
+                    if snapshot_every.is_some() {
+                        "+snap"
+                    } else {
+                        ""
+                    }
                 ),
                 row.recover_time.as_secs_f64(),
             );
@@ -517,8 +522,8 @@ fn run_crowd_scale(sink: &Arc<dyn EventSink>, seed: u64, smoke: bool) {
     // question counts, every session completed.
     let mut rows: Vec<(CrowdScaleOutcome, bool)> = Vec::new();
     let push = |rows: &mut Vec<(CrowdScaleOutcome, bool)>,
-                    outcome: CrowdScaleOutcome,
-                    reference: &CrowdScaleOutcome| {
+                outcome: CrowdScaleOutcome,
+                reference: &CrowdScaleOutcome| {
         let ok = outcome.outcomes == reference.outcomes
             && outcome.outcomes.iter().all(|(_, _, completed)| *completed);
         assert!(
@@ -702,7 +707,15 @@ fn run_net(sink: &Arc<dyn EventSink>, seed: u64, smoke: bool) {
     outln!(
         "{}",
         render(
-            &["sessions", "members", "requests", "in-process", "served", "overhead", "hello rtt"],
+            &[
+                "sessions",
+                "members",
+                "requests",
+                "in-process",
+                "served",
+                "overhead",
+                "hello rtt"
+            ],
             &table
         )
     );

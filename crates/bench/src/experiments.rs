@@ -9,11 +9,11 @@ use oassis_core::{
     VerticalMiner,
 };
 use oassis_crowd::{CrowdMember, MemberId, ResponseModel, UnreliableMember};
-use oassis_obs::{names, null_sink, EventSink, InMemorySink};
 use oassis_datagen::{
     generate_crowd, plant::plant_multiplicity_msps, plant_msps, CrowdGenConfig, Domain,
     MspDistribution, PlantedOracle, SynthConfig, SynthInstance,
 };
+use oassis_obs::{names, null_sink, EventSink, InMemorySink};
 use oassis_ql::parse_query;
 use oassis_simtest::{run_reference, run_sequential};
 use oassis_sparql::{plan, MatchMode};
@@ -929,7 +929,11 @@ pub fn scale_speedup(
             .map(|m| if indexed { m } else { m.with_scan_counting() })
             .map(|m| Box::new(m) as Box<dyn CrowdMember>)
             .collect();
-        let mine = if indexed { run_sequential } else { run_reference };
+        let mine = if indexed {
+            run_sequential
+        } else {
+            run_reference
+        };
         let start = Instant::now();
         let result = mine(&engine, &domain.query, &mut crowd, &cfg);
         (result, start.elapsed())
@@ -1063,7 +1067,9 @@ pub fn service_reuse(domain: &Domain, sessions: usize, members: usize, seed: u64
     let service_start = Instant::now();
     let mut service = OassisService::start(engine, SessionRuntime::new(fresh_crowd()));
     for _ in 0..sessions {
-        let spec = SessionSpec::builder(&domain.query).config(cfg.clone()).build();
+        let spec = SessionSpec::builder(&domain.query)
+            .config(cfg.clone())
+            .build();
         service.submit(spec).expect("service admits the query");
     }
     let reports = service.run();
@@ -1075,8 +1081,8 @@ pub fn service_reuse(domain: &Domain, sessions: usize, members: usize, seed: u64
     for report in &reports {
         service_questions += report.crowd_questions;
         store_hits += report.store_hits;
-        answers_match &= report.status == SessionStatus::Completed
-            && valid(&report.result) == serial_valid;
+        answers_match &=
+            report.status == SessionStatus::Completed && valid(&report.result) == serial_valid;
     }
     ServiceRow {
         domain: domain.name.to_owned(),
@@ -1274,7 +1280,10 @@ pub fn crowd_scale(
     let runtime = SessionRuntime::new(crowd).workers(workers).shards(shards);
     let engine = Oassis::new(domain.ontology.clone());
     let mut service = OassisService::start(engine, runtime).with_wave_size(wave);
-    let cfg = EngineConfig::builder().seed(seed).aggregator_sample(3).build();
+    let cfg = EngineConfig::builder()
+        .seed(seed)
+        .aggregator_sample(3)
+        .build();
     for s in 0..sessions {
         let spec = SessionSpec::builder(&domain.query)
             .config(cfg.clone())
@@ -1378,9 +1387,16 @@ pub fn net_overhead(sessions: usize, crowd_pairs: u32, rtt_probes: usize, seed: 
         (0..crowd_pairs)
             .flat_map(|i| {
                 [
-                    Box::new(DbMember::new(MemberId(2 * i), d1.clone(), Arc::clone(&vocab)))
-                        as Box<dyn CrowdMember>,
-                    Box::new(DbMember::new(MemberId(2 * i + 1), d2.clone(), Arc::clone(&vocab))),
+                    Box::new(DbMember::new(
+                        MemberId(2 * i),
+                        d1.clone(),
+                        Arc::clone(&vocab),
+                    )) as Box<dyn CrowdMember>,
+                    Box::new(DbMember::new(
+                        MemberId(2 * i + 1),
+                        d2.clone(),
+                        Arc::clone(&vocab),
+                    )),
                 ]
             })
             .collect()
@@ -1393,7 +1409,10 @@ pub fn net_overhead(sessions: usize, crowd_pairs: u32, rtt_probes: usize, seed: 
     // submit-all-then-run baseline. A two-member average also keeps the
     // figure-1 valid-MSP set non-empty (the whole-crowd default averages
     // the two databases below threshold).
-    let cfg = EngineConfig::builder().seed(seed).aggregator_sample(2).build();
+    let cfg = EngineConfig::builder()
+        .seed(seed)
+        .aggregator_sample(2)
+        .build();
     let pair_roster = |i: usize| -> Vec<usize> {
         let pair = i % crowd_pairs as usize;
         vec![2 * pair, 2 * pair + 1]
@@ -1452,7 +1471,9 @@ pub fn net_overhead(sessions: usize, crowd_pairs: u32, rtt_probes: usize, seed: 
         let mut requests = 0usize;
         let served_start = Instant::now();
         let hello = client
-            .call(&Request::Hello { version: PROTOCOL_VERSION })
+            .call(&Request::Hello {
+                version: PROTOCOL_VERSION,
+            })
             .expect("hello");
         requests += 1;
         assert!(matches!(hello.last(), Some(Response::Welcome { .. })));
@@ -1464,7 +1485,11 @@ pub fn net_overhead(sessions: usize, crowd_pairs: u32, rtt_probes: usize, seed: 
                 .roster(vec![2 * pair, 2 * pair + 1])
                 .build()
                 .to_admit(Some(0xBE9C_0000 + i as u64));
-            match client.call(&Request::Submit { spec }).expect("submit").pop() {
+            match client
+                .call(&Request::Submit { spec })
+                .expect("submit")
+                .pop()
+            {
                 Some(Response::Admitted { session }) => ids.push(session),
                 other => panic!("expected Admitted, got {other:?}"),
             }
@@ -1493,7 +1518,9 @@ pub fn net_overhead(sessions: usize, crowd_pairs: u32, rtt_probes: usize, seed: 
         let probe_start = Instant::now();
         for _ in 0..rtt_probes {
             client
-                .call(&Request::Hello { version: PROTOCOL_VERSION })
+                .call(&Request::Hello {
+                    version: PROTOCOL_VERSION,
+                })
                 .expect("rtt probe");
         }
         let probe_time = probe_start.elapsed();
@@ -1708,7 +1735,11 @@ pub fn planner_effect(
     };
 
     // What the optimizer did to the constrained clause.
-    let compiled = plan::compile(&domain.ontology, &filtered.where_clause, MatchMode::Semantic);
+    let compiled = plan::compile(
+        &domain.ontology,
+        &filtered.where_clause,
+        MatchMode::Semantic,
+    );
     let (_, report) = plan::optimize_report(&domain.ontology, compiled, MatchMode::Semantic);
 
     // Pure WHERE-evaluation cost, optimized plan vs reference recursion,

@@ -221,7 +221,9 @@ mod tests {
             .targets(Vec::new())
             .more_domain(Vec::new())
             .top_k(2)
-            .aggregator(Arc::new(oassis_crowd::MajorityVoteAggregator { sample_size: 3 }))
+            .aggregator(Arc::new(oassis_crowd::MajorityVoteAggregator {
+                sample_size: 3,
+            }))
             .build();
         assert_eq!(config.aggregator_sample, 1);
         assert_eq!(config.specialization_ratio, 0.25);

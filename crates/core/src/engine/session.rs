@@ -412,9 +412,7 @@ impl MiningSession {
             }
         }
         let crowd = CrowdCache::new().with_sink(Arc::clone(&sink));
-        let mut recorder = Recorder::new()
-            .with_sink(Arc::clone(&sink))
-            .with_algo(algo);
+        let mut recorder = Recorder::new().with_sink(Arc::clone(&sink)).with_algo(algo);
         if config.track_curve {
             recorder = recorder.with_curve();
         }
@@ -540,7 +538,8 @@ impl MiningSession {
             (Pending::Specialization { base, askable }, Answer::Choice(choice)) => {
                 match choice {
                     Some((chosen, s)) => {
-                        self.recorder.on_question(QuestionKind::Specialization, &base);
+                        self.recorder
+                            .on_question(QuestionKind::Specialization, &base);
                         let phi = askable[chosen];
                         let positive = self.record_answer(seat, phi, s, Source::Session);
                         self.recorder
@@ -560,9 +559,9 @@ impl MiningSession {
                 }
                 self.turn_done = Some(seat);
             }
-            (pending, answer) => panic!(
-                "answer kind does not match the staged question: {pending:?} vs {answer:?}"
-            ),
+            (pending, answer) => {
+                panic!("answer kind does not match the staged question: {pending:?} vs {answer:?}")
+            }
         }
     }
 
@@ -765,8 +764,7 @@ impl MiningSession {
     fn begin_ask(&mut self, seat: usize, phi: NodeId) -> StepFlow {
         // User-guided pruning: the member's single click is the answer when
         // the question involves a value irrelevant to them (Section 6.2).
-        if self.config.pruning_ratio > 0.0 && self.rng.random::<f64>() < self.config.pruning_ratio
-        {
+        if self.config.pruning_ratio > 0.0 && self.rng.random::<f64>() < self.config.pruning_ratio {
             let fs = self.nodes.factset(&self.space, phi).clone();
             return self.stage(
                 seat,
@@ -990,7 +988,8 @@ impl MiningSession {
             let Some(phi) = cursor.take() else {
                 // Outer loop: the next questions are the first minimal
                 // overall-unclassified assignments the member can answer.
-                let found = self.find_askable(member_id, PREFETCH_WIDTH, |fs| member.can_answer(fs));
+                let found =
+                    self.find_askable(member_id, PREFETCH_WIDTH, |fs| member.can_answer(fs));
                 return found
                     .into_iter()
                     .filter_map(|id| {

@@ -524,8 +524,7 @@ struct ThreadedExecutor {
 impl ThreadedExecutor {
     fn spawn(options: RuntimeOptions, sink: Arc<dyn EventSink>) -> Self {
         let shards = options.shards.max(1);
-        let queues: Vec<Arc<WorkQueue>> =
-            (0..shards).map(|_| Arc::new(WorkQueue::new())).collect();
+        let queues: Vec<Arc<WorkQueue>> = (0..shards).map(|_| Arc::new(WorkQueue::new())).collect();
         let (tx, rx) = mpsc::channel();
         // At least one worker per shard; extra workers round-robin.
         let n_workers = options.workers.max(1).max(shards);
@@ -738,7 +737,9 @@ fn answer(member: &mut dyn CrowdMember, payload: &AskPayload) -> AskValue {
         AskPayload::Specialization { base, candidates } => {
             AskValue::Choice(member.ask_specialization(base, candidates))
         }
-        AskPayload::Pruning { factset } => AskValue::Irrelevant(member.irrelevant_elements(factset)),
+        AskPayload::Pruning { factset } => {
+            AskValue::Irrelevant(member.irrelevant_elements(factset))
+        }
         AskPayload::Prefetch { candidates } => AskValue::Prefetched(
             candidates
                 .iter()
@@ -862,7 +863,8 @@ impl Pool {
     /// Record a prefetched answer being consumed by the commit loop.
     pub(crate) fn note_speculation_hit(&mut self) {
         self.spec_hits += 1;
-        self.sink.count_labeled(names::RUNTIME_SPECULATION, "hit", 1);
+        self.sink
+            .count_labeled(names::RUNTIME_SPECULATION, "hit", 1);
     }
 
     fn next_question_id(&mut self) -> QuestionId {
@@ -886,7 +888,11 @@ impl Pool {
         self.slots[idx].pending = Some(question);
         self.slots[idx].pending_speculative = speculative;
         self.set_inflight(self.inflight + 1);
-        let label = if speculative { "speculative" } else { "committed" };
+        let label = if speculative {
+            "speculative"
+        } else {
+            "committed"
+        };
         self.sink.count_labeled(names::RUNTIME_DISPATCHED, label, 1);
         if speculative {
             let n = payload.question_count();
@@ -1142,8 +1148,7 @@ mod tests {
             (0..16).map(|i| scripted(i, f64::from(i) / 16.0)).collect();
         let runtime = SessionRuntime::new(members).workers(2).shards(4);
         let mut pool = Pool::start(runtime, oassis_obs::null_sink());
-        let shards: std::collections::HashSet<usize> =
-            (0..16).map(|i| pool.shard_of(i)).collect();
+        let shards: std::collections::HashSet<usize> = (0..16).map(|i| pool.shard_of(i)).collect();
         assert!(shards.len() > 1, "16 members land on more than one shard");
         assert!(shards.iter().all(|&s| s < 4));
         for i in 0..16 {
@@ -1159,8 +1164,7 @@ mod tests {
     #[test]
     fn shard_placement_is_stable_across_pools() {
         let make = || {
-            let members: Vec<Box<dyn CrowdMember>> =
-                (0..32).map(|i| scripted(i, 0.5)).collect();
+            let members: Vec<Box<dyn CrowdMember>> = (0..32).map(|i| scripted(i, 0.5)).collect();
             Pool::start(
                 SessionRuntime::new(members).shards(8),
                 oassis_obs::null_sink(),
@@ -1242,7 +1246,10 @@ mod tests {
         drop(pool);
         let snap = mem.snapshot();
         assert_eq!(snap.counter_across_labels(names::RUNTIME_TIMEOUT), 0);
-        assert_eq!(snap.counter_across_labels(names::RUNTIME_MEMBER_EXCLUDED), 0);
+        assert_eq!(
+            snap.counter_across_labels(names::RUNTIME_MEMBER_EXCLUDED),
+            0
+        );
         assert_eq!(
             snap.counter(&format!("{}[answered]", names::RUNTIME_RESOLVED)),
             1
@@ -1273,7 +1280,10 @@ mod tests {
             RuntimeErrorKind::QuestionTimeout { attempts: 3, .. }
         ));
         let snap = mem.snapshot();
-        assert_eq!(snap.counter(&format!("{}[drop]", names::RUNTIME_TIMEOUT)), 3);
+        assert_eq!(
+            snap.counter(&format!("{}[drop]", names::RUNTIME_TIMEOUT)),
+            3
+        );
         assert_eq!(snap.counter(names::RUNTIME_RETRY), 2);
         assert_eq!(
             snap.counter(&format!("{}[timeout]", names::RUNTIME_MEMBER_EXCLUDED)),
@@ -1403,9 +1413,8 @@ mod tests {
         let _ = pool.take_members();
         drop(pool);
         let snap = mem.snapshot();
-        let speculation = |label: &str| {
-            snap.counter(&format!("{}[{label}]", names::RUNTIME_SPECULATION))
-        };
+        let speculation =
+            |label: &str| snap.counter(&format!("{}[{label}]", names::RUNTIME_SPECULATION));
         assert_eq!(speculation("dispatched"), 2);
         assert_eq!(speculation("hit"), 1);
         assert_eq!(speculation("wasted"), 1);

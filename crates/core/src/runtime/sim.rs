@@ -27,8 +27,9 @@ use rand::{RngExt, SeedableRng};
 use oassis_obs::EventSink;
 
 use super::clock::{Clock, VirtualClock};
-use super::{serve, AskOutcome, AskPayload, AskRequest, AskResponse, AskValue, Executor,
-    RuntimeOptions};
+use super::{
+    serve, AskOutcome, AskPayload, AskRequest, AskResponse, AskValue, Executor, RuntimeOptions,
+};
 
 /// Shared handle to a [`SimTrace`] being recorded by a running simulation.
 pub type SimTraceHandle = Arc<Mutex<SimTrace>>;

@@ -385,7 +385,15 @@ mod tests {
             .unwrap()
             .history()
             .iter()
-            .filter(|r| matches!(r, WalRecord::Answer { session: Some(7), .. }))
+            .filter(|r| {
+                matches!(
+                    r,
+                    WalRecord::Answer {
+                        session: Some(7),
+                        ..
+                    }
+                )
+            })
             .count();
         assert_eq!(tagged, 1);
 

@@ -563,8 +563,7 @@ mod tests {
             fs(&vocab, &[("Swimming", "doAt", "Madison Square")]),
         ];
         let mut indexed = DbMember::new(MemberId(1), d1.clone(), Arc::clone(&vocab));
-        let mut scan =
-            DbMember::new(MemberId(1), d1, Arc::clone(&vocab)).with_scan_counting();
+        let mut scan = DbMember::new(MemberId(1), d1, Arc::clone(&vocab)).with_scan_counting();
         for q in &queries {
             let a = indexed.ask_concrete(q);
             let b = scan.ask_concrete(q);

@@ -132,11 +132,7 @@ impl SupportIndex {
 
     /// Build the index, timing the construction under the
     /// `crowd.tidlist.build` span.
-    pub fn build_with_sink(
-        db: &PersonalDb,
-        vocab: &Vocabulary,
-        sink: &Arc<dyn EventSink>,
-    ) -> Self {
+    pub fn build_with_sink(db: &PersonalDb, vocab: &Vocabulary, sink: &Arc<dyn EventSink>) -> Self {
         let _span = Span::enter(&**sink, names::CROWD_TIDLIST_BUILD);
         let n = db.len();
         // Ancestor closures are shared across transactions; memoize per value.

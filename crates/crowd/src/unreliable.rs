@@ -110,10 +110,7 @@ impl UnreliableMember {
     /// before the model takes over. `None` entries simulate drops. Lets a
     /// test pin an exact delay — e.g. an answer landing precisely on the
     /// runtime's deadline — without searching seed space.
-    pub fn with_delay_script(
-        mut self,
-        delays: impl IntoIterator<Item = Option<Duration>>,
-    ) -> Self {
+    pub fn with_delay_script(mut self, delays: impl IntoIterator<Item = Option<Duration>>) -> Self {
         self.script.extend(delays);
         self
     }
@@ -204,8 +201,8 @@ mod tests {
 
     #[test]
     fn latency_model_delays_within_bounds() {
-        let model = ResponseModel::latency(Duration::from_millis(2))
-            .with_jitter(Duration::from_millis(3));
+        let model =
+            ResponseModel::latency(Duration::from_millis(2)).with_jitter(Duration::from_millis(3));
         let mut m = UnreliableMember::new(scripted(1), model, 7);
         for _ in 0..50 {
             let d = m.answer_delay().expect("no drops configured");
@@ -234,16 +231,17 @@ mod tests {
         let seq_b: Vec<_> = (0..32).map(|_| b.answer_delay()).collect();
         assert_eq!(seq_a, seq_b);
         assert!(seq_a.iter().any(Option::is_none), "some drops at p=0.3");
-        assert!(seq_a.iter().any(Option::is_some), "some deliveries at p=0.3");
+        assert!(
+            seq_a.iter().any(Option::is_some),
+            "some deliveries at p=0.3"
+        );
     }
 
     #[test]
     fn delay_script_takes_precedence_then_model_resumes() {
         let model = ResponseModel::latency(Duration::from_millis(1));
-        let mut m = UnreliableMember::new(scripted(1), model, 7).with_delay_script([
-            Some(Duration::from_millis(250)),
-            None,
-        ]);
+        let mut m = UnreliableMember::new(scripted(1), model, 7)
+            .with_delay_script([Some(Duration::from_millis(250)), None]);
         assert_eq!(m.answer_delay(), Some(Duration::from_millis(250)));
         assert_eq!(m.answer_delay(), None, "scripted drop");
         assert_eq!(

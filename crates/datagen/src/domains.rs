@@ -95,7 +95,14 @@ fn travel_domain_sized(
     let subject_leaves = build_tree(&mut b, "Activity", "Act", act_branches, 2, act_fanout);
     // Object taxonomy: Attraction, 1 level; instances per leaf class,
     // labeled and inside the city.
-    let object_classes = build_tree(&mut b, "Attraction", "AttrCat", attr_branches, 1, attr_fanout);
+    let object_classes = build_tree(
+        &mut b,
+        "Attraction",
+        "AttrCat",
+        attr_branches,
+        1,
+        attr_fanout,
+    );
     b.element("Tel Aviv");
     let mut object_leaves = Vec::new();
     for (i, class) in object_classes.iter().enumerate() {

@@ -72,9 +72,7 @@ impl<T: Transport> NetClient<T> {
     /// completes) or the connection is down (reconnect and retry).
     pub fn request(&mut self, req: &Request) -> Result<(), NetError> {
         if self.pending.is_some() {
-            return Err(NetError::Protocol(
-                "a request is already in flight".into(),
-            ));
+            return Err(NetError::Protocol("a request is already in flight".into()));
         }
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -124,9 +122,13 @@ impl<T: Transport> NetClient<T> {
         };
         // Complete when a terminal frame arrived and every index below it
         // did too (the terminal frame is always the batch's last index).
-        let done = pending.frames.iter().next_back().is_some_and(|(last, resp)| {
-            resp.is_terminal() && pending.frames.len() as u64 == last + 1
-        });
+        let done = pending
+            .frames
+            .iter()
+            .next_back()
+            .is_some_and(|(last, resp)| {
+                resp.is_terminal() && pending.frames.len() as u64 == last + 1
+            });
         if done {
             let pending = self.pending.take().expect("checked above");
             return Ok(Some(pending.frames.into_values().collect()));

@@ -222,8 +222,8 @@ fn open(line: &str) -> Result<Vec<&str>, FrameError> {
     let (payload, checksum) = line
         .rsplit_once(SEP)
         .ok_or_else(|| FrameError("missing checksum".into()))?;
-    let expected = u64::from_str_radix(checksum, 16)
-        .map_err(|e| FrameError(format!("bad checksum: {e}")))?;
+    let expected =
+        u64::from_str_radix(checksum, 16).map_err(|e| FrameError(format!("bad checksum: {e}")))?;
     let actual = fnv1a64(payload.as_bytes());
     if actual != expected {
         return Err(FrameError(format!(
@@ -524,9 +524,6 @@ mod tests {
     fn version_tag_is_enforced() {
         let line = encode_request(1, &Request::Close);
         let retagged = seal(format!("v2{}", &line.rsplit_once(SEP).unwrap().0[2..]));
-        assert!(decode_request(&retagged)
-            .unwrap_err()
-            .0
-            .contains("version"));
+        assert!(decode_request(&retagged).unwrap_err().0.contains("version"));
     }
 }

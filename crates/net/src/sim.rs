@@ -208,13 +208,14 @@ impl SimNet {
         let due: Option<u64> = inner
             .conns
             .iter()
-            .find(|(_, c)| {
-                c.alive && c.to_server.front().is_some_and(|(at, _)| *at <= tick)
-            })
+            .find(|(_, c)| c.alive && c.to_server.front().is_some_and(|(at, _)| *at <= tick))
             .map(|(id, _)| *id);
         let conn = due?;
-        let line = SimNetInner::pop_due(&mut inner.conns.get_mut(&conn).expect("found").to_server, tick)
-            .expect("front was due");
+        let line = SimNetInner::pop_due(
+            &mut inner.conns.get_mut(&conn).expect("found").to_server,
+            tick,
+        )
+        .expect("front was due");
         Some((conn, line))
     }
 
@@ -363,6 +364,10 @@ mod tests {
             seen
         };
         assert_eq!(run(42), run(42));
-        assert_ne!(run(42), run(43), "different seeds explore different schedules");
+        assert_ne!(
+            run(42),
+            run(43),
+            "different seeds explore different schedules"
+        );
     }
 }

@@ -479,14 +479,16 @@ mod tests {
     #[test]
     fn errors_carry_the_offending_span() {
         let o = figure1_ontology();
-        let src =
-            "SELECT FACT-SETS WHERE SATISFYING $x orbits $y WITH SUPPORT = 0.1";
+        let src = "SELECT FACT-SETS WHERE SATISFYING $x orbits $y WITH SUPPORT = 0.1";
         let err = parse_query(src, &o).unwrap_err();
         let span = err.span().expect("parse errors carry spans");
         assert_eq!(&src[span.start..span.end], "orbits");
         let msg = err.to_string();
         assert!(msg.contains("orbits"), "{msg}");
-        assert!(msg.contains(&format!("bytes {}..{}", span.start, span.end)), "{msg}");
+        assert!(
+            msg.contains(&format!("bytes {}..{}", span.start, span.end)),
+            "{msg}"
+        );
     }
 
     #[test]

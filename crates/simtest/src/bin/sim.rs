@@ -104,7 +104,8 @@ fn run_repro(seed: u64) -> ExitCode {
             Some(shrunk) => {
                 outln!(
                     "  shrunk to {} non-FIFO decisions; minimal script: {:?}",
-                    shrunk.non_fifo, shrunk.script
+                    shrunk.non_fifo,
+                    shrunk.script
                 );
                 outln!("  minimal failing transcript:");
                 for line in shrunk.transcript.lines() {

@@ -165,9 +165,7 @@ impl PropPath {
     /// `rel+`, `rel?`); `None` for compound `/` and `|` paths.
     pub fn relation(&self) -> Option<RelationId> {
         match self {
-            PropPath::Rel(r) | PropPath::Star(r) | PropPath::Plus(r) | PropPath::Opt(r) => {
-                Some(*r)
-            }
+            PropPath::Rel(r) | PropPath::Star(r) | PropPath::Plus(r) | PropPath::Opt(r) => Some(*r),
             PropPath::Seq(_) | PropPath::Alt(_) => None,
         }
     }
@@ -278,8 +276,12 @@ impl FilterExpr {
             FilterTerm::Const(c) => Some(*c),
         };
         match self {
-            FilterExpr::Eq(a, b) => matches!((resolve(a), resolve(b)), (Some(x), Some(y)) if x == y),
-            FilterExpr::Ne(a, b) => matches!((resolve(a), resolve(b)), (Some(x), Some(y)) if x != y),
+            FilterExpr::Eq(a, b) => {
+                matches!((resolve(a), resolve(b)), (Some(x), Some(y)) if x == y)
+            }
+            FilterExpr::Ne(a, b) => {
+                matches!((resolve(a), resolve(b)), (Some(x), Some(y)) if x != y)
+            }
             FilterExpr::In(v, ts) => lookup(*v).is_some_and(|x| ts.contains(&x)),
             FilterExpr::NotIn(v, ts) => lookup(*v).is_some_and(|x| !ts.contains(&x)),
         }
@@ -342,9 +344,7 @@ impl GraphPattern {
             match item {
                 GroupItem::Triple(t) => out.push(t),
                 GroupItem::Optional(g) => g.collect_triples(out),
-                GroupItem::Union(branches) => {
-                    branches.iter().for_each(|g| g.collect_triples(out))
-                }
+                GroupItem::Union(branches) => branches.iter().for_each(|g| g.collect_triples(out)),
                 GroupItem::Filter(_) => {}
             }
         }
@@ -368,9 +368,7 @@ impl GraphPattern {
     /// Whether the group contains anything beyond plain triples (i.e.
     /// whether pre-algebra consumers could treat it as a bare BGP).
     pub fn is_plain_bgp(&self) -> bool {
-        self.items
-            .iter()
-            .all(|i| matches!(i, GroupItem::Triple(_)))
+        self.items.iter().all(|i| matches!(i, GroupItem::Triple(_)))
     }
 }
 

@@ -22,8 +22,8 @@
 //! of the matching relation(s) — or, when the optimizer proved the stored
 //! edges mirror the element taxonomy, by direct `≤E` reachability.
 
-use std::collections::{HashMap, HashSet, VecDeque};
 use std::cmp::Ordering;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use oassis_obs::{names, null_sink, EventSink, SinkExt};
@@ -349,10 +349,10 @@ impl<'a> Interp<'a> {
             (false, true) => "?po",
             (false, false) => "?p?",
         };
-        self.sink.count_labeled(names::SPARQL_PATTERN_SCAN, shape, 1);
+        self.sink
+            .count_labeled(names::SPARQL_PATTERN_SCAN, shape, 1);
         let narrowable = matches!(pattern.path, PropPath::Rel(_))
-            && ((s.is_none() && subject_in.is_some())
-                || (o.is_none() && object_in.is_some()));
+            && ((s.is_none() && subject_in.is_some()) || (o.is_none() && object_in.is_some()));
         let pairs = if narrowable {
             // Plain edge scans probe the pushed-down values directly
             // instead of enumerating the full relation. (Path scans keep
@@ -524,8 +524,7 @@ impl<'a> Interp<'a> {
                 }
             }
             (Some(s), None) => {
-                let mut v: Vec<(Term, Term)> =
-                    self.forward(r, s).iter().map(|&t| (s, t)).collect();
+                let mut v: Vec<(Term, Term)> = self.forward(r, s).iter().map(|&t| (s, t)).collect();
                 if reflexive {
                     v.push((s, s));
                 }
@@ -1023,8 +1022,12 @@ mod tests {
         let zoo: Term = v.element("Bronx Zoo").unwrap().into();
         let cp: Term = v.element("Central Park").unwrap().into();
         let nyc: Term = v.element("NYC").unwrap().into();
-        assert!(res.iter().any(|r| r.get(a) == Some(pine) && r.get(b) == Some(zoo)));
-        assert!(res.iter().any(|r| r.get(a) == Some(cp) && r.get(b) == Some(nyc)));
+        assert!(res
+            .iter()
+            .any(|r| r.get(a) == Some(pine) && r.get(b) == Some(zoo)));
+        assert!(res
+            .iter()
+            .any(|r| r.get(a) == Some(cp) && r.get(b) == Some(nyc)));
     }
 
     #[test]

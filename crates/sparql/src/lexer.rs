@@ -90,15 +90,16 @@ pub fn tokenize(src: &str) -> Result<Vec<Token>, SparqlError> {
     }
     while let Some(&(start, c)) = chars.peek() {
         // Single-character punctuation shares one emission path.
-        let mut punct = |kind: TokenKind, chars: &mut std::iter::Peekable<std::str::CharIndices>| {
-            chars.next();
-            let end = chars.peek().map_or(src.len(), |&(i, _)| i);
-            out.push(Token {
-                kind,
-                line,
-                span: Span::new(start, end),
-            });
-        };
+        let mut punct =
+            |kind: TokenKind, chars: &mut std::iter::Peekable<std::str::CharIndices>| {
+                chars.next();
+                let end = chars.peek().map_or(src.len(), |&(i, _)| i);
+                out.push(Token {
+                    kind,
+                    line,
+                    span: Span::new(start, end),
+                });
+            };
         match c {
             '\n' => {
                 line += 1;
@@ -430,10 +431,7 @@ mod tests {
         let toks = tokenize(src).unwrap();
         assert_eq!(&src[toks[0].span.start..toks[0].span.end], "$x");
         assert_eq!(&src[toks[1].span.start..toks[1].span.end], "doAt");
-        assert_eq!(
-            &src[toks[2].span.start..toks[2].span.end],
-            "<Central Park>"
-        );
+        assert_eq!(&src[toks[2].span.start..toks[2].span.end], "<Central Park>");
     }
 
     #[test]

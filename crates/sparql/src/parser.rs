@@ -525,16 +525,16 @@ impl<'a> PatternParser<'a> {
                 msg: "expected relation name".into(),
             });
         };
-        let rel = self
-            .ontology
-            .vocabulary()
-            .relation(name)
-            .ok_or_else(|| SparqlError::UnknownName {
-                line,
-                span,
-                name: name.clone(),
-                expected: "relation",
-            })?;
+        let rel =
+            self.ontology
+                .vocabulary()
+                .relation(name)
+                .ok_or_else(|| SparqlError::UnknownName {
+                    line,
+                    span,
+                    name: name.clone(),
+                    expected: "relation",
+                })?;
         match self.peek().map(|t| &t.kind) {
             Some(TokenKind::Star) => {
                 self.next();

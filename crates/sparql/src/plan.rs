@@ -155,10 +155,7 @@ pub fn compile(ontology: &Ontology, clause: &WhereClause, mode: MatchMode) -> Pl
     let est = body.est;
     let mut plan = Plan::new(PlanOp::Distinct(Box::new(body)), est);
     if !clause.order_by.is_empty() {
-        plan = Plan::new(
-            PlanOp::Sort(Box::new(plan), clause.order_by.clone()),
-            est,
-        );
+        plan = Plan::new(PlanOp::Sort(Box::new(plan), clause.order_by.clone()), est);
     }
     if clause.limit.is_some() || clause.offset > 0 {
         let est = clause
@@ -231,8 +228,7 @@ impl<'a> Planner<'a> {
             match item {
                 GroupItem::Triple(t) => join_children.push(self.scan_plan(t.clone())),
                 GroupItem::Union(branches) => {
-                    let plans: Vec<Plan> =
-                        branches.iter().map(|b| self.compile_group(b)).collect();
+                    let plans: Vec<Plan> = branches.iter().map(|b| self.compile_group(b)).collect();
                     let est = plans.iter().map(|p| p.est).sum();
                     join_children.push(Plan::new(PlanOp::Union(plans), est));
                 }
@@ -352,9 +348,8 @@ impl<'a> Planner<'a> {
             }
             PropPath::Plus(r) => {
                 let rels = self.match_rels(*r).to_vec();
-                rels.iter().all(|&rel| {
-                    self.ontology.store().count_matching(None, Some(rel), None) == 0
-                })
+                rels.iter()
+                    .all(|&rel| self.ontology.store().count_matching(None, Some(rel), None) == 0)
             }
             _ => false,
         }
@@ -718,8 +713,7 @@ impl Plan {
                 }
                 for (label, list) in [("subject", subject_in), ("object", object_in)] {
                     if let Some(list) = list {
-                        let names: Vec<String> =
-                            list.iter().map(|t| render_term(o, t)).collect();
+                        let names: Vec<String> = list.iter().map(|t| render_term(o, t)).collect();
                         let _ = write!(out, " {label}∈{{{}}}", names.join(", "));
                     }
                 }
@@ -743,7 +737,12 @@ impl Plan {
             PlanOp::Filter(c, exprs) => {
                 let rendered: Vec<String> =
                     exprs.iter().map(|e| render_filter(o, vars, e)).collect();
-                let _ = writeln!(out, "{indent}Filter {} est={}", rendered.join(" && "), self.est);
+                let _ = writeln!(
+                    out,
+                    "{indent}Filter {} est={}",
+                    rendered.join(" && "),
+                    self.est
+                );
                 c.explain_into(o, vars, depth + 1, out);
             }
             PlanOp::Project(c, keep) => {
@@ -827,12 +826,18 @@ fn render_filter(o: &Ontology, vars: &VarTable, e: &FilterExpr) -> String {
         FilterExpr::In(v, ts) => format!(
             "${} IN ({})",
             vars.name(*v),
-            ts.iter().map(|t| render_term(o, t)).collect::<Vec<_>>().join(", ")
+            ts.iter()
+                .map(|t| render_term(o, t))
+                .collect::<Vec<_>>()
+                .join(", ")
         ),
         FilterExpr::NotIn(v, ts) => format!(
             "${} NOT IN ({})",
             vars.name(*v),
-            ts.iter().map(|t| render_term(o, t)).collect::<Vec<_>>().join(", ")
+            ts.iter()
+                .map(|t| render_term(o, t))
+                .collect::<Vec<_>>()
+                .join(", ")
         ),
     }
 }
@@ -880,10 +885,7 @@ mod tests {
     #[test]
     fn empty_scan_prunes_the_join() {
         // `NYC nearBy NYC` has no stored match in syntactic mode.
-        let (plan, report, _, _) = planned(
-            "$x inside NYC. NYC nearBy NYC",
-            MatchMode::Syntactic,
-        );
+        let (plan, report, _, _) = planned("$x inside NYC. NYC nearBy NYC", MatchMode::Syntactic);
         assert!(report.pruned >= 1);
         assert!(matches!(plan.op, PlanOp::Empty), "{plan:?}");
     }
@@ -896,7 +898,10 @@ mod tests {
         );
         assert!(report.pruned >= 1);
         let rendered = plan.explain(&o, &vars);
-        assert!(!rendered.contains("Union"), "single branch left:\n{rendered}");
+        assert!(
+            !rendered.contains("Union"),
+            "single branch left:\n{rendered}"
+        );
     }
 
     #[test]
@@ -912,7 +917,10 @@ mod tests {
         let e1 = p1.explain(&o, &vars);
         assert_eq!(e1, p2.explain(&o2, &vars2), "byte-identical plans");
         // The constant-bound non-path scan comes first.
-        let first_scan = e1.lines().find(|l| l.trim_start().starts_with("Scan")).unwrap();
+        let first_scan = e1
+            .lines()
+            .find(|l| l.trim_start().starts_with("Scan"))
+            .unwrap();
         assert!(first_scan.contains("$x inside NYC"), "{e1}");
     }
 
@@ -923,11 +931,11 @@ mod tests {
             MatchMode::Syntactic,
         );
         assert!(matches!(plan.op, PlanOp::Empty));
-        let (plan, _, _, _) = planned(
-            "$x inside NYC. FILTER(NYC = NYC)",
-            MatchMode::Syntactic,
+        let (plan, _, _, _) = planned("$x inside NYC. FILTER(NYC = NYC)", MatchMode::Syntactic);
+        assert!(
+            !matches!(plan.op, PlanOp::Empty),
+            "true filter dropped, plan kept"
         );
-        assert!(!matches!(plan.op, PlanOp::Empty), "true filter dropped, plan kept");
     }
 
     #[test]

@@ -212,8 +212,7 @@ fn read_snapshot(path: &Path) -> Result<(u64, Vec<WalRecord>), DurableError> {
     let contents = fs::read_to_string(path)?;
     let mut lines = contents.lines().enumerate();
     let covered = match lines.next() {
-        Some((_, header)) if header.starts_with(SNAPSHOT_HEADER) => header
-            [SNAPSHOT_HEADER.len()..]
+        Some((_, header)) if header.starts_with(SNAPSHOT_HEADER) => header[SNAPSHOT_HEADER.len()..]
             .trim()
             .parse::<u64>()
             .map_err(|e| DurableError::Corrupt {
@@ -405,11 +404,7 @@ mod tests {
             session: Some(1),
             member: n,
             support: 1.0 / 3.0,
-            factset: FactSet::from_facts([Fact::new(
-                ElementId(n),
-                RelationId(0),
-                ElementId(0),
-            )]),
+            factset: FactSet::from_facts([Fact::new(ElementId(n), RelationId(0), ElementId(0))]),
         }
     }
 
@@ -554,7 +549,10 @@ mod tests {
         let expected = vec![ans(1), ans(2), budget(2), ans(3)];
         let mut p = FileBacked::open(&dir).unwrap();
         assert_eq!(p.replay().unwrap(), expected);
-        assert!(!dir.join(SNAPSHOT_FILE).exists(), "the snapshot is folded in");
+        assert!(
+            !dir.join(SNAPSHOT_FILE).exists(),
+            "the snapshot is folded in"
+        );
         assert_eq!(p.append(&ans(4)).unwrap(), 5, "sequence continues");
         let mut p = FileBacked::open(&dir).unwrap();
         let mut grown = expected;

@@ -193,11 +193,7 @@ mod tests {
             session: None,
             member: n,
             support: 0.5,
-            factset: FactSet::from_facts([Fact::new(
-                ElementId(n),
-                RelationId(0),
-                ElementId(0),
-            )]),
+            factset: FactSet::from_facts([Fact::new(ElementId(n), RelationId(0), ElementId(0))]),
         }
     }
 

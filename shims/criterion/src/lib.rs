@@ -131,7 +131,12 @@ impl BenchmarkGroup<'_> {
     }
 
     /// Benchmark `routine` over a borrowed input.
-    pub fn bench_with_input<I, F>(&mut self, id: BenchmarkId, input: &I, mut routine: F) -> &mut Self
+    pub fn bench_with_input<I, F>(
+        &mut self,
+        id: BenchmarkId,
+        input: &I,
+        mut routine: F,
+    ) -> &mut Self
     where
         I: ?Sized,
         F: FnMut(&mut Bencher, &I),

@@ -85,7 +85,10 @@ const COLD: &[ColdRow] = &[
 #[test]
 fn cold_executions_match_recorded_outcomes() {
     let mut actual: Vec<ColdRow> = Vec::new();
-    let cfg = EngineConfig::builder().seed(11).aggregator_sample(2).build();
+    let cfg = EngineConfig::builder()
+        .seed(11)
+        .aggregator_sample(2)
+        .build();
     for domain in [travel_domain(), culinary_domain(), self_treatment_domain()] {
         let engine = Oassis::new(domain.ontology.clone());
         let query = engine.parse(&domain.query).expect("domain query parses");

@@ -174,8 +174,13 @@ fn bounded_space_reports_exact_lazy_generation_ratio() {
     let mem = InMemorySink::shared();
     let sink: Arc<dyn EventSink> = Arc::clone(&mem) as Arc<dyn EventSink>;
     let engine = Oassis::new(ontology);
-    let config = EngineConfig::builder().aggregator_sample(2).sink(sink).build();
-    let result = engine.execute(FIG3_FRAGMENT, &mut members, &config).unwrap();
+    let config = EngineConfig::builder()
+        .aggregator_sample(2)
+        .sink(sink)
+        .build();
+    let result = engine
+        .execute(FIG3_FRAGMENT, &mut members, &config)
+        .unwrap();
     let snap = mem.snapshot();
 
     let generated = snap.counter(names::DAG_NODES_GENERATED);

@@ -19,9 +19,7 @@
 
 use proptest::prelude::*;
 
-use oassis::sparql::{
-    evaluate_reference, evaluate_where, plan, run_plan, MatchMode, VarTable,
-};
+use oassis::sparql::{evaluate_reference, evaluate_where, plan, run_plan, MatchMode, VarTable};
 use oassis::store::Ontology;
 
 const QVARS: &[&str] = &["x", "y", "z"];
@@ -115,14 +113,29 @@ fn triple_str(spec: &TripleSpec, n: usize) -> String {
     } else {
         elem(*obj, n)
     };
-    format!("${} {} {}", QVARS[subj % QVARS.len()], path_str(path), object)
+    format!(
+        "${} {} {}",
+        QVARS[subj % QVARS.len()],
+        path_str(path),
+        object
+    )
 }
 
-type ItemSpec = (u8, TripleSpec, Vec<TripleSpec>, Vec<TripleSpec>, (u8, Vec<usize>));
+type ItemSpec = (
+    u8,
+    TripleSpec,
+    Vec<TripleSpec>,
+    Vec<TripleSpec>,
+    (u8, Vec<usize>),
+);
 
 /// Assemble a WHERE-clause source string from item specs. The first item
 /// is always a plain triple so FILTERs have a bound anchor variable.
-fn where_str(items: &[ItemSpec], mods: &(bool, Vec<(usize, bool)>, Option<u64>, u64), n: usize) -> String {
+fn where_str(
+    items: &[ItemSpec],
+    mods: &(bool, Vec<(usize, bool)>, Option<u64>, u64),
+    n: usize,
+) -> String {
     let mut parts: Vec<String> = Vec::new();
     let mut anchor: Option<String> = None;
     for (i, (kind, triple, group_a, group_b, (filter_op, consts))) in items.iter().enumerate() {
@@ -135,7 +148,11 @@ fn where_str(items: &[ItemSpec], mods: &(bool, Vec<(usize, bool)>, Option<u64>, 
             2 => {
                 let a: Vec<String> = group_a.iter().map(|t| triple_str(t, n)).collect();
                 let b: Vec<String> = group_b.iter().map(|t| triple_str(t, n)).collect();
-                parts.push(format!("{{ {} }} UNION {{ {} }}", a.join(". "), b.join(". ")));
+                parts.push(format!(
+                    "{{ {} }} UNION {{ {} }}",
+                    a.join(". "),
+                    b.join(". ")
+                ));
             }
             3 if anchor.is_some() => {
                 let a = anchor.clone().expect("checked");

@@ -39,7 +39,14 @@ const ELEMENTS: &[&str] = &[
     "NYC",
     "Maoz Veg.",
 ];
-const RELATIONS: &[&str] = &["doAt", "eatAt", "inside", "nearBy", "subClassOf", "instanceOf"];
+const RELATIONS: &[&str] = &[
+    "doAt",
+    "eatAt",
+    "inside",
+    "nearBy",
+    "subClassOf",
+    "instanceOf",
+];
 /// Subject/object variable pool. Disjoint from [`REL_VARS`] so relation
 /// variables never carry a multiplicity (the validator forbids it).
 const VARS: &[&str] = &["x", "y", "z", "w", "v"];
@@ -58,7 +65,13 @@ type FilterSpec = (u8, bool, usize, Vec<usize>);
 /// Kind 0 = triple, 1 = OPTIONAL groupA (+ nested filter), 2 = groupA UNION
 /// groupB, 3 = top-level FILTER (downgraded to a triple when no top-level
 /// triple precedes it to bind the filter's variable).
-type ItemSpec = (u8, TripleSpec, Vec<TripleSpec>, Vec<TripleSpec>, Option<FilterSpec>);
+type ItemSpec = (
+    u8,
+    TripleSpec,
+    Vec<TripleSpec>,
+    Vec<TripleSpec>,
+    Option<FilterSpec>,
+);
 /// Solution modifiers: distinct, ORDER BY keys `(var-pick, desc)`, limit,
 /// offset.
 type ModSpec = (bool, Vec<(usize, bool)>, Option<u64>, u64);
@@ -77,7 +90,13 @@ fn arb_mult() -> impl Strategy<Value = Multiplicity> {
 }
 
 fn arb_path() -> impl Strategy<Value = PathSpec> {
-    (0u8..7, 0..RELATIONS.len(), 0..RELATIONS.len(), 0u8..4, 0u8..4)
+    (
+        0u8..7,
+        0..RELATIONS.len(),
+        0..RELATIONS.len(),
+        0u8..4,
+        0u8..4,
+    )
 }
 
 fn arb_triple() -> impl Strategy<Value = TripleSpec> {
@@ -125,7 +144,11 @@ fn arb_sat() -> impl Strategy<Value = SatSpec> {
 }
 
 fn build_path(o: &Ontology, spec: &PathSpec) -> PropPath {
-    let rel = |i: usize| o.vocabulary().relation(RELATIONS[i]).expect("known relation");
+    let rel = |i: usize| {
+        o.vocabulary()
+            .relation(RELATIONS[i])
+            .expect("known relation")
+    };
     let step = |kind: u8, r: usize| match kind {
         0 => PropPath::Rel(rel(r)),
         1 => PropPath::Star(rel(r)),
@@ -283,27 +306,29 @@ fn build_query(
 
     let patterns: Vec<SatPattern> = sats
         .iter()
-        .map(|&(subj, (rel_is_var, rel_var, rel_const), (obj_is_var, obj_var, obj_elem))| {
-            let subject = QlTerm::Var(vars.var(VARS[subj]));
-            let subject_mult = mults[subj];
-            let relation = if rel_is_var {
-                QlRel::Var(vars.var(REL_VARS[rel_var]))
-            } else {
-                QlRel::Relation(rel(rel_const))
-            };
-            let (object, object_mult) = if obj_is_var {
-                (QlTerm::Var(vars.var(VARS[obj_var])), mults[obj_var])
-            } else {
-                (QlTerm::Element(elem(obj_elem)), Multiplicity::One)
-            };
-            SatPattern {
-                subject,
-                subject_mult,
-                relation,
-                object,
-                object_mult,
-            }
-        })
+        .map(
+            |&(subj, (rel_is_var, rel_var, rel_const), (obj_is_var, obj_var, obj_elem))| {
+                let subject = QlTerm::Var(vars.var(VARS[subj]));
+                let subject_mult = mults[subj];
+                let relation = if rel_is_var {
+                    QlRel::Var(vars.var(REL_VARS[rel_var]))
+                } else {
+                    QlRel::Relation(rel(rel_const))
+                };
+                let (object, object_mult) = if obj_is_var {
+                    (QlTerm::Var(vars.var(VARS[obj_var])), mults[obj_var])
+                } else {
+                    (QlTerm::Element(elem(obj_elem)), Multiplicity::One)
+                };
+                SatPattern {
+                    subject,
+                    subject_mult,
+                    relation,
+                    object,
+                    object_mult,
+                }
+            },
+        )
         .collect();
 
     Query {

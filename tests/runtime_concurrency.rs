@@ -60,7 +60,10 @@ fn concurrent_matches_sequential_across_seeds() {
             seq.stats.total_questions, conc.stats.total_questions,
             "seed {seed}: concurrent run asked a different number of questions"
         );
-        assert!(!valid_msp_set(&conc).is_empty(), "seed {seed}: empty result");
+        assert!(
+            !valid_msp_set(&conc).is_empty(),
+            "seed {seed}: empty result"
+        );
     }
 }
 
@@ -94,7 +97,11 @@ fn latency_does_not_change_answers() {
             .execute_parsed_with_runtime(&query, 0.4, runtime, &cfg)
             .expect("no members excluded");
 
-        assert_eq!(valid_msp_set(&seq), valid_msp_set(&conc), "sim seed {sim_seed}");
+        assert_eq!(
+            valid_msp_set(&seq),
+            valid_msp_set(&conc),
+            "sim seed {sim_seed}"
+        );
         assert_eq!(
             seq.stats.total_questions, conc.stats.total_questions,
             "sim seed {sim_seed}"
@@ -158,7 +165,10 @@ fn dropping_members_are_excluded_without_losing_msps() {
         "both dropping members must be excluded"
     );
     // Each exclusion takes 1 initial attempt + 1 retry, all dropped.
-    assert_eq!(snap.counter(&format!("{}[drop]", names::RUNTIME_TIMEOUT)), 4);
+    assert_eq!(
+        snap.counter(&format!("{}[drop]", names::RUNTIME_TIMEOUT)),
+        4
+    );
     assert_eq!(snap.counter(names::RUNTIME_RETRY), 2);
     // Conservation: both terminal timeouts were resolved and excluded.
     assert_eq!(

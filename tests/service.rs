@@ -60,7 +60,9 @@ fn single_session_matches_multiuser_run_per_domain() {
         let engine = Oassis::new(domain.ontology.clone());
         let runtime = SessionRuntime::new(domain_crowd(&domain, members, seed));
         let mut service = OassisService::start(engine, runtime);
-        let spec = SessionSpec::builder(&domain.query).config(cfg.clone()).build();
+        let spec = SessionSpec::builder(&domain.query)
+            .config(cfg.clone())
+            .build();
         service.submit(spec).unwrap();
         let mut reports = service.run();
         assert_eq!(reports.len(), 1);
@@ -78,7 +80,11 @@ fn single_session_matches_multiuser_run_per_domain() {
             "{}: different question count",
             domain.name
         );
-        assert_eq!(report.store_hits, 0, "{}: empty store cannot hit", domain.name);
+        assert_eq!(
+            report.store_hits, 0,
+            "{}: empty store cannot hit",
+            domain.name
+        );
         assert!(
             !valid_msp_set(&report.result).is_empty(),
             "{}: vacuous comparison",
